@@ -15,7 +15,7 @@ noise, so agreement is the falsifiable form of "if and only if".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,13 +34,28 @@ class EmptyInteriorError(ValueError):
     """No interior valid cells to diagnose."""
 
 
+def _norm_entry(f: ScalarField | None) -> dict | str:
+    """Interior {"max", "rms"}; "masked" without interior cells; "n/a" for None."""
+    if f is None:
+        return "n/a"
+    mx = max_norm(f.values, f.mask)
+    if mx is None:
+        return "masked"
+    return {"max": mx, "rms": rms_norm(f.values, f.mask)}
+
+
 @dataclass
 class AnalyticityReport:
     orth: ScalarField
     crStrict: ScalarField
     harmS: ScalarField
     harmI: ScalarField
-    norms: dict = field(default_factory=dict)
+
+    @property
+    def norms(self) -> dict:
+        """Norms of the four residuals, taken from the fields as they are now."""
+        return {name: _norm_entry(getattr(self, name))
+                for name in ("orth", "crStrict", "harmS", "harmI")}
 
 
 @dataclass
@@ -51,34 +66,14 @@ class PropertyVerdict:
     note: str = ""
 
 
-def _norms(f: ScalarField) -> dict:
-    return {"max": max_norm(f.values, f.mask), "rms": rms_norm(f.values, f.mask)}
-
-
 def analyze(m: MadelungFields) -> AnalyticityReport:
-    spec = m.spec
-    gmask = m.gradS.mask & m.gradI.mask
-    orth = ScalarField(
-        spec,
-        m.gradS.vx * m.gradI.vx + m.gradS.vy * m.gradI.vy,
-        gmask.copy(),
-    )
+    if not interior_mask(m.lapS.mask).any():
+        raise EmptyInteriorError("empty interior after node masking")
     cr = np.sqrt(
         (m.gradS.vx - m.gradI.vy) ** 2 + (m.gradS.vy + m.gradI.vx) ** 2
     )
-    crStrict = ScalarField(spec, cr, gmask.copy())
-    harmS = ScalarField(spec, m.lapS.values.copy(), m.lapS.mask.copy())
-    harmI = ScalarField(spec, m.lapI.values.copy(), m.lapI.mask.copy())
-    if not interior_mask(harmS.mask).any():
-        raise EmptyInteriorError("empty interior after node masking")
-    report = AnalyticityReport(orth, crStrict, harmS, harmI)
-    report.norms = {
-        "orth": _norms(orth),
-        "crStrict": _norms(crStrict),
-        "harmS": _norms(harmS),
-        "harmI": _norms(harmI),
-    }
-    return report
+    crStrict = ScalarField(m.spec, cr, m.gradS.mask & m.gradI.mask)
+    return AnalyticityReport(m.cross, crStrict, m.lapS, m.lapI)
 
 
 def default_tolerance(m: MadelungFields) -> float:
@@ -92,10 +87,34 @@ def default_tolerance(m: MadelungFields) -> float:
     return max(10.0 * h * h, 1e-8) * scale
 
 
-def _max(f: ScalarField | None) -> float | None:
-    if f is None:
-        return None
-    return max_norm(f.values, f.mask)
+def gradS_max(m: MadelungFields) -> float | None:
+    """Interior max |gradS|, the hypothesis of P2 and P5."""
+    return max_norm(np.hypot(m.gradS.vx, m.gradS.vy), m.gradS.mask)
+
+
+def norm_table(m: MadelungFields, c: CurrentFields, r: AnalyticityReport) -> dict:
+    """Interior norms of every diagnostic field: the report's `norms`, and
+    the numbers the verdicts and the convergence study read."""
+    # raw div J~ carries the anchor-dependent e^{2I} prefactor; the norm is
+    # taken of e^{-2I} div J~, which is gauge/anchor independent
+    scaled = None
+    if c.divJtilde is not None and m.I_unwrapped is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = c.divJtilde.values * np.exp(-2.0 * m.I_unwrapped.values)
+        scaled = ScalarField(m.spec, values, c.divJtilde.mask & m.I_unwrapped.mask)
+    return {
+        **r.norms,
+        "defectC": _norm_entry(c.defectC),
+        "defectA": _norm_entry(c.defectA),
+        "divJ": _norm_entry(c.divJ),
+        "divJtilde_scaled": _norm_entry(scaled),
+        "qhjResidual": _norm_entry(c.qhjResidual),
+    }
+
+
+def table_max(entry: dict | str) -> float | None:
+    """The interior max of a norm-table entry; None if masked or n/a."""
+    return entry["max"] if isinstance(entry, dict) else None
 
 
 def check_properties(
@@ -105,37 +124,34 @@ def check_properties(
     tol: float,
 ) -> dict[str, PropertyVerdict]:
     """Verdicts for the five properties at interior max-norm tolerance tol."""
+    return verdicts(norm_table(m, c, r), gradS_max(m), tol)
+
+
+def verdicts(
+    norms: dict, n_gradS: float | None, tol: float
+) -> dict[str, PropertyVerdict]:
+    """P1-P5 from a `norm_table`, the interior max |gradS| and tol."""
     if not tol > 0:
         raise ValueError("tol must be positive")
 
-    gradS_mag = np.hypot(m.gradS.vx, m.gradS.vy)
-    n_gradS = max_norm(gradS_mag, m.gradS.mask)
-    n_orth = _max(r.orth)
-    n_harmS = _max(r.harmS)
-    n_harmI = _max(r.harmI)
-    n_defC = _max(c.defectC)
-    n_defA = _max(c.defectA)
-
-    # div J~ rescaled by (m/hbar) e^{-2I}: the raw divergence carries the
-    # anchor-dependent e^{2I} prefactor, which has no structural meaning.
-    n_divJt_scaled = None
-    if c.divJtilde is not None and m.I_unwrapped is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            scaled = c.divJtilde.values * np.exp(-2.0 * m.I_unwrapped.values)
-        mask = c.divJtilde.mask & m.I_unwrapped.mask & np.isfinite(scaled)
-        n_divJt_scaled = max_norm(scaled, mask)
+    n_orth = table_max(norms["orth"])
+    n_harmS = table_max(norms["harmS"])
+    n_harmI = table_max(norms["harmI"])
+    n_defC = table_max(norms["defectC"])
+    n_defA = table_max(norms["defectA"])
+    n_divJt_scaled = table_max(norms["divJtilde_scaled"])
 
     def ok(n: float | None) -> bool | None:
         return None if n is None else n <= tol
 
-    verdicts: dict[str, PropertyVerdict] = {}
+    out: dict[str, PropertyVerdict] = {}
 
     # P1: under the stationary continuity hypothesis (defectC ~ 0),
     # "I harmonic" and "g analytic" (orthogonality) must agree.
     if None in (n_defC, n_harmI, n_orth):
-        verdicts["P1"] = PropertyVerdict(PRECONDITION_NOT_MET, {}, tol, "indeterminate input")
+        out["P1"] = PropertyVerdict(PRECONDITION_NOT_MET, {}, tol, "indeterminate input")
     elif not ok(n_defC):
-        verdicts["P1"] = PropertyVerdict(
+        out["P1"] = PropertyVerdict(
             PRECONDITION_NOT_MET,
             {"defectC": n_defC, "harmI": n_harmI, "orth": n_orth},
             tol,
@@ -143,7 +159,7 @@ def check_properties(
         )
     else:
         agree = ok(n_harmI) == ok(n_orth)
-        verdicts["P1"] = PropertyVerdict(
+        out["P1"] = PropertyVerdict(
             HOLDS if agree else FAILS,
             {"defectC": n_defC, "harmI": n_harmI, "orth": n_orth},
             tol,
@@ -151,9 +167,9 @@ def check_properties(
 
     # P2: gradS ~ 0 (plus stationarity) forces I harmonic and g analytic.
     if None in (n_gradS, n_defC, n_harmI, n_orth):
-        verdicts["P2"] = PropertyVerdict(PRECONDITION_NOT_MET, {}, tol, "indeterminate input")
+        out["P2"] = PropertyVerdict(PRECONDITION_NOT_MET, {}, tol, "indeterminate input")
     elif not (ok(n_gradS) and ok(n_defC)):
-        verdicts["P2"] = PropertyVerdict(
+        out["P2"] = PropertyVerdict(
             PRECONDITION_NOT_MET,
             {"gradS": n_gradS, "defectC": n_defC},
             tol,
@@ -161,7 +177,7 @@ def check_properties(
         )
     else:
         conclusion = ok(n_harmI) and ok(n_orth)
-        verdicts["P2"] = PropertyVerdict(
+        out["P2"] = PropertyVerdict(
             HOLDS if conclusion else FAILS,
             {"gradS": n_gradS, "harmI": n_harmI, "orth": n_orth},
             tol,
@@ -173,10 +189,10 @@ def check_properties(
     if lhs is None:
         lhs_name, lhs = ("defectA", n_defA)
     if lhs is None or n_defA is None:
-        verdicts["P3"] = PropertyVerdict(PRECONDITION_NOT_MET, {}, tol, "indeterminate input")
+        out["P3"] = PropertyVerdict(PRECONDITION_NOT_MET, {}, tol, "indeterminate input")
     else:
         agree = ok(lhs) == ok(n_defA)
-        verdicts["P3"] = PropertyVerdict(
+        out["P3"] = PropertyVerdict(
             HOLDS if agree else FAILS,
             {lhs_name: lhs, "defectA": n_defA},
             tol,
@@ -185,9 +201,9 @@ def check_properties(
 
     # P4: with S harmonic, "div J~ = 0" (via defectA) must agree with orth.
     if None in (n_harmS, n_defA, n_orth):
-        verdicts["P4"] = PropertyVerdict(PRECONDITION_NOT_MET, {}, tol, "indeterminate input")
+        out["P4"] = PropertyVerdict(PRECONDITION_NOT_MET, {}, tol, "indeterminate input")
     elif not ok(n_harmS):
-        verdicts["P4"] = PropertyVerdict(
+        out["P4"] = PropertyVerdict(
             PRECONDITION_NOT_MET,
             {"harmS": n_harmS},
             tol,
@@ -195,7 +211,7 @@ def check_properties(
         )
     else:
         agree = ok(n_defA) == ok(n_orth)
-        verdicts["P4"] = PropertyVerdict(
+        out["P4"] = PropertyVerdict(
             HOLDS if agree else FAILS,
             {"harmS": n_harmS, "defectA": n_defA, "orth": n_orth},
             tol,
@@ -203,9 +219,9 @@ def check_properties(
 
     # P5: constant S forces defectA ~ 0 and analyticity.
     if None in (n_gradS, n_defA, n_orth):
-        verdicts["P5"] = PropertyVerdict(PRECONDITION_NOT_MET, {}, tol, "indeterminate input")
+        out["P5"] = PropertyVerdict(PRECONDITION_NOT_MET, {}, tol, "indeterminate input")
     elif not ok(n_gradS):
-        verdicts["P5"] = PropertyVerdict(
+        out["P5"] = PropertyVerdict(
             PRECONDITION_NOT_MET,
             {"gradS": n_gradS},
             tol,
@@ -213,10 +229,10 @@ def check_properties(
         )
     else:
         conclusion = ok(n_defA) and ok(n_orth)
-        verdicts["P5"] = PropertyVerdict(
+        out["P5"] = PropertyVerdict(
             HOLDS if conclusion else FAILS,
             {"gradS": n_gradS, "defectA": n_defA, "orth": n_orth},
             tol,
         )
 
-    return verdicts
+    return out

@@ -15,13 +15,14 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import analytic, currents, exprlang, fieldio, madelung, spectral
 from .currents import PhysicalParams
-from .grid import ComplexField, GridSpec, ScalarField, max_norm, rms_norm
+from .grid import ComplexField, GridSpec, ScalarField
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -78,14 +79,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="explicit grid spec; overrides --grid/--domain")
     p.add_argument("--hbar", type=float, default=1.0)
     p.add_argument("--mass", type=float, default=1.0)
-    p.add_argument("--kb", type=float, default=1.0)
     p.add_argument("--node-threshold", type=float, default=madelung.DEFAULT_NODE_THRESHOLD)
-    p.add_argument("--tol", type=float, default=None,
-                   help="property tolerance (default: max(10 h^2, 1e-8) scaled)")
-    p.add_argument("--energy", type=float, default=None,
-                   help="state energy for the Hamilton-Jacobi residual")
     p.add_argument("--potential", default=None, metavar="EXPR",
                    help="potential V(x,y) expression")
+
+
+def _add_report(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tol", type=float, default=None,
+                   help="property tolerance (default: max(10 h^2, 1e-8) scaled)")
     p.add_argument("--out", default=None, metavar="DIR",
                    help="output directory (default $MADELUNG_OUT or ./madelab-out)")
     p.add_argument("--dump", choices=sorted(_DUMP), default="bin",
@@ -98,6 +99,8 @@ def _add_state_source(p: argparse.ArgumentParser) -> None:
                      help="wavefunction expression in x, y")
     src.add_argument("--builtin", default=None, choices=spectral.BUILTIN_NAMES,
                      help="closed-form catalog state")
+    p.add_argument("--energy", type=float, default=None,
+                   help="state energy for the Hamilton-Jacobi residual")
     p.add_argument("--k1", type=float, default=1.0, help="plane_wave k1")
     p.add_argument("--k2", type=float, default=0.0, help="plane_wave k2")
     p.add_argument("--l", type=int, default=1, help="ho_vortex winding")
@@ -116,10 +119,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="diagnose a closed-form or builtin state")
     _add_common(pa)
+    _add_report(pa)
     _add_state_source(pa)
 
     ps = sub.add_parser("solve", help="solve the Schrodinger eigenproblem, then diagnose")
     _add_common(ps)
+    _add_report(ps)
     ps.add_argument("--count", type=int, default=1, help="number of eigenpairs")
     ps.add_argument("--solver-tol", type=float, default=1e-6,
                     help="eigenpair residual tolerance")
@@ -161,7 +166,7 @@ def _parse_grid(args) -> GridSpec:
 
 
 def _params(args) -> PhysicalParams:
-    return PhysicalParams(hbar=args.hbar, mass=args.mass, kB=args.kb)
+    return PhysicalParams(hbar=args.hbar, mass=args.mass)
 
 
 def _out_dir(args) -> Path:
@@ -213,54 +218,34 @@ def _parse_combine(text: str) -> tuple[list[int], list[complex]]:
 
 # --- diagnostics pipeline ----------------------------------------------------
 
-def run_pipeline(
+@dataclass
+class Diagnosis:
+    """Everything one pass over a state produces; each quantity once."""
+    psi: ComplexField
+    m: madelung.MadelungFields
+    c: currents.CurrentFields
+    r: analytic.AnalyticityReport
+    tol: float
+    norms: dict
+    verdicts: dict
+
+
+def diagnose(
     psi: ComplexField,
     p: PhysicalParams,
     node_threshold: float,
     tol: float | None = None,
     V: ScalarField | None = None,
     E: float | None = None,
-):
+) -> Diagnosis:
     m = madelung.decompose(psi, node_threshold)
     c = currents.compute_currents(m, p, V=V, E=E)
     r = analytic.analyze(m)
     if tol is None:
         tol = analytic.default_tolerance(m)
-    verdicts = analytic.check_properties(m, c, r, tol)
-    return m, c, r, verdicts, tol
-
-
-def _norm_entry(values, mask) -> dict | str:
-    mx = max_norm(values, mask)
-    if mx is None:
-        return "masked"
-    return {"max": mx, "rms": rms_norm(values, mask)}
-
-
-def norm_table(m, c, r) -> dict:
-    table = {
-        "orth": _norm_entry(r.orth.values, r.orth.mask),
-        "crStrict": _norm_entry(r.crStrict.values, r.crStrict.mask),
-        "harmS": _norm_entry(r.harmS.values, r.harmS.mask),
-        "harmI": _norm_entry(r.harmI.values, r.harmI.mask),
-        "defectC": _norm_entry(c.defectC.values, c.defectC.mask),
-        "defectA": _norm_entry(c.defectA.values, c.defectA.mask),
-        "divJ": _norm_entry(c.divJ.values, c.divJ.mask),
-    }
-    # raw div J~ carries the anchor-dependent e^{2I} prefactor; the report
-    # norm is rescaled by (m/hbar) e^{-2I} so it is gauge/anchor independent
-    if c.divJtilde is not None and m.I_unwrapped is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            scaled = c.divJtilde.values * np.exp(-2.0 * m.I_unwrapped.values)
-        mask = c.divJtilde.mask & m.I_unwrapped.mask & np.isfinite(scaled)
-        table["divJtilde_scaled"] = _norm_entry(scaled, mask)
-    else:
-        table["divJtilde_scaled"] = "n/a"
-    if c.qhjResidual is not None:
-        table["qhjResidual"] = _norm_entry(c.qhjResidual.values, c.qhjResidual.mask)
-    else:
-        table["qhjResidual"] = "n/a"
-    return table
+    norms = analytic.norm_table(m, c, r)
+    verdicts = analytic.verdicts(norms, analytic.gradS_max(m), tol)
+    return Diagnosis(psi, m, c, r, tol, norms, verdicts)
 
 
 def vortex_summary(m) -> dict:
@@ -291,7 +276,8 @@ def _verdicts_json(verdicts: dict) -> dict:
     return out
 
 
-def _collect_fields(psi, m, c, r) -> dict:
+def _collect_fields(d: Diagnosis) -> dict:
+    m, c, r = d.m, d.c, d.r
     fields = {
         "S": m.S,
         "gradS.x": ScalarField(m.spec, m.gradS.vx, m.gradS.mask),
@@ -353,6 +339,45 @@ def _config_echo(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+def build_report(args, d: Diagnosis | None = None, **entries) -> dict:
+    """The `madelab-report/1` dict: the header, the diagnosis if there is
+    one, then `entries` (state, solver output, or the error)."""
+    report = {
+        "schema": "madelab-report/1",
+        "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "config": _config_echo(args),
+    }
+    if d is not None:
+        spec = d.m.spec
+        report.update({
+            "grid": {"nx": spec.nx, "ny": spec.ny, "x0": spec.x0, "y0": spec.y0,
+                     "dx": spec.dx, "dy": spec.dy},
+            "tolerance": d.tol,
+            "norms": d.norms,
+            "vortices": vortex_summary(d.m),
+            "properties": _verdicts_json(d.verdicts),
+        })
+    report.update(entries)
+    return report
+
+
+def _finish(args, out_dir: Path, d: Diagnosis, **entries) -> int:
+    """Dump the fields, write the full report and pick the exit code."""
+    report = build_report(args, d, **entries)
+    report["manifest"] = dump_fields(d.psi, _collect_fields(d), out_dir, args.dump)
+    path = write_report(report, out_dir)
+    print(f"report written to {path}")
+    if d.m.I_unwrapped is None:
+        print("note: phase has vortices; J~ is unavailable", file=sys.stderr)
+        return EXIT_VORTEX
+    return EXIT_OK
+
+
+def _check_index(flag: str, idx: int, count: int) -> None:
+    if not 0 <= idx < count:
+        raise CliError(f"{flag} {idx} out of range 0..{count - 1}")
+
+
 # --- subcommands -------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
@@ -361,28 +386,9 @@ def cmd_analyze(args) -> int:
     out_dir = _out_dir(args)
     psi, energy, provenance = _state_from_args(args, spec, p)
     V = _potential_field(args, spec)
-    m, c, r, verdicts, tol = run_pipeline(
-        psi, p, args.node_threshold, tol=args.tol, V=V, E=energy
-    )
-    report = {
-        "schema": "madelab-report/1",
-        "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "config": _config_echo(args),
-        "state": {**provenance, "energy": energy if energy is not None else "n/a"},
-        "grid": {"nx": spec.nx, "ny": spec.ny, "x0": spec.x0, "y0": spec.y0,
-                 "dx": spec.dx, "dy": spec.dy},
-        "tolerance": tol,
-        "norms": norm_table(m, c, r),
-        "vortices": vortex_summary(m),
-        "properties": _verdicts_json(verdicts),
-    }
-    report["manifest"] = dump_fields(psi, _collect_fields(psi, m, c, r), out_dir, args.dump)
-    path = write_report(report, out_dir)
-    print(f"report written to {path}")
-    if m.I_unwrapped is None:
-        print("note: phase has vortices; J~ is unavailable", file=sys.stderr)
-        return EXIT_VORTEX
-    return EXIT_OK
+    d = diagnose(psi, p, args.node_threshold, tol=args.tol, V=V, E=energy)
+    state = {**provenance, "energy": energy if energy is not None else "n/a"}
+    return _finish(args, out_dir, d, state=state)
 
 
 def cmd_solve(args) -> int:
@@ -398,55 +404,29 @@ def cmd_solve(args) -> int:
             H, args.count, tol=args.solver_tol, max_iter=args.max_iter, seed=args.seed
         )
     except spectral.EigenConvergenceError as err:
-        report = {
-            "schema": "madelab-report/1",
-            "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "config": _config_echo(args),
-            "error": str(err),
-            "energies": err.energies or [],
-            "solver_residuals": err.residuals or [],
-        }
+        report = build_report(args, error=str(err), energies=err.energies or [],
+                              solver_residuals=err.residuals or [])
         path = write_report(report, out_dir)
         print(f"eigensolver did not converge; partial report at {path}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
     if args.combine is not None:
         indices, coeffs = _parse_combine(args.combine)
+        for idx in indices:
+            _check_index("--combine", idx, len(sol.states))
         psi, energy = spectral.combine(sol, indices, coeffs)
         provenance = {"source": "solve+combine", "potential": args.potential,
                       "combine": args.combine}
     else:
         idx = args.state_index
-        if not 0 <= idx < len(sol.states):
-            raise CliError(f"--state-index {idx} out of range 0..{len(sol.states) - 1}")
+        _check_index("--state-index", idx, len(sol.states))
         psi, energy = sol.states[idx], sol.energies[idx]
         provenance = {"source": "solve", "potential": args.potential,
                       "state_index": idx}
 
-    m, c, r, verdicts, tol = run_pipeline(
-        psi, p, args.node_threshold, tol=args.tol, V=V, E=energy
-    )
-    report = {
-        "schema": "madelab-report/1",
-        "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "config": _config_echo(args),
-        "state": {**provenance, "energy": energy},
-        "grid": {"nx": spec.nx, "ny": spec.ny, "x0": spec.x0, "y0": spec.y0,
-                 "dx": spec.dx, "dy": spec.dy},
-        "energies": sol.energies,
-        "solver_residuals": sol.residuals,
-        "tolerance": tol,
-        "norms": norm_table(m, c, r),
-        "vortices": vortex_summary(m),
-        "properties": _verdicts_json(verdicts),
-    }
-    report["manifest"] = dump_fields(psi, _collect_fields(psi, m, c, r), out_dir, args.dump)
-    path = write_report(report, out_dir)
-    print(f"report written to {path}")
-    if m.I_unwrapped is None:
-        print("note: phase has vortices; J~ is unavailable", file=sys.stderr)
-        return EXIT_VORTEX
-    return EXIT_OK
+    d = diagnose(psi, p, args.node_threshold, tol=args.tol, V=V, E=energy)
+    return _finish(args, out_dir, d, state={**provenance, "energy": energy},
+                   energies=sol.energies, solver_residuals=sol.residuals)
 
 
 _CONV_METRICS = ("orth", "crStrict", "harmI", "defectC", "defectA", "divJ", "qhjResidual")
@@ -464,23 +444,12 @@ def cmd_convergence(args) -> int:
         ny = (base.ny + 1) * factor - 1
         spec = GridSpec(nx, ny, base.x0 - base.dx + base.dx / factor,
                         base.y0 - base.dy + base.dy / factor,
-                        base.dx / factor, base.dy / factor, base.boundary)
+                        base.dx / factor, base.dy / factor)
         psi, energy, _ = _state_from_args(args, spec, p)
         V = _potential_field(args, spec)
-        m, c, r, _, _ = run_pipeline(psi, p, args.node_threshold, V=V, E=energy)
-        norms = {
-            "orth": max_norm(r.orth.values, r.orth.mask),
-            "crStrict": max_norm(r.crStrict.values, r.crStrict.mask),
-            "harmI": max_norm(r.harmI.values, r.harmI.mask),
-            "defectC": max_norm(c.defectC.values, c.defectC.mask),
-            "defectA": max_norm(c.defectA.values, c.defectA.mask),
-            "divJ": max_norm(c.divJ.values, c.divJ.mask),
-            "qhjResidual": (
-                max_norm(c.qhjResidual.values, c.qhjResidual.mask)
-                if c.qhjResidual is not None else None
-            ),
-        }
-        rows.append((max(spec.dx, spec.dy), norms))
+        d = diagnose(psi, p, args.node_threshold, V=V, E=energy)
+        rows.append((max(spec.dx, spec.dy),
+                     {key: analytic.table_max(d.norms[key]) for key in _CONV_METRICS}))
 
     def fmt(v):
         return "na" if v is None else repr(v)

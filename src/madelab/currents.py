@@ -27,19 +27,12 @@ DE_BROGLIE_SPEED_FLOOR = 1e-12
 class PhysicalParams:
     hbar: float = 1.0
     mass: float = 1.0
-    kB: float = 1.0
 
     def __post_init__(self):
-        for name in ("hbar", "mass", "kB"):
+        for name in ("hbar", "mass"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite")
-
-    def dimensionful_entropy(self, S: ScalarField) -> ScalarField:
-        return ScalarField(S.spec, 2.0 * self.kB * S.values, S.mask.copy())
-
-    def dimensionful_action(self, I: ScalarField) -> ScalarField:
-        return ScalarField(I.spec, self.hbar * I.values, I.mask.copy())
 
 
 @dataclass
@@ -72,9 +65,7 @@ def probability_current(
     J = VectorField(m.spec, c * rho * m.gradI.vx, c * rho * m.gradI.vy, mask)
     divJ = divergence(J)
     defectC = ScalarField(
-        m.spec,
-        2.0 * dot(m.gradS, m.gradI).values + m.lapI.values,
-        m.gradS.mask & m.gradI.mask & m.lapI.mask,
+        m.spec, 2.0 * m.cross.values + m.lapI.values, m.cross.mask & m.lapI.mask
     )
     return J, divJ, defectC
 
@@ -89,9 +80,7 @@ def analytic_current(
     None; the caller decides whether that is an error.
     """
     defectA = ScalarField(
-        m.spec,
-        2.0 * dot(m.gradI, m.gradS).values + m.lapS.values,
-        m.gradI.mask & m.gradS.mask & m.lapS.mask,
+        m.spec, 2.0 * m.cross.values + m.lapS.values, m.cross.mask & m.lapS.mask
     )
     if m.I_unwrapped is None:
         return None, None, defectA

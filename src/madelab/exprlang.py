@@ -244,34 +244,6 @@ def parse(src: str) -> Expr:
     return _Parser(src).parse()
 
 
-# --- Unparse ---------------------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def unparse(e: Expr) -> str:
-    def go(e: Expr, parent_prec: int) -> str:
-        if isinstance(e, Num):
-            return repr(e.value)
-        if isinstance(e, (Const, Var)):
-            return e.name
-        if isinstance(e, Neg):
-            s = "-" + go(e.arg, _PREC["neg"])
-            return f"({s})" if parent_prec > _PREC["neg"] else s
-        if isinstance(e, BinOp):
-            p = _PREC[e.op]
-            # left-assoc for + - * /, right-assoc for ^
-            ls = go(e.left, p if e.op != "^" else p + 1)
-            rs = go(e.right, p + 1 if e.op != "^" else p)
-            s = f"{ls}{e.op}{rs}"
-            return f"({s})" if parent_prec > p or (parent_prec == p) else s
-        if isinstance(e, Call):
-            return f"{e.name}({','.join(go(a, 0) for a in e.args)})"
-        raise TypeError(f"not an Expr node: {e!r}")
-
-    return go(e, 0)
-
-
 # --- Evaluation ------------------------------------------------------------
 
 def _principal(a):

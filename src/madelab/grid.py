@@ -9,12 +9,9 @@ stencil touches is valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-BOUNDARY_ONE_SIDED = "one-sided"
-BOUNDARY_PERIODIC = "periodic"
 
 
 class GridMismatchError(ValueError):
@@ -29,15 +26,12 @@ class GridSpec:
     y0: float = 0.0
     dx: float = 1.0
     dy: float = 1.0
-    boundary: str = BOUNDARY_ONE_SIDED
 
     def __post_init__(self):
         if self.nx < 3 or self.ny < 3:
             raise ValueError("grid needs at least 3 cells per axis")
         if not (self.dx > 0 and self.dy > 0):
             raise ValueError("grid spacings must be positive")
-        if self.boundary not in (BOUNDARY_ONE_SIDED, BOUNDARY_PERIODIC):
-            raise ValueError(f"unknown boundary policy {self.boundary!r}")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -135,73 +129,58 @@ class ComplexField:
 # operators wrap them.
 # ---------------------------------------------------------------------------
 
-_AX = {0: "y", 1: "x"}
-
-
-def deriv1(values: np.ndarray, d: float, axis: int, boundary: str) -> np.ndarray:
+def deriv1(values: np.ndarray, d: float, axis: int) -> np.ndarray:
     """Second-order first derivative along `axis` (0 = y, 1 = x)."""
     f = np.moveaxis(values, axis, 0)
     out = np.empty_like(f)
-    if boundary == BOUNDARY_PERIODIC:
-        out[:] = (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2.0 * d)
-    else:
-        out[1:-1] = (f[2:] - f[:-2]) / (2.0 * d)
-        out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * d)
-        out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * d)
+    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * d)
+    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * d)
+    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * d)
     return np.moveaxis(out, 0, axis)
 
 
-def deriv2(values: np.ndarray, d: float, axis: int, boundary: str) -> np.ndarray:
+def deriv2(values: np.ndarray, d: float, axis: int) -> np.ndarray:
     """Second-order second derivative along `axis`."""
     f = np.moveaxis(values, axis, 0)
     out = np.empty_like(f)
     inv = 1.0 / (d * d)
-    if boundary == BOUNDARY_PERIODIC:
-        out[:] = (np.roll(f, -1, axis=0) - 2.0 * f + np.roll(f, 1, axis=0)) * inv
-    else:
-        out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) * inv
-        out[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) * inv
-        out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) * inv
+    out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) * inv
+    out[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) * inv
+    out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) * inv
     return np.moveaxis(out, 0, axis)
 
 
-def _erode1(mask: np.ndarray, axis: int, boundary: str) -> np.ndarray:
+def _erode1(mask: np.ndarray, axis: int) -> np.ndarray:
     """Mask for deriv1 output: all stencil inputs (and the cell) valid."""
     m = np.moveaxis(mask, axis, 0)
     out = np.empty_like(m)
-    if boundary == BOUNDARY_PERIODIC:
-        out[:] = m & np.roll(m, -1, axis=0) & np.roll(m, 1, axis=0)
-    else:
-        out[1:-1] = m[:-2] & m[1:-1] & m[2:]
-        out[0] = m[0] & m[1] & m[2]
-        out[-1] = m[-1] & m[-2] & m[-3]
+    out[1:-1] = m[:-2] & m[1:-1] & m[2:]
+    out[0] = m[0] & m[1] & m[2]
+    out[-1] = m[-1] & m[-2] & m[-3]
     return np.moveaxis(out, 0, axis)
 
 
-def _erode2(mask: np.ndarray, axis: int, boundary: str) -> np.ndarray:
+def _erode2(mask: np.ndarray, axis: int) -> np.ndarray:
     """Mask for deriv2 output (boundary rows reach 4 cells one-sided)."""
     m = np.moveaxis(mask, axis, 0)
     out = np.empty_like(m)
-    if boundary == BOUNDARY_PERIODIC:
-        out[:] = m & np.roll(m, -1, axis=0) & np.roll(m, 1, axis=0)
-    else:
-        out[1:-1] = m[:-2] & m[1:-1] & m[2:]
-        out[0] = m[0] & m[1] & m[2] & m[3]
-        out[-1] = m[-1] & m[-2] & m[-3] & m[-4]
+    out[1:-1] = m[:-2] & m[1:-1] & m[2:]
+    out[0] = m[0] & m[1] & m[2] & m[3]
+    out[-1] = m[-1] & m[-2] & m[-3] & m[-4]
     return np.moveaxis(out, 0, axis)
 
 
 def raw_gradient(values: np.ndarray, mask: np.ndarray, spec: GridSpec):
     """(d/dx, d/dy, eroded mask) on a raw array; works for complex input."""
-    gx = deriv1(values, spec.dx, 1, spec.boundary)
-    gy = deriv1(values, spec.dy, 0, spec.boundary)
-    m = _erode1(mask, 1, spec.boundary) & _erode1(mask, 0, spec.boundary)
+    gx = deriv1(values, spec.dx, 1)
+    gy = deriv1(values, spec.dy, 0)
+    m = _erode1(mask, 1) & _erode1(mask, 0)
     return gx, gy, m
 
 
 def raw_laplacian(values: np.ndarray, mask: np.ndarray, spec: GridSpec):
-    lap = deriv2(values, spec.dx, 1, spec.boundary) + deriv2(values, spec.dy, 0, spec.boundary)
-    m = _erode2(mask, 1, spec.boundary) & _erode2(mask, 0, spec.boundary)
+    lap = deriv2(values, spec.dx, 1) + deriv2(values, spec.dy, 0)
+    m = _erode2(mask, 1) & _erode2(mask, 0)
     return lap, m
 
 
@@ -217,8 +196,8 @@ def laplacian(f: ScalarField) -> ScalarField:
 
 def divergence(w: VectorField) -> ScalarField:
     spec = w.spec
-    div = deriv1(w.vx, spec.dx, 1, spec.boundary) + deriv1(w.vy, spec.dy, 0, spec.boundary)
-    m = _erode1(w.mask, 1, spec.boundary) & _erode1(w.mask, 0, spec.boundary)
+    div = deriv1(w.vx, spec.dx, 1) + deriv1(w.vy, spec.dy, 0)
+    m = _erode1(w.mask, 1) & _erode1(w.mask, 0)
     return ScalarField(spec, div, m)
 
 

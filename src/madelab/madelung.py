@@ -53,6 +53,7 @@ class MadelungFields:
     gradI: VectorField
     lapS: ScalarField
     lapI: ScalarField
+    cross: ScalarField             # gradS . gradI, the cross term of lap(psi)/psi
     node_mask: np.ndarray          # True = too close to a node of psi
     residues: np.ndarray           # (ny-1, nx-1) integer winding per plaquette
     residue_mask: np.ndarray       # True = plaquette winding is computable
@@ -212,6 +213,7 @@ def decompose(
     cross = gradS.vx * gradI.vx + gradS.vy * gradI.vy
     lapS = ScalarField(spec, L2.real - gS2 + gI2, lmask.copy())
     lapI = ScalarField(spec, L2.imag - 2.0 * cross, lmask.copy())
+    cross = ScalarField(spec, cross, gradS.mask & gradI.mask)
 
     if int(lmask.sum()) < 9:
         raise DecomposeError(
@@ -235,6 +237,7 @@ def decompose(
         gradI=gradI,
         lapS=lapS,
         lapI=lapI,
+        cross=cross,
         node_mask=node_mask,
         residues=winding,
         residue_mask=ok,

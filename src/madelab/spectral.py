@@ -9,7 +9,7 @@ converged eigenstates. Masked potential cells become a hard wall V = 1e6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -41,16 +41,6 @@ class Hamiltonian:
     spec: GridSpec
     potential: np.ndarray  # wall value already substituted at masked cells
     params: PhysicalParams
-
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        """Matrix-free action on a (ny, nx) array, Dirichlet outside."""
-        s = self.spec
-        pad = np.pad(psi, 1)
-        lap = (pad[1:-1, 2:] - 2.0 * psi + pad[1:-1, :-2]) / (s.dx * s.dx) + (
-            pad[2:, 1:-1] - 2.0 * psi + pad[:-2, 1:-1]
-        ) / (s.dy * s.dy)
-        c = self.params.hbar**2 / (2.0 * self.params.mass)
-        return -c * lap + self.potential * psi
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:

@@ -61,6 +61,20 @@ class TestExitCodes:
         rep = load_report(tmp_path)
         assert "error" in rep
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--builtin", "ho_ground", "--kb", "2"],
+        ["solve", "--potential", "0", "--kb", "2"],
+        ["solve", "--potential", "0", "--energy", "1"],
+        ["convergence", "--builtin", "ho_ground", "--kb", "2"],
+        ["convergence", "--builtin", "ho_ground", "--tol", "0.1"],
+        ["convergence", "--builtin", "ho_ground", "--out", "x"],
+        ["convergence", "--builtin", "ho_ground", "--dump", "csv"],
+    ])
+    def test_removed_options_exit_one(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_solve_requires_potential(self, tmp_path, capsys):
         assert cli.main(["solve", "--out", str(tmp_path)]) == 1
 
@@ -204,6 +218,16 @@ class TestSolve:
         rep = load_report(tmp_path)
         assert rep["state"]["state_index"] == 1
         assert rep["state"]["energy"] == pytest.approx(rep["energies"][1])
+
+    @pytest.mark.parametrize("spec", ["1,5:1,i", "-1,2:1,i"])
+    def test_combine_index_out_of_range(self, tmp_path, capsys, spec):
+        code = cli.main([
+            "solve", "--potential", "(x^2+y^2)/2", "--grid", "16x16",
+            "--domain", "-4,4,-4,4", "--count", "3",
+            "--combine", spec, "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert "error: --combine" in capsys.readouterr().err
 
     def test_bad_combine_spec(self, tmp_path, capsys):
         code = cli.main([

@@ -34,19 +34,16 @@ def ho_ground(spec):
 
 class TestParams:
     def test_defaults(self):
-        assert (P.hbar, P.mass, P.kB) == (1.0, 1.0, 1.0)
+        assert (P.hbar, P.mass) == (1.0, 1.0)
 
-    @pytest.mark.parametrize("kw", [dict(hbar=0), dict(mass=-1), dict(kB=np.nan)])
+    @pytest.mark.parametrize("kw", [dict(hbar=0), dict(mass=-1), dict(hbar=np.nan)])
     def test_rejects_nonpositive(self, kw):
         with pytest.raises(ValueError):
             PhysicalParams(**kw)
 
-    def test_dimensionful_fields(self):
-        spec = grid(9)
-        S = ScalarField(spec, np.full(spec.shape, 0.5))
-        p = PhysicalParams(hbar=2.0, kB=3.0)
-        assert np.allclose(p.dimensionful_entropy(S).values, 3.0)
-        assert np.allclose(p.dimensionful_action(S).values, 1.0)
+    def test_no_boltzmann_constant(self):
+        with pytest.raises(TypeError):
+            PhysicalParams(kB=1.0)
 
 
 class TestPlaneWave:

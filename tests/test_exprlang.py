@@ -12,7 +12,6 @@ from madelab.exprlang import (
     eval_field,
     evaluate,
     parse,
-    unparse,
 )
 from madelab.grid import GridSpec
 
@@ -107,23 +106,6 @@ class TestEvaluate:
 
     def test_integer_power_of_negative_real_stays_real(self):
         assert evaluate(parse("x^3"), -2.0, 0.0) == -8 + 0j
-
-
-class TestRoundTrip:
-    CASES = [
-        "0.5*(x^2+y^2)",
-        "exp(i*(2*x+3*y))",
-        "-x^2 + y/3 - 1",
-        "atan2(y,x)*abs(x+i*y)",
-        "2^3^x",
-        "(1+2)*3-4/x",
-        "conj(sqrt(x))-ln(e)",
-    ]
-
-    @pytest.mark.parametrize("src", CASES)
-    def test_parse_unparse_parse_is_identity(self, src):
-        tree = parse(src)
-        assert parse(unparse(tree)) == tree
 
 
 class TestEvalField:

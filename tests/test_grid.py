@@ -29,6 +29,11 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(2, 5)
 
+    def test_no_boundary_policy(self):
+        # one-sided edge stencils are the only policy
+        with pytest.raises(TypeError):
+            GridSpec(8, 8, boundary="periodic")
+
     def test_bad_spacing_rejected(self):
         with pytest.raises(ValueError):
             GridSpec(5, 5, dx=-0.1)
@@ -205,14 +210,3 @@ def test_gradient_linearity():
     gf, gg = gradient(f), gradient(g)
     assert np.allclose(combo.vx, a * gf.vx + b * gg.vx, atol=1e-12)
     assert np.allclose(combo.vy, a * gf.vy + b * gg.vy, atol=1e-12)
-
-
-def test_periodic_boundary_wraps():
-    n = 32
-    h = 2 * np.pi / n
-    spec = GridSpec(n, n, 0, 0, h, h, boundary="periodic")
-    X, Y = spec.meshgrid()
-    f = ScalarField(spec, np.sin(X))
-    g = gradient(f)
-    # spectral-exact at edges too (no one-sided fallback)
-    assert np.max(np.abs(g.vx - np.cos(X) * np.sin(h) / h)) < 1e-12
