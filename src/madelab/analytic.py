@@ -95,12 +95,14 @@ def gradS_max(m: MadelungFields) -> float | None:
 def norm_table(m: MadelungFields, c: CurrentFields, r: AnalyticityReport) -> dict:
     """Interior norms of every diagnostic field: the report's `norms`, and
     the numbers the verdicts and the convergence study read."""
-    # raw div J~ carries the anchor-dependent e^{2I} prefactor; the norm is
-    # taken of e^{-2I} div J~, which is gauge/anchor independent
+    # raw div J~ carries the anchor-dependent e^{2I} prefactor and hbar/m;
+    # the norm is taken of (m/hbar) e^{-2I} div J~, which is gauge/anchor
+    # independent and approximates defectA, the other side of P3
     scaled = None
     if c.divJtilde is not None and m.I_unwrapped is not None:
         with np.errstate(over="ignore", invalid="ignore"):
-            values = c.divJtilde.values * np.exp(-2.0 * m.I_unwrapped.values)
+            values = (c.divJtilde.values * np.exp(-2.0 * m.I_unwrapped.values)
+                      * (c.params.mass / c.params.hbar))
         scaled = ScalarField(m.spec, values, c.divJtilde.mask & m.I_unwrapped.mask)
     return {
         **r.norms,

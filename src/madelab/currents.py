@@ -45,6 +45,7 @@ class CurrentFields:
     defectA: ScalarField
     U: ScalarField
     deBroglie: ScalarField
+    params: PhysicalParams         # the hbar and mass the currents carry
     Jtilde: VectorField | None = None
     divJtilde: ScalarField | None = None
     qhjResidual: ScalarField | None = None
@@ -146,6 +147,7 @@ def compute_currents(
         defectA=defectA,
         U=U,
         deBroglie=lam,
+        params=p,
         Jtilde=Jt,
         divJtilde=divJt,
         qhjResidual=qhj,

@@ -5,11 +5,15 @@ optionally produce an unwrapped phase field.
 All derivatives of S and I come from the complex log-derivative
 grad(psi)/psi and the identity lap(psi)/psi = (gS + i gI)^2 + lapS + i lapI,
 never from differentiating ln|psi| or a wrapped phase.
+
+The unwrapped phase integrates wrapped differences along a breadth-first
+spanning tree (Itoh, Appl. Opt. 21 (1982) 2470). The search advances one
+whole level at a time with array operations, and it builds the same tree,
+and so the same floats, as a cell-by-cell FIFO search would.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,14 +121,26 @@ def loop_winding(psi: ComplexField, j0: int, j1: int, i0: int, i1: int) -> int:
     return int(np.rint(total / _TWO_PI))
 
 
-def unwrap_phase(psi: ComplexField) -> ScalarField:
-    """Flood-fill phase unwrapping from the valid cell of largest |psi|.
+def unwrap_phase(psi: ComplexField, winding: np.ndarray | None = None) -> ScalarField:
+    """Unwrap the phase of psi from the valid cell of largest |psi|.
+
+    Itoh's method: each cell's I is its BFS parent's I plus the wrapped
+    phase difference to it, I[c] = I[p] + wrap(theta[c] - theta[p]). The
+    breadth-first search runs level by level on flat indices: the frontier
+    is kept in queue order, each level's candidates are its cells' four
+    neighbours in the order (+y, -y, +x, -x), and a cell reached by several
+    frontier cells takes the first. That is exactly the tree, and so the
+    floats, of a cell-by-cell FIFO search with the same neighbour order.
 
     The anchor keeps its principal-value phase; the result is unique up to
-    a global 2*pi*n. Raises VortexError when any computable plaquette has
-    nonzero winding.
+    a global 2*pi*n on the anchor's component, and cells of other
+    components stay unset (mask False). `winding` is `residues(psi)[0]`
+    when the caller already has it. Raises VortexError when any computable
+    plaquette has nonzero winding, or when I tears by 2*pi*n across an
+    edge off the tree.
     """
-    winding, ok = residues(psi)
+    if winding is None:
+        winding, _ = residues(psi)
     if np.any(winding != 0):
         js, iis = np.nonzero(winding != 0)
         raise VortexError((int(j), int(i), int(winding[j, i])) for j, i in zip(js, iis))
@@ -135,22 +151,32 @@ def unwrap_phase(psi: ComplexField) -> ScalarField:
         raise DecomposeError("no valid cells to unwrap")
     amp = np.abs(psi.values)
     amp[~valid] = -1.0
-    anchor = np.unravel_index(int(np.argmax(amp)), amp.shape)
+    anchor = int(np.argmax(amp))
 
     ny, nx = psi.spec.shape
-    I = np.full((ny, nx), np.nan)
-    done = np.zeros((ny, nx), dtype=bool)
-    I[anchor] = theta[anchor]
-    done[anchor] = True
-    queue = deque([anchor])
-    while queue:
-        j, i = queue.popleft()
-        for dj, di in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nj, ni = j + dj, i + di
-            if 0 <= nj < ny and 0 <= ni < nx and valid[nj, ni] and not done[nj, ni]:
-                I[nj, ni] = I[j, i] + float(_wrap(theta[nj, ni] - theta[j, i]))
-                done[nj, ni] = True
-                queue.append((nj, ni))
+    flat_theta = theta.ravel()
+    flat_valid = valid.ravel()
+    flat_I = np.full(ny * nx, np.nan)
+    flat_done = np.zeros(ny * nx, dtype=bool)
+    flat_I[anchor] = flat_theta[anchor]
+    flat_done[anchor] = True
+    steps = np.array([nx, -nx, 1, -1])
+    front = np.array([anchor])
+    while front.size:
+        j, i = np.divmod(front, nx)
+        inside = np.stack([j < ny - 1, j > 0, i < nx - 1, i > 0], axis=1).ravel()
+        parent = np.repeat(front, 4)[inside]
+        child = (front[:, None] + steps).ravel()[inside]
+        keep = flat_valid[child] & ~flat_done[child]
+        parent, child = parent[keep], child[keep]
+        _, first = np.unique(child, return_index=True)
+        first.sort()
+        parent, child = parent[first], child[first]
+        flat_I[child] = flat_I[parent] + _wrap(flat_theta[child] - flat_theta[parent])
+        flat_done[child] = True
+        front = child
+    I = flat_I.reshape(ny, nx)
+    done = flat_done.reshape(ny, nx)
 
     # A vortex hiding inside a masked hole leaves every computable plaquette
     # at zero winding but tears I by 2*pi*n across some off-tree edge.
@@ -221,13 +247,14 @@ def decompose(
             "no interior to analyze"
         )
 
-    winding, ok = residues(ComplexField(spec, psi.values.copy(), valid))
+    field = ComplexField(spec, psi.values, valid)
+    winding, ok = residues(field)
 
     I_unwrapped = None
     unwrap_error = None
     if unwrap:
         try:
-            I_unwrapped = unwrap_phase(ComplexField(spec, psi.values.copy(), valid))
+            I_unwrapped = unwrap_phase(field, winding)
         except VortexError as err:
             unwrap_error = err
 

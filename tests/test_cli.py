@@ -159,6 +159,15 @@ class TestReport:
         analyze(tmp_path, "--builtin", "ho_ground", "--tol", "0.5")
         assert load_report(tmp_path)["tolerance"] == 0.5
 
+    @pytest.mark.parametrize("flag", [("--hbar", "2"), ("--mass", "0.5")])
+    def test_p3_sides_share_one_scale(self, tmp_path, flag):
+        # at hbar/m = 2, (m/hbar) e^{-2I} div J~ and defectA still agree to O(h^2)
+        analyze(tmp_path, "--psi", "exp(x+i*y)*exp(-0.1*(x^2+y^2))", *flag)
+        rep = load_report(tmp_path)
+        p3 = rep["properties"]["P3"]["residuals"]
+        h = rep["grid"]["dx"]
+        assert abs(p3["divJtilde_scaled"] - p3["defectA"]) <= h * h
+
 
 class TestDumps:
     def test_bin_round_trip(self, tmp_path):

@@ -1,15 +1,66 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from madelab.grid import ComplexField, GridSpec, interior_mask
+from madelab.analytic import analyze, norm_table
+from madelab.currents import PhysicalParams, compute_currents
+from madelab.grid import ComplexField, GridSpec, ScalarField, interior_mask
 from madelab.madelung import (
     DecomposeError,
     VortexError,
+    _wrap,
     decompose,
     loop_winding,
     residues,
     unwrap_phase,
 )
+
+
+def bfs_unwrap(psi):
+    """Reference for unwrap_phase: the cell-by-cell FIFO flood fill."""
+    winding, ok = residues(psi)
+    if np.any(winding != 0):
+        js, iis = np.nonzero(winding != 0)
+        raise VortexError((int(j), int(i), int(winding[j, i])) for j, i in zip(js, iis))
+
+    theta = np.angle(psi.values)
+    valid = psi.mask
+    if not valid.any():
+        raise DecomposeError("no valid cells to unwrap")
+    amp = np.abs(psi.values)
+    amp[~valid] = -1.0
+    anchor = np.unravel_index(int(np.argmax(amp)), amp.shape)
+
+    ny, nx = psi.spec.shape
+    I = np.full((ny, nx), np.nan)
+    done = np.zeros((ny, nx), dtype=bool)
+    I[anchor] = theta[anchor]
+    done[anchor] = True
+    queue = deque([anchor])
+    while queue:
+        j, i = queue.popleft()
+        for dj, di in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            nj, ni = j + dj, i + di
+            if 0 <= nj < ny and 0 <= ni < nx and valid[nj, ni] and not done[nj, ni]:
+                I[nj, ni] = I[j, i] + float(_wrap(theta[nj, ni] - theta[j, i]))
+                done[nj, ni] = True
+                queue.append((nj, ni))
+
+    tears = []
+    for axis in (0, 1):
+        a = (slice(None, -1), slice(None)) if axis == 0 else (slice(None), slice(None, -1))
+        b = (slice(1, None), slice(None)) if axis == 0 else (slice(None), slice(1, None))
+        both = done[a] & done[b]
+        jump = I[b] - I[a] - _wrap(theta[b] - theta[a])
+        bad = both & (np.abs(jump) > np.pi)
+        for j, i in zip(*np.nonzero(bad)):
+            tears.append((int(j), int(i), int(np.rint(jump[j, i] / (2 * np.pi)))))
+    if tears:
+        raise VortexError(tears)
+    return ScalarField(psi.spec, I, done)
 
 
 def grid(n=65, half=3.0):
@@ -234,3 +285,106 @@ def test_decompose_records_vortex_without_raising():
     m = decompose(ComplexField(spec, (X + 1j * Y) * np.exp(-0.5 * (X**2 + Y**2))))
     assert m.I_unwrapped is None
     assert m.vortex_plaquettes() == [(19, 19, 1)]
+
+
+@st.composite
+def masked_phases(draw, vortex=st.booleans()):
+    """Fields of 3x3 to 40x40 cells with random masks, split masks, an
+    isolated cell, a chosen anchor (the cell of largest |psi|) and an
+    optional vortex, whose core cell may be hidden in a masked hole."""
+    ny, nx = draw(st.integers(3, 40)), draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = GridSpec(nx, ny, -1.0, -1.0, 2.0 / (nx - 1), 2.0 / (ny - 1))
+    X, Y = spec.meshgrid()
+    a, b, c, d = rng.normal(scale=3.0, size=4)
+    theta = a * X + b * Y + c * np.sin(d * X * Y)
+    mask = rng.random(spec.shape) >= draw(st.sampled_from([0.0, 0.05, 0.2, 0.4]))
+    if draw(st.booleans()):
+        # a masked row or column splits the valid cells
+        if draw(st.booleans()):
+            mask[rng.integers(ny), :] = False
+        else:
+            mask[:, rng.integers(nx)] = False
+    if draw(vortex):
+        j0, i0 = rng.integers(ny), rng.integers(nx)
+        theta = theta + np.arctan2(Y - spec.y()[j0], X - spec.x()[i0])
+        r = draw(st.sampled_from([None, 0, 1, 2]))
+        if r is not None:
+            mask[max(j0 - r, 0):j0 + r + 1, max(i0 - r, 0):i0 + r + 1] = False
+    island = rng.integers(ny), rng.integers(nx)
+    if draw(st.booleans()):
+        # one valid cell whose four neighbours are masked
+        j, i = island
+        mask[max(j - 1, 0):j + 2, i] = False
+        mask[j, max(i - 1, 0):i + 2] = False
+        mask[island] = True
+    anchor = {
+        "corner": (rng.choice([0, ny - 1]), rng.choice([0, nx - 1])),
+        "edge": (0, rng.integers(nx)) if rng.random() < 0.5 else (rng.integers(ny), nx - 1),
+        "inside": (rng.integers(ny), rng.integers(nx)),
+        "island": island,
+    }[draw(st.sampled_from(["corner", "edge", "inside", "island"]))]
+    mask[anchor] = True
+    amp = 0.5 + 0.5 * rng.random(spec.shape)
+    amp[anchor] = 2.0
+    return ComplexField(spec, amp * np.exp(1j * theta), mask)
+
+
+def outcome(unwrap, psi):
+    try:
+        return unwrap(psi)
+    except VortexError as err:
+        return err
+
+
+@given(masked_phases())
+def test_unwrap_matches_cell_by_cell_bfs(psi):
+    want, got = outcome(bfs_unwrap, psi), outcome(unwrap_phase, psi)
+    assert type(got) is type(want)
+    if isinstance(want, VortexError):
+        assert got.plaquettes == want.plaquettes
+    else:
+        assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
+        assert np.array_equal(got.mask, want.mask)
+
+
+@given(masked_phases(vortex=st.just(False)))
+def test_unwrapped_phase_congruent_to_angle(psi):
+    try:
+        I = unwrap_phase(psi)
+    except VortexError:
+        return
+    d = _wrap(I.values - np.angle(psi.values))
+    assert np.max(np.abs(d[I.mask])) < 1e-9
+
+
+@given(st.data())
+def test_residue_additivity_on_random_rectangles(data):
+    ny, nx = data.draw(st.integers(3, 30)), data.draw(st.integers(3, 30))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    noise = data.draw(st.sampled_from([0.3, 1.0, 3.0]))
+    theta = rng.normal(scale=noise, size=(ny, nx)).cumsum(axis=1)
+    psi = ComplexField(GridSpec(nx, ny), np.exp(1j * theta))
+    j0, j1 = sorted(data.draw(st.lists(st.integers(0, ny - 1), min_size=2,
+                                       max_size=2, unique=True)))
+    i0, i1 = sorted(data.draw(st.lists(st.integers(0, nx - 1), min_size=2,
+                                       max_size=2, unique=True)))
+    w, ok = residues(psi)
+    assert ok.all()
+    assert loop_winding(psi, j0, j1, i0, i1) == int(w[j0:j1, i0:i1].sum())
+
+
+@given(st.integers(9, 33), st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
+       st.floats(-np.pi, np.pi))
+def test_divjtilde_scaled_invariant_under_global_phase(n, k, alpha):
+    spec = grid(n, half=2.0)
+    X, Y = spec.meshgrid()
+    psi = np.exp(k[0] * X + k[1] * Y - 0.3 * (X**2 + Y**2)
+                 + 1j * (k[2] * X + k[3] * Y + k[4] * X * Y))
+
+    def scaled(values):
+        m = decompose(ComplexField(spec, values))
+        return norm_table(m, compute_currents(m, PhysicalParams()), analyze(m))[
+            "divJtilde_scaled"]["max"]
+
+    assert scaled(psi * np.exp(1j * alpha)) == pytest.approx(scaled(psi), rel=1e-9)
