@@ -17,7 +17,6 @@ from .currents import (
     probability_current,
     qhj_residual,
     quantum_potential,
-    velocity,
 )
 from .grid import (
     ComplexField,

@@ -250,16 +250,17 @@ def diagnose(
 
 def vortex_summary(m) -> dict:
     plaquettes = m.vortex_plaquettes()
+    # unwrap_phase raises with the residues when any is nonzero, and with
+    # the tears only otherwise
     tears = []
-    if m.unwrap_error is not None:
-        tears = [list(t) for t in m.unwrap_error.plaquettes if t not in
-                 [(j, i, w) for j, i, w in plaquettes]]
+    if m.unwrap_error is not None and not plaquettes:
+        tears = m.unwrap_error.plaquettes
     return {
         "plaquettes": [list(t) for t in plaquettes[:50]],
         "count": len(plaquettes),
         "total_winding": int(sum(w for _, _, w in plaquettes)),
         "unwrapped": m.I_unwrapped is not None,
-        "tears": tears[:50],
+        "tears": [list(t) for t in tears[:50]],
     }
 
 

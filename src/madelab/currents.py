@@ -1,5 +1,5 @@
-"""Physical fields of the stationary quantum fluid: velocity, density,
-probability current J and its divergence, the swapped analytic current
+"""Physical fields of the stationary quantum fluid: density, probability
+current J and its divergence, the swapped analytic current
 J~ = (hbar/m) e^{2I} grad S, the two defect brackets, the quantum
 potential, the stationary Hamilton-Jacobi residual, and the local de
 Broglie wavelength.
@@ -38,7 +38,6 @@ class PhysicalParams:
 @dataclass
 class CurrentFields:
     rho: ScalarField
-    v: VectorField
     J: VectorField
     divJ: ScalarField
     defectC: ScalarField
@@ -49,11 +48,6 @@ class CurrentFields:
     Jtilde: VectorField | None = None
     divJtilde: ScalarField | None = None
     qhjResidual: ScalarField | None = None
-
-
-def velocity(m: MadelungFields, p: PhysicalParams) -> VectorField:
-    c = p.hbar / p.mass
-    return VectorField(m.spec, c * m.gradI.vx, c * m.gradI.vy, m.gradI.mask.copy())
 
 
 def probability_current(
@@ -117,8 +111,7 @@ def de_broglie(m: MadelungFields, p: PhysicalParams) -> ScalarField:
     """lambda = hbar/(m|v|) = 1/|gradI|; near-zero speeds are masked."""
     speed = np.hypot(m.gradI.vx, m.gradI.vy)
     mask = m.gradI.mask & (speed >= DE_BROGLIE_SPEED_FLOOR)
-    with np.errstate(divide="ignore"):
-        lam = np.where(mask, 1.0 / speed, np.nan)
+    lam = np.divide(1.0, speed, out=np.full(speed.shape, np.nan), where=mask)
     return ScalarField(m.spec, lam, mask)
 
 
@@ -130,7 +123,6 @@ def compute_currents(
 ) -> CurrentFields:
     """Assemble every current diagnostic for one state."""
     rho = ScalarField(m.spec, np.exp(2.0 * m.S.values), m.S.mask.copy())
-    v = velocity(m, p)
     J, divJ, defectC = probability_current(m, p)
     Jt, divJt, defectA = analytic_current(m, p)
     U = quantum_potential(m, p)
@@ -140,7 +132,6 @@ def compute_currents(
         qhj = qhj_residual(m, V, E, p)
     return CurrentFields(
         rho=rho,
-        v=v,
         J=J,
         divJ=divJ,
         defectC=defectC,

@@ -8,6 +8,7 @@ Grammar (precedence low to high):
     power   := atom ('^' unary)?          # right-associative
     atom    := number | 'pi' | 'e' | 'i' | 'x' | 'y'
              | func '(' sum (',' sum)* ')' | '(' sum ')'
+    number  := \\.?\\d[\\d.]*([eE][+-]?\\d+)?  # greedy; float() must accept it
 
 All arithmetic is complex; ln and sqrt take the principal branch; `^` with
 a non-integer exponent is exp(b*ln a) on the principal branch; atan2 uses
@@ -17,28 +18,14 @@ overflow) propagate as non-finite values for the caller to mask.
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .grid import ComplexField, GridSpec
-
-FUNCTIONS = {
-    "sin": 1,
-    "cos": 1,
-    "tan": 1,
-    "exp": 1,
-    "ln": 1,
-    "sqrt": 1,
-    "abs": 1,
-    "atan2": 2,
-    "re": 1,
-    "im": 1,
-    "conj": 1,
-}
-
-CONSTANTS = ("pi", "e", "i")
-VARIABLES = ("x", "y")
 
 
 class ParseError(ValueError):
@@ -48,6 +35,44 @@ class ParseError(ValueError):
         self.expected = expected
         hint = f" (expected {expected})" if expected else ""
         super().__init__(f"parse error at offset {self.offset}: {message}{hint}")
+
+
+# --- Names and operators ---------------------------------------------------
+
+def _principal(a):
+    """Normalize -0.0 imaginary parts to +0.0 so branch cuts of ln/sqrt
+    are approached from above on the negative real axis (sqrt(-4) = 2i)."""
+    return np.real(a) + 1j * (np.imag(a) + 0.0)
+
+
+def _power(a, b):
+    """Exact for integer exponents, principal exp(b*ln a) otherwise."""
+    n = np.asarray(b)
+    if n.ndim == 0 and n.imag == 0 and float(n.real).is_integer():
+        return np.power(a, int(n.real))
+    return np.exp(b * np.log(_principal(a)))
+
+
+# name -> (arity, implementation on complex values)
+FUNCTIONS = {
+    "sin": (1, np.sin),
+    "cos": (1, np.cos),
+    "tan": (1, np.tan),
+    "exp": (1, np.exp),
+    "ln": (1, lambda a: np.log(_principal(a))),
+    "sqrt": (1, lambda a: np.sqrt(_principal(a))),
+    "abs": (1, lambda a: np.abs(a) + 0j),
+    "atan2": (2, lambda a, b: np.arctan2(np.real(a), np.real(b)) + 0j),
+    "re": (1, lambda a: np.real(a) + 0j),
+    "im": (1, lambda a: np.imag(a) + 0j),
+    "conj": (1, np.conj),
+}
+
+CONSTANTS = {"pi": np.complex128(np.pi), "e": np.complex128(np.e), "i": np.complex128(1j)}
+VARIABLES = ("x", "y")
+
+BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+          "^": _power}
 
 
 # --- AST -------------------------------------------------------------------
@@ -90,62 +115,28 @@ Expr = Num | Const | Var | Neg | BinOp | Call
 
 # --- Tokenizer -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # num | name | op | lparen | rparen | comma | end
+# A number is the greedy run of the `number` production: a trailing 'e'
+# with no digits after it is left for the constant. Every other non-space
+# character is a token of its own, and a punctuation token's kind is the
+# character itself.
+_TOKEN = re.compile(r"(?P<num>\.?\d[\d.]*(?:[eE][+-]?\d+)?)|(?P<name>[^\W\d]\w*)|\S")
+_KINDS = {"num", "name", *"+-*/^(),"}
+
+
+class _Token(NamedTuple):
+    kind: str  # num | name | end | the punctuation character
     text: str
     pos: int
 
 
 def _tokenize(src: str) -> list[_Token]:
     tokens = []
-    n = len(src)
-    pos = 0
-    while pos < n:
-        c = src[pos]
-        if c.isspace():
-            pos += 1
-            continue
-        if c.isdigit() or (c == "." and pos + 1 < n and src[pos + 1].isdigit()):
-            start = pos
-            while pos < n and (src[pos].isdigit() or src[pos] == "."):
-                pos += 1
-            if pos < n and src[pos] in "eE":
-                mark = pos
-                pos += 1
-                if pos < n and src[pos] in "+-":
-                    pos += 1
-                if pos < n and src[pos].isdigit():
-                    while pos < n and src[pos].isdigit():
-                        pos += 1
-                else:
-                    pos = mark  # trailing 'e' is the constant, not an exponent
-            tokens.append(_Token("num", src[start:pos], start))
-            continue
-        if c.isalpha() or c == "_":
-            start = pos
-            while pos < n and (src[pos].isalnum() or src[pos] == "_"):
-                pos += 1
-            tokens.append(_Token("name", src[start:pos], start))
-            continue
-        if c in "+-*/^":
-            tokens.append(_Token("op", c, pos))
-            pos += 1
-            continue
-        if c == "(":
-            tokens.append(_Token("lparen", c, pos))
-            pos += 1
-            continue
-        if c == ")":
-            tokens.append(_Token("rparen", c, pos))
-            pos += 1
-            continue
-        if c == ",":
-            tokens.append(_Token("comma", c, pos))
-            pos += 1
-            continue
-        raise ParseError(src, pos, f"unexpected character {c!r}")
-    tokens.append(_Token("end", "", n))
+    for match in _TOKEN.finditer(src):
+        kind = match.lastgroup or match.group()
+        if kind not in _KINDS:
+            raise ParseError(src, match.start(), f"unexpected character {kind!r}")
+        tokens.append(_Token(kind, match.group(), match.start()))
+    tokens.append(_Token("end", "", len(src)))
     return tokens
 
 
@@ -182,27 +173,25 @@ class _Parser:
 
     def sum(self) -> Expr:
         e = self.product()
-        while self.cur.kind == "op" and self.cur.text in "+-":
-            op = self._advance().text
-            e = BinOp(op, e, self.product())
+        while self.cur.kind in ("+", "-"):
+            e = BinOp(self._advance().kind, e, self.product())
         return e
 
     def product(self) -> Expr:
         e = self.unary()
-        while self.cur.kind == "op" and self.cur.text in "*/":
-            op = self._advance().text
-            e = BinOp(op, e, self.unary())
+        while self.cur.kind in ("*", "/"):
+            e = BinOp(self._advance().kind, e, self.unary())
         return e
 
     def unary(self) -> Expr:
-        if self.cur.kind == "op" and self.cur.text == "-":
+        if self.cur.kind == "-":
             self._advance()
             return Neg(self.unary())
         return self.power()
 
     def power(self) -> Expr:
         base = self.atom()
-        if self.cur.kind == "op" and self.cur.text == "^":
+        if self.cur.kind == "^":
             self._advance()
             return BinOp("^", base, self.unary())
         return base
@@ -211,101 +200,62 @@ class _Parser:
         tok = self.cur
         if tok.kind == "num":
             self._advance()
-            return Num(float(tok.text))
+            try:
+                return Num(float(tok.text))
+            except ValueError:
+                raise ParseError(self.src, tok.pos, f"malformed number {tok.text!r}") from None
         if tok.kind == "name":
             self._advance()
             name = tok.text
             if name in FUNCTIONS:
-                self._expect("lparen", "'(' after function name")
+                self._expect("(", "'(' after function name")
                 args = [self.sum()]
-                while self.cur.kind == "comma":
+                while self.cur.kind == ",":
                     self._advance()
                     args.append(self.sum())
-                self._expect("rparen", "')'")
-                if len(args) != FUNCTIONS[name]:
+                self._expect(")", "')'")
+                arity = FUNCTIONS[name][0]
+                if len(args) != arity:
                     raise ParseError(self.src, tok.pos,
-                                     f"{name} takes {FUNCTIONS[name]} argument(s), got {len(args)}")
+                                     f"{name} takes {arity} argument(s), got {len(args)}")
                 return Call(name, tuple(args))
             if name in CONSTANTS:
                 return Const(name)
             if name in VARIABLES:
                 return Var(name)
             raise ParseError(self.src, tok.pos, f"unknown identifier {name!r}")
-        if tok.kind == "lparen":
+        if tok.kind == "(":
             self._advance()
             e = self.sum()
-            self._expect("rparen", "')'")
+            self._expect(")", "')'")
             return e
         got = tok.text or "end of input"
         raise ParseError(self.src, tok.pos, f"unexpected {got!r}", "value")
 
 
 def parse(src: str) -> Expr:
-    return _Parser(src).parse()
+    parser = _Parser(src)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError(src, parser.cur.pos, "expression nests too deeply") from None
 
 
 # --- Evaluation ------------------------------------------------------------
-
-def _principal(a):
-    """Normalize -0.0 imaginary parts to +0.0 so branch cuts of ln/sqrt
-    are approached from above on the negative real axis (sqrt(-4) = 2i)."""
-    return np.real(a) + 1j * (np.imag(a) + 0.0)
-
-
-def _is_int_exponent(b) -> bool:
-    b = np.asarray(b)
-    return b.ndim == 0 and b.imag == 0 and float(b.real).is_integer()
-
 
 def _eval(e: Expr, x, y):
     if isinstance(e, Num):
         return np.complex128(e.value)
     if isinstance(e, Const):
-        return {"pi": np.complex128(np.pi), "e": np.complex128(np.e), "i": np.complex128(1j)}[e.name]
+        return CONSTANTS[e.name]
     if isinstance(e, Var):
         return x if e.name == "x" else y
     if isinstance(e, Neg):
         return -_eval(e.arg, x, y)
     if isinstance(e, BinOp):
-        a = _eval(e.left, x, y)
-        b = _eval(e.right, x, y)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            return a / b
-        # '^': exact for integer exponents, principal exp(b*ln a) otherwise
-        if _is_int_exponent(b):
-            return np.power(a, int(np.asarray(b).real))
-        return np.exp(b * np.log(_principal(a)))
+        return BINOPS[e.op](_eval(e.left, x, y), _eval(e.right, x, y))
     if isinstance(e, Call):
-        args = [_eval(a, x, y) for a in e.args]
-        a = args[0]
-        if e.name == "sin":
-            return np.sin(a)
-        if e.name == "cos":
-            return np.cos(a)
-        if e.name == "tan":
-            return np.tan(a)
-        if e.name == "exp":
-            return np.exp(a)
-        if e.name == "ln":
-            return np.log(_principal(a))
-        if e.name == "sqrt":
-            return np.sqrt(_principal(a))
-        if e.name == "abs":
-            return np.abs(a) + 0j
-        if e.name == "atan2":
-            return np.arctan2(np.real(a), np.real(args[1])) + 0j
-        if e.name == "re":
-            return np.real(a) + 0j
-        if e.name == "im":
-            return np.imag(a) + 0j
-        if e.name == "conj":
-            return np.conj(a)
+        return FUNCTIONS[e.name][1](*[_eval(a, x, y) for a in e.args])
     raise TypeError(f"not an Expr node: {e!r}")
 
 

@@ -76,9 +76,6 @@ class ScalarField:
         # never count non-finite cells as valid
         self.mask = self.mask & np.isfinite(self.values)
 
-    def valid_values(self) -> np.ndarray:
-        return self.values[self.mask]
-
 
 @dataclass
 class VectorField:
@@ -96,9 +93,6 @@ class VectorField:
         _check_shape(self.spec, self.vx, self.vy, self.mask)
         self.mask = self.mask & np.isfinite(self.vx) & np.isfinite(self.vy)
 
-    def magnitude(self) -> ScalarField:
-        return ScalarField(self.spec, np.hypot(self.vx, self.vy), self.mask.copy())
-
 
 @dataclass
 class ComplexField:
@@ -113,14 +107,6 @@ class ComplexField:
         self.mask = np.asarray(self.mask, dtype=bool)
         _check_shape(self.spec, self.values, self.mask)
         self.mask = self.mask & np.isfinite(self.values.real) & np.isfinite(self.values.imag)
-
-    @property
-    def re(self) -> np.ndarray:
-        return self.values.real
-
-    @property
-    def im(self) -> np.ndarray:
-        return self.values.imag
 
 
 # ---------------------------------------------------------------------------

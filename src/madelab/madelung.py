@@ -199,14 +199,13 @@ def unwrap_phase(psi: ComplexField, winding: np.ndarray | None = None) -> Scalar
 def decompose(
     psi: ComplexField,
     node_threshold: float = DEFAULT_NODE_THRESHOLD,
-    unwrap: bool = True,
 ) -> MadelungFields:
     """Full Madelung decomposition of psi.
 
     Cells with |psi| < node_threshold * max|psi| are flagged as nodes and
     masked out of every derived field (the log-amplitude diverges there).
-    When `unwrap` is set and no vortices are present, `I_unwrapped` is
-    filled in; vortices leave it None without raising.
+    When no vortices are present, `I_unwrapped` is filled in; vortices
+    leave it None without raising.
     """
     if not (0.0 < node_threshold < 1.0):
         raise ValueError("node_threshold must lie in (0, 1)")
@@ -252,11 +251,10 @@ def decompose(
 
     I_unwrapped = None
     unwrap_error = None
-    if unwrap:
-        try:
-            I_unwrapped = unwrap_phase(field, winding)
-        except VortexError as err:
-            unwrap_error = err
+    try:
+        I_unwrapped = unwrap_phase(field, winding)
+    except VortexError as err:
+        unwrap_error = err
 
     return MadelungFields(
         S=S,

@@ -74,7 +74,6 @@ class EigenSolution:
     energies: list[float]
     states: list[ComplexField]
     residuals: list[float]
-    iterations: int
     tol: float
 
 
@@ -144,7 +143,6 @@ def solve_lowest(
         energies=[float(x) for x in vals],
         states=states,
         residuals=residuals,
-        iterations=max_iter,
         tol=tol,
     )
 
@@ -153,7 +151,6 @@ def combine(
     sol: EigenSolution,
     indices: list[int],
     coeffs: list[complex],
-    degeneracy_tol: float | None = None,
 ) -> tuple[ComplexField, float]:
     """Normalized linear combination of degenerate eigenstates."""
     if len(indices) != len(coeffs) or not indices:
@@ -161,8 +158,7 @@ def combine(
     for i in indices:
         if not 0 <= i < len(sol.states):
             raise IndexError(f"eigenstate index {i} out of range")
-    if degeneracy_tol is None:
-        degeneracy_tol = DEGENERACY_FACTOR * sol.tol
+    degeneracy_tol = DEGENERACY_FACTOR * sol.tol
     energies = [sol.energies[i] for i in indices]
     if max(energies) - min(energies) > degeneracy_tol:
         raise DegeneracyError(

@@ -1,9 +1,14 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
 from madelab import cli, fieldio
+from madelab.currents import PhysicalParams
+from madelab.grid import ComplexField, GridSpec
+from madelab.madelung import decompose
+from madelab.spectral import builtin_state
 
 
 def run(argv, capsys=None):
@@ -42,6 +47,10 @@ class TestExitCodes:
     def test_bad_expression_exit_one(self, tmp_path, capsys):
         assert analyze(tmp_path, "--psi", "sin(") == 1
         assert "error" in capsys.readouterr().err
+
+    def test_malformed_number_exit_one_with_offset(self, tmp_path, capsys):
+        assert analyze(tmp_path, "--psi", "exp(1.2.3*x)") == 1
+        assert "error: parse error at offset 4: malformed number '1.2.3'" in capsys.readouterr().err
 
     def test_vanishing_state_exit_one(self, tmp_path, capsys):
         assert analyze(tmp_path, "--psi", "0") == 1
@@ -167,6 +176,42 @@ class TestReport:
         p3 = rep["properties"]["P3"]["residuals"]
         h = rep["grid"]["dx"]
         assert abs(p3["divJtilde_scaled"] - p3["defectA"]) <= h * h
+
+
+class TestVortexSummary:
+    @staticmethod
+    def by_set_difference(m):
+        """The summary with tears defined as the unwrap error's entries that
+        are not residues."""
+        plaquettes = m.vortex_plaquettes()
+        residues = set(plaquettes)
+        tears = [] if m.unwrap_error is None else [
+            list(t) for t in m.unwrap_error.plaquettes if t not in residues]
+        return {
+            "plaquettes": [list(t) for t in plaquettes[:50]],
+            "count": len(plaquettes),
+            "total_winding": int(sum(w for _, _, w in plaquettes)),
+            "unwrapped": m.I_unwrapped is not None,
+            "tears": tears[:50],
+        }
+
+    def test_noise_phase_summary_is_fast(self):
+        spec = GridSpec(129, 129, -4.0, -4.0, 0.0625, 0.0625)
+        theta = np.random.default_rng(0).uniform(-np.pi, np.pi, spec.shape)
+        m = decompose(ComplexField(spec, np.exp(1j * theta)))
+        assert len(m.vortex_plaquettes()) > 5000
+        start = time.perf_counter()
+        got = cli.vortex_summary(m)
+        assert time.perf_counter() - start < 1.0
+        assert got == self.by_set_difference(m)
+
+    def test_hidden_vortex_reports_tears(self):
+        spec = GridSpec(65, 65, -4.0, -4.0, 0.125, 0.125)
+        psi, _ = builtin_state("ho_vortex", {"l": 1}, spec, PhysicalParams())
+        m = decompose(psi, node_threshold=0.3)
+        got = cli.vortex_summary(m)
+        assert got["count"] == 0 and got["tears"]
+        assert got == self.by_set_difference(m)
 
 
 class TestDumps:

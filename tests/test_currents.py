@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from madelab.currents import (
     probability_current,
     qhj_residual,
     quantum_potential,
-    velocity,
 )
 from madelab.grid import ComplexField, GridMismatchError, GridSpec, ScalarField, interior_mask
 from madelab.madelung import decompose
@@ -54,12 +55,6 @@ class TestPlaneWave:
         self.kx = np.sin(2 * h) / h
         self.ky = np.sin(3 * h) / h
 
-    def test_velocity(self):
-        v = velocity(self.m, PhysicalParams(hbar=2.0, mass=4.0))
-        im = interior_mask(v.mask)
-        assert np.allclose(v.vx[im], 0.5 * self.kx, atol=1e-12)
-        assert np.allclose(v.vy[im], 0.5 * self.ky, atol=1e-12)
-
     def test_current_is_velocity_times_unit_density(self):
         J, divJ, defectC = probability_current(self.m, P)
         im = interior_mask(J.mask)
@@ -101,6 +96,21 @@ class TestPlaneWave:
         im = interior_mask(lam.mask)
         assert np.allclose(lam.values[im], 1 / np.hypot(self.kx, self.ky), atol=1e-12)
 
+    def test_de_broglie_masks_subnormal_speed_without_warning(self):
+        # a phase slope of 1e-310 gives subnormal |grad I|, whose
+        # reciprocal overflows
+        spec = grid(n=17)
+        X, _ = spec.meshgrid()
+        m = decompose(ComplexField(spec, np.exp(1e-310j * X)))
+        speed = np.hypot(m.gradI.vx, m.gradI.vy)
+        tiny = m.gradI.mask & (speed > 0) & (speed < np.finfo(float).tiny)
+        assert tiny.any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam = de_broglie(m, P)
+        assert not lam.mask[tiny].any()
+        assert np.isnan(lam.values[tiny]).all()
+
     def test_grid_mismatch_rejected(self):
         other = grid(n=33)
         V = ScalarField(other, np.zeros(other.shape))
@@ -114,8 +124,8 @@ class TestHarmonicGround:
         self.h = self.m.spec.dx
 
     def test_no_flow(self):
-        v = velocity(self.m, P)
-        assert np.max(np.abs(v.vx[v.mask])) == 0.0
+        g = self.m.gradI
+        assert np.max(np.abs(g.vx[g.mask])) == 0.0
         J, divJ, defectC = probability_current(self.m, P)
         assert np.max(np.abs(divJ.values[divJ.mask])) == 0.0
         assert np.max(np.abs(defectC.values[defectC.mask])) == 0.0

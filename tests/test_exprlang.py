@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +49,77 @@ class TestParse:
             with pytest.raises(ParseError) as err:
                 parse(src)
             assert 0 <= err.value.offset <= len(src.encode())
+
+    @pytest.mark.parametrize("src, offset, message", [
+        ("1.2.3", 0, "malformed number '1.2.3'"),
+        ("1..2", 0, "malformed number '1..2'"),
+        (".5.", 0, "malformed number '.5.'"),
+        # '1e5' is a whole literal; the error is at the '.5' after it
+        ("1e5.5", 3, "unexpected '.5' after expression"),
+        ("exp(2*1.2.3)", 6, "malformed number '1.2.3'"),
+        # an 'e' with no digits after it is the constant, not an exponent
+        ("2e", 1, "unexpected 'e' after expression"),
+    ])
+    def test_literal_errors(self, src, offset, message):
+        with pytest.raises(ParseError) as err:
+            parse(src)
+        assert (err.value.offset, err.value.message) == (offset, message)
+
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nests too deeply"):
+            parse("(" * 2000)
+
+    @given(st.one_of(st.text(), st.text(alphabet="0123456789.eE+-*/^(), xyipsncoqrtlabj$_")))
+    def test_only_parse_errors(self, src):
+        try:
+            parse(src)
+        except ParseError:
+            pass
+
+
+class TestCorpus:
+    """Replays tests/golden/exprlang.json: 65 hand-picked inputs (those of
+    the exprlang, CLI and acceptance tests, the docs' examples and
+    number-literal edge cases) plus 835 seeded random ASCII strings over the
+    grammar's alphabet (free fragments, generated expressions and
+    one-character mutations of them). Each outcome was recorded before the
+    tokenizer became one regular expression: the AST repr and its value at
+    (x, y) = (0.3, -0.7), or the ParseError offset and text. Entries marked
+    `value_error` are literals float() rejected, which then escaped as a
+    bare ValueError; they must now be parse errors at the literal."""
+
+    CASES = json.loads((Path(__file__).parent / "golden" / "exprlang.json").read_text())
+
+    @staticmethod
+    def outcome(src):
+        try:
+            e = parse(src)
+        except ParseError as err:
+            return {"parse_error": [err.offset, str(err)]}
+        return {"ast": repr(e), "value": repr(evaluate(e, 0.3, -0.7))}
+
+    def test_outcomes_unchanged(self):
+        assert len(self.CASES) >= 500
+        diffs = []
+        for case in self.CASES:
+            if "value_error" in case:
+                continue
+            want = {k: v for k, v in case.items() if k != "src"}
+            got = self.outcome(case["src"])
+            if got != want:
+                diffs.append((case["src"], want, got))
+        assert not diffs, diffs[:5]
+
+    def test_rejected_literals_are_parse_errors(self):
+        for case in self.CASES:
+            if "value_error" not in case:
+                continue
+            literal = case["value_error"].split(": ", 1)[1]  # "...: '1.2.3'"
+            with pytest.raises(ParseError) as err:
+                parse(case["src"])
+            assert err.value.message == f"malformed number {literal}"
+            src = case["src"].encode()
+            assert src[err.value.offset:].startswith(literal[1:-1].encode())
 
 
 class TestPrecedence:
