@@ -131,8 +131,12 @@ def deriv2(values: np.ndarray, d: float, axis: int) -> np.ndarray:
     out = np.empty_like(f)
     inv = 1.0 / (d * d)
     out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) * inv
-    out[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) * inv
-    out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) * inv
+    if len(f) < 4:
+        # no room for the 4-point one-sided stencil; _erode2 masks these
+        out[0] = out[-1] = np.nan
+    else:
+        out[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) * inv
+        out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) * inv
     return np.moveaxis(out, 0, axis)
 
 
@@ -147,12 +151,16 @@ def _erode1(mask: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _erode2(mask: np.ndarray, axis: int) -> np.ndarray:
-    """Mask for deriv2 output (boundary rows reach 4 cells one-sided)."""
+    """Mask for deriv2 output (boundary rows reach 4 cells one-sided, so
+    they are invalid on an axis shorter than 4 cells)."""
     m = np.moveaxis(mask, axis, 0)
     out = np.empty_like(m)
     out[1:-1] = m[:-2] & m[1:-1] & m[2:]
-    out[0] = m[0] & m[1] & m[2] & m[3]
-    out[-1] = m[-1] & m[-2] & m[-3] & m[-4]
+    if len(m) < 4:
+        out[0] = out[-1] = False
+    else:
+        out[0] = m[0] & m[1] & m[2] & m[3]
+        out[-1] = m[-1] & m[-2] & m[-3] & m[-4]
     return np.moveaxis(out, 0, axis)
 
 

@@ -84,6 +84,39 @@ class TestExitCodes:
         assert cli.main(argv) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_residual_failure_reports_every_residual(self, tmp_path, capsys):
+        # no pair reaches 1e-16; the partial report keeps one residual per
+        # energy, as the schema promises
+        code = cli.main([
+            "solve", "--potential", "(x^2+y^2)/2", "--grid", "32x32",
+            "--domain", "-5,5,-5,5", "--count", "4", "--solver-tol", "1e-16",
+            "--out", str(tmp_path),
+        ])
+        assert code == 3
+        rep = load_report(tmp_path)
+        assert len(rep["energies"]) == len(rep["solver_residuals"]) == 4
+        assert all(0 < r < 1e-10 for r in rep["solver_residuals"])
+        assert "eigenpair 0 residual" in rep["error"]
+
+    def test_count_not_below_cell_count_exit_one(self, tmp_path, capsys):
+        code = cli.main(["solve", "--potential", "0", "--grid", "3x3",
+                         "--count", "9", "--out", str(tmp_path)])
+        assert code == 1
+        assert "error: count 9 needs a grid of more than 9 cells" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--grid", "3x3", "--psi", "exp(x+i*y)"],
+        ["analyze", "--grid", "3x12", "--builtin", "ho_vortex"],
+        ["analyze", "--grid", "12x3", "--builtin", "ho_ground"],
+        ["solve", "--grid", "3x3", "--count", "2", "--potential", "0"],
+        ["solve", "--grid", "16x3", "--count", "2", "--potential", "x^2"],
+    ])
+    def test_three_cell_axis_is_a_defined_outcome(self, argv, tmp_path, capsys):
+        code = cli.main(argv + ["--out", str(tmp_path)])
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert "error:" in capsys.readouterr().err
+
     def test_solve_requires_potential(self, tmp_path, capsys):
         assert cli.main(["solve", "--out", str(tmp_path)]) == 1
 

@@ -199,6 +199,20 @@ class TestMasks:
         assert not g.mask[4, 5] and not g.mask[6, 5]
         assert g.mask[3, 3]
 
+    @pytest.mark.parametrize("nx, ny", [(3, 3), (3, 8), (8, 3)])
+    def test_three_cell_axis_masks_one_sided_rows(self, nx, ny):
+        # the one-sided second-derivative stencil needs 4 cells; on a
+        # 3-cell axis only the centre row along that axis is defined
+        f = make_field(lambda x, y: x**2 + 3 * y**2, nx=nx, ny=ny)
+        lap = laplacian(f)
+        want = np.ones(f.spec.shape, dtype=bool)
+        if nx == 3:
+            want[:, [0, 2]] = False
+        if ny == 3:
+            want[[0, 2], :] = False
+        assert np.array_equal(lap.mask, want)
+        assert np.allclose(lap.values[want], 8.0, atol=1e-9)
+
 
 def test_gradient_linearity():
     rng = np.random.default_rng(11)

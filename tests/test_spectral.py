@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from madelab.currents import PhysicalParams
 from madelab.grid import GridSpec, ScalarField
+from madelab import spectral
 from madelab.spectral import (
     BUILTIN_NAMES,
     DegeneracyError,
@@ -175,6 +177,93 @@ class TestSolver:
     def test_residuals_below_tol(self):
         sol = solve_lowest(free_hamiltonian(box_spec(24)), 2, tol=1e-8)
         assert all(r <= 1e-8 for r in sol.residuals)
+
+    def test_count_must_be_below_cell_count(self):
+        H = free_hamiltonian(GridSpec(3, 3, 0, 0, 0.25, 0.25))
+        with pytest.raises(ValueError, match="more than 9 cells"):
+            solve_lowest(H, 9)
+        assert len(solve_lowest(H, 8).energies) == 8
+
+
+class TestCounters:
+    def test_opinv_calls_are_the_real_count(self, monkeypatch):
+        # count the applications ARPACK makes of the operator it is handed,
+        # independently of the solver's own counter
+        seen = []
+        eigsh = spla.eigsh
+
+        def counting_eigsh(*args, OPinv, **kwargs):
+            seen.append(0)
+
+            def apply(x):
+                seen[-1] += 1
+                return OPinv.matvec(x)
+
+            op = spla.LinearOperator(OPinv.shape, matvec=apply, dtype=OPinv.dtype)
+            return eigsh(*args, OPinv=op, **kwargs)
+
+        monkeypatch.setattr(spectral.spla, "eigsh", counting_eigsh)
+        H = assemble(ho_potential(ho_spec(49)), P)
+        s1 = solve_lowest(H, 3, seed=5)
+        s2 = solve_lowest(H, 3, seed=5)
+        assert s1.opinv_calls > 0
+        assert seen == [s1.opinv_calls, s2.opinv_calls]
+        assert s1.opinv_calls == s2.opinv_calls
+        assert s1.factor_nnz == s2.factor_nnz > H.matrix.nnz
+
+    def test_fill_reducing_factor_at_256(self):
+        # the default column ordering (COLAMD) fills 6.70 M nonzeros here
+        n, half = 256, 6.0
+        h = 2 * half / (n + 1)
+        H = assemble(ho_potential(GridSpec(n, n, -half + h, -half + h, h, h)), P)
+        assert solve_lowest(H, 1).factor_nnz <= 3.6e6
+
+
+def clusters(energies, tol=1e-8):
+    """Index groups of eigenvalues that agree within tol (relative)."""
+    groups = [[0]]
+    for j in range(1, len(energies)):
+        if energies[j] - energies[j - 1] <= tol * max(1.0, abs(energies[j])):
+            groups[-1].append(j)
+        else:
+            groups.append([j])
+    return groups
+
+
+def walled_box(n=40):
+    # unit box with a masked (V = 1e6) square post in the middle: the
+    # square's symmetry keeps degenerate pairs
+    spec = box_spec(n)
+    V = ScalarField(spec, np.zeros(spec.shape))
+    V.mask[n // 2 - 3 : n // 2 + 3, n // 2 - 3 : n // 2 + 3] = False
+    return V
+
+
+class TestOracle:
+    """solve_lowest against scipy's own shift-invert path (eigsh factoring
+    A - sigma I internally with the default column ordering)."""
+
+    @pytest.mark.parametrize("V, k", [
+        (ho_potential(ho_spec(65, 6.0)), 6),  # E = 1, 2, 2, 3, 3, 3 clusters whole
+        (walled_box(), 5),
+    ], ids=["oscillator", "walls"])
+    def test_matches_internal_factorisation(self, V, k):
+        H = assemble(V, P)
+        A = H.matrix
+        sigma = float(H.potential.min()) - 1.0
+        v0 = np.random.default_rng(0).standard_normal(A.shape[0])
+        vals, vecs = spla.eigsh(A, k=k, sigma=sigma, which="LM", v0=v0, tol=0)
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+        sol = solve_lowest(H, k, tol=1e-10)
+        assert np.allclose(sol.energies, vals, rtol=0, atol=1e-10)
+        new = np.stack([s.values.real.ravel() for s in sol.states], axis=1)
+        new /= np.linalg.norm(new, axis=0)
+        groups = clusters(vals)
+        assert any(len(g) > 1 for g in groups)
+        for g in groups:
+            sv = np.linalg.svd(vecs[:, g].T @ new[:, g], compute_uv=False)
+            assert sv.min() >= 1 - 1e-8
 
 
 @pytest.fixture(scope="module")
