@@ -2,7 +2,8 @@
 a grid-refinement convergence study. Emits a JSON report plus field dumps
 (CSV, binary, or gnuplot tables).
 
-Exit codes: 0 success; 1 hard failure (bad input, empty interior);
+Exit codes: 0 success; 1 hard failure (bad input, empty interior, cannot
+write output);
 2 diagnostics complete but J~ undefined because of vortices; 3 eigensolver
 non-convergence (partial report still written).
 """
@@ -310,19 +311,85 @@ def _collect_fields(d: Diagnosis) -> dict:
 
 
 def dump_fields(psi, fields: dict, out_dir: Path, fmt: str) -> list[dict]:
+    """Write psi (`.re`, `.im`) and each field in name order, one file
+    each, and list every file with its SHA-256 in that order. The files are
+    shared out over the CPUs this process may run on; which process writes
+    a file changes neither its bytes nor the list."""
     ext, writer = _DUMP[fmt]
-    manifest = []
-    re_path, im_path = fieldio.write_complex(
-        psi, out_dir / f"psi{ext}",
-        writer=writer if fmt != "gnuplot" else fieldio.write_binary,
-    )
-    for path in (re_path, im_path):
-        manifest.append({"path": path.name, "sha256": _sha256(path)})
-    for name, f in sorted(fields.items()):
-        path = out_dir / f"{name}{ext}"
-        writer(f, path)
-        manifest.append({"path": path.name, "sha256": _sha256(path)})
-    return manifest
+    psi_writer = writer if fmt != "gnuplot" else fieldio.write_binary
+    jobs = [(psi_writer, part, path)
+            for part, path in fieldio.complex_parts(psi, out_dir / f"psi{ext}")]
+    jobs += [(writer, f, out_dir / f"{name}{ext}") for name, f in sorted(fields.items())]
+    digests = _run_split(jobs, _worker_count(len(jobs)))
+    return [{"path": path.name, "sha256": digest}
+            for (_, _, path), digest in zip(jobs, digests)]
+
+
+def _worker_count(n_jobs: int) -> int:
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_jobs)
+
+
+def _run_split(jobs: list, workers: int) -> list[str]:
+    """Run `jobs[k::workers]` in forked child k (1 <= k < workers) and
+    `jobs[0::workers]` here; return every job's digest in job order.
+
+    Each child sends its digests, or `"<ExcType>: <message>"` on failure,
+    back through a pipe. Every child is reaped before this returns or
+    raises; a child's failure is raised here as `OSError`."""
+    children = []
+    try:
+        for k in range(1, workers):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(r)
+                _dump_worker(jobs[k::workers], w)
+            os.close(w)
+            children.append((pid, r))
+        digests = [""] * len(jobs)
+        digests[0::workers] = _write_and_hash(jobs[0::workers])
+    finally:
+        replies = [_reap(pid, r) for pid, r in children]
+    failures = [text or f"dump worker ended with code {code}" for code, text in replies if code]
+    if failures:
+        raise OSError("; ".join(failures))
+    for k, (_, text) in enumerate(replies, 1):
+        digests[k::workers] = text.split()
+    return digests
+
+
+def _reap(pid: int, fd: int) -> tuple[int, str]:
+    """Read a dump worker's reply to the end, then wait for it to exit."""
+    with open(fd) as fh:
+        text = fh.read()
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), text
+
+
+def _dump_worker(jobs: list, fd: int):
+    """The body of a forked child: never returns into the caller. It leaves
+    through `os._exit`, so no atexit handler runs and no stdio buffer
+    copied from the parent is flushed a second time."""
+    status = 1
+    try:
+        try:
+            text, code = "\n".join(_write_and_hash(jobs)), 0
+        except BaseException as err:
+            text, code = f"{type(err).__name__}: {err}", 1
+        with open(fd, "w") as fh:
+            fh.write(text)
+        status = code
+    finally:
+        os._exit(status)
+
+
+def _write_and_hash(jobs: list) -> list[str]:
+    digests = []
+    for writer, field, path in jobs:
+        writer(field, path)
+        digests.append(_sha256(path))
+    return digests
 
 
 def _sha256(path: Path) -> str:
@@ -489,6 +556,11 @@ def main(argv=None) -> int:
             analytic.EmptyInteriorError, spectral.DegeneracyError,
             ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_FAILURE
+    except OSError as err:
+        # the subcommands touch the file system only to create --out and
+        # write the dumps and report.json into it
+        print(f"error: cannot write output: {err}", file=sys.stderr)
         return EXIT_FAILURE
 
 

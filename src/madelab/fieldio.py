@@ -28,9 +28,7 @@ class FieldFormatError(ValueError):
 
 
 def _masked_values(f: ScalarField) -> np.ndarray:
-    v = f.values.astype(float).copy()
-    v[~f.mask] = np.nan
-    return v
+    return np.where(f.mask, f.values, np.nan)
 
 
 def write_csv(f: ScalarField, path: str | Path) -> None:
@@ -38,7 +36,7 @@ def write_csv(f: ScalarField, path: str | Path) -> None:
     with open(path, "w") as fh:
         fh.write(f"# {s.nx} {s.ny} {s.x0!r} {s.y0!r} {s.dx!r} {s.dy!r}\n")
         for row in _masked_values(f):
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def read_csv(path: str | Path) -> ScalarField:
@@ -68,7 +66,7 @@ def write_binary(f: ScalarField, path: str | Path) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(_HEADER.pack(s.nx, s.ny, s.x0, s.y0, s.dx, s.dy))
-        fh.write(_masked_values(f).astype("<f8").tobytes())
+        fh.write(_masked_values(f).astype("<f8", copy=False).tobytes())
 
 
 def read_binary(path: str | Path) -> ScalarField:
@@ -85,12 +83,17 @@ def read_binary(path: str | Path) -> ScalarField:
     return ScalarField(spec, values, np.isfinite(values))
 
 
-def write_complex(f: ComplexField, path: str | Path, writer=write_binary) -> tuple[Path, Path]:
+def complex_parts(f: ComplexField, path: str | Path) -> list[tuple[ScalarField, Path]]:
+    """The `.re` and `.im` scalar fields of `f` with the paths they go to."""
     path = Path(path)
-    re_path = path.with_name(path.name + ".re")
-    im_path = path.with_name(path.name + ".im")
-    writer(ScalarField(f.spec, f.values.real.copy(), f.mask.copy()), re_path)
-    writer(ScalarField(f.spec, f.values.imag.copy(), f.mask.copy()), im_path)
+    return [(ScalarField(f.spec, f.values.real, f.mask), path.with_name(path.name + ".re")),
+            (ScalarField(f.spec, f.values.imag, f.mask), path.with_name(path.name + ".im"))]
+
+
+def write_complex(f: ComplexField, path: str | Path, writer=write_binary) -> tuple[Path, Path]:
+    (re, re_path), (im, im_path) = complex_parts(f, path)
+    writer(re, re_path)
+    writer(im, im_path)
     return re_path, im_path
 
 
@@ -103,10 +106,8 @@ def read_complex(path: str | Path, reader=read_binary) -> ComplexField:
 
 def write_gnuplot(f: ScalarField, path: str | Path) -> None:
     """Whitespace `x y value` table with blank lines between rows."""
-    xs, ys = f.spec.x(), f.spec.y()
-    v = _masked_values(f)
+    xs = [repr(x) for x in f.spec.x().tolist()]
     with open(path, "w") as fh:
-        for j, y in enumerate(ys):
-            for i, x in enumerate(xs):
-                fh.write(f"{float(x)!r} {float(y)!r} {float(v[j, i])!r}\n")
-            fh.write("\n")
+        for y, row in zip(f.spec.y().tolist(), _masked_values(f)):
+            mid = f" {y!r} "
+            fh.write("".join(x + mid + repr(v) + "\n" for x, v in zip(xs, row.tolist())) + "\n")

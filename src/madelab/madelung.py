@@ -240,9 +240,12 @@ def decompose(
     lapI = ScalarField(spec, L2.imag - 2.0 * cross, lmask.copy())
     cross = ScalarField(spec, cross, gradS.mask & gradI.mask)
 
-    if int(lmask.sum()) < 9:
+    n_valid, n_interior = int(valid.sum()), int(lmask.sum())
+    if n_interior < 9:
+        cause = ("masking nodes and non-finite cells" if n_valid < 9
+                 else f"stencil erosion of {n_valid} valid cells")
         raise DecomposeError(
-            f"only {int(lmask.sum())} valid cells remain after node masking; "
+            f"only {n_interior} valid cells remain after {cause}; "
             "no interior to analyze"
         )
 

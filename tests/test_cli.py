@@ -1,12 +1,17 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from madelab import cli, fieldio
 from madelab.currents import PhysicalParams
-from madelab.grid import ComplexField, GridSpec
+from madelab.grid import ComplexField, GridSpec, ScalarField
 from madelab.madelung import decompose
 from madelab.spectral import builtin_state
 
@@ -270,6 +275,133 @@ class TestDumps:
         monkeypatch.setenv("MADELUNG_OUT", str(tmp_path / "envdir"))
         assert cli.main(["analyze", "--builtin", "ho_ground", "--grid", "9x9"]) == 0
         assert (tmp_path / "envdir" / "report.json").exists()
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize("where", ["under-file", "dev-null"])
+    def test_out_dir_cannot_be_created(self, where, tmp_path, capsys):
+        if where == "under-file":
+            (tmp_path / "file").write_text("")
+            out = tmp_path / "file" / "sub"
+        else:
+            out = Path("/dev/null/x")
+        code = cli.main(["analyze", "--psi", "exp(x+i*y)", "--grid", "9x9", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ")
+        assert str(out) in err and "Traceback" not in err
+
+    def test_report_cannot_be_written(self, tmp_path, capsys):
+        (tmp_path / "report.json").mkdir()
+        assert analyze(tmp_path, "--builtin", "ho_ground", "--grid", "9x9") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ") and "report.json" in err
+
+
+def _affinity(monkeypatch, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitDump:
+    """`dump_fields` shares the files out over the CPUs in the affinity set;
+    the split must not show in the files, the manifest or stdout."""
+
+    @pytest.fixture(scope="class")
+    def diagnosis(self):
+        spec = GridSpec(19, 13, -1.0, -0.8, 0.1, 0.125)
+        X, Y = spec.meshgrid()
+        psi = ComplexField(spec, np.exp((1j - 0.5) * (X + 2 * Y) - X**2))
+        V = ScalarField(spec, 0.5 * (X**2 + Y**2))
+        return cli.diagnose(psi, PhysicalParams(), 0.01, V=V, E=1.0)
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin", "gnuplot"])
+    def test_same_files_and_manifest_for_any_worker_count(self, fmt, diagnosis, tmp_path,
+                                                          monkeypatch):
+        fields = cli._collect_fields(diagnosis)
+        assert "I" in fields and "qhjResidual" in fields
+        real_fork, forks = os.fork, []
+
+        def counting_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        results = []
+        for workers in (1, 2, 3):
+            _affinity(monkeypatch, workers)
+            forks.clear()
+            out = tmp_path / f"w{workers}"
+            out.mkdir()
+            manifest = cli.dump_fields(diagnosis.psi, fields, out, fmt)
+            assert len(forks) == workers - 1
+            _assert_no_child_left()
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            results.append((manifest, files))
+        manifest, files = results[0]
+        assert [e["path"] for e in manifest][:2] == [f"psi{cli._DUMP[fmt][0]}.re",
+                                                     f"psi{cli._DUMP[fmt][0]}.im"]
+        assert sorted(files) == sorted(e["path"] for e in manifest)
+        assert all(hashlib.sha256(files[e["path"]]).hexdigest() == e["sha256"]
+                   for e in manifest)
+        assert results[1] == results[0] and results[2] == results[0]
+
+    def test_one_worker_starts_no_child(self, diagnosis, tmp_path, monkeypatch):
+        _affinity(monkeypatch, 1)
+
+        def no_fork():
+            raise AssertionError("forked with one worker")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        manifest = cli.dump_fields(diagnosis.psi, cli._collect_fields(diagnosis), tmp_path, "bin")
+        assert len(manifest) == len(list(tmp_path.iterdir()))
+
+    def test_no_affinity_call_means_one_worker(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli._worker_count(19) == 1
+
+    def test_worker_count_is_capped_by_jobs(self, monkeypatch):
+        _affinity(monkeypatch, 64)
+        assert cli._worker_count(19) == 19
+
+    # psi.csv.re is the parent's first file; psi.csv.im goes to child 1 of
+    # 2 and I.csv to child 2 of 3
+    @pytest.mark.parametrize("workers,blocked", [(2, "psi.csv.re"), (2, "psi.csv.im"),
+                                                 (3, "I.csv")])
+    def test_failed_write_exits_one_and_reaps(self, workers, blocked, tmp_path,
+                                              monkeypatch, capsys):
+        _affinity(monkeypatch, workers)
+        (tmp_path / blocked).mkdir()
+        code = analyze(tmp_path, "--psi", "exp(x+i*y)", "--grid", "9x9", "--dump", "csv")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ")
+        assert blocked in err and "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+        _assert_no_child_left()
+
+    def test_stdout_lines_appear_once(self, tmp_path):
+        # "started" still sits in the pipe's buffer when the dump forks, so
+        # a child that flushed its copy would print it twice
+        out = tmp_path / "out"
+        code = ("import os, sys\n"
+                "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+                "from madelab import cli\n"
+                "print('started')\n"
+                f"sys.exit(cli.main(['analyze', '--builtin', 'ho_ground', '--grid', '9x9',"
+                f" '--dump', 'csv', '--out', {str(out)!r}]))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["started", f"report written to {out / 'report.json'}"]
+        assert proc.stderr == ""
 
 
 class TestSolve:

@@ -1,7 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from madelab.fieldio import (
+    MAGIC,
     FieldFormatError,
     read_binary,
     read_complex,
@@ -137,3 +140,68 @@ def test_gnuplot_layout(field, tmp_path):
     assert v == field.values[0, 0]
     # masked cell shows as nan
     assert "nan" in blocks[2].splitlines()[3]
+
+
+# --- the writers against their earlier per-value formulas ------------------
+
+def old_masked_values(f):
+    v = f.values.astype(float).copy()
+    v[~f.mask] = np.nan
+    return v
+
+
+def old_csv(f):
+    s = f.spec
+    out = f"# {s.nx} {s.ny} {s.x0!r} {s.y0!r} {s.dx!r} {s.dy!r}\n"
+    for row in old_masked_values(f):
+        out += ",".join(repr(float(x)) for x in row) + "\n"
+    return out.encode()
+
+
+def old_gnuplot(f):
+    v = old_masked_values(f)
+    out = ""
+    for j, y in enumerate(f.spec.y()):
+        for i, x in enumerate(f.spec.x()):
+            out += f"{float(x)!r} {float(y)!r} {float(v[j, i])!r}\n"
+        out += "\n"
+    return out.encode()
+
+
+def old_binary(f):
+    s = f.spec
+    header = struct.pack("<QQdddd", s.nx, s.ny, s.x0, s.y0, s.dx, s.dy)
+    return MAGIC + header + old_masked_values(f).astype("<f8").tobytes()
+
+
+SPECIAL = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-320,
+                    2.2250738585072014e-308, 1.7976931348623157e308, 1e-5, 1e16,
+                    0.1, 1 / 3])
+
+
+def awkward_field(seed, nx, ny, all_valid):
+    """Random doubles over many exponents mixed with non-finite values,
+    signed zeros and subnormals; `all_valid` sets the mask after
+    construction, so non-finite values reach the formatter too."""
+    rng = np.random.default_rng(seed)
+    spec = GridSpec(nx, ny, float(rng.normal()), -float(rng.random()),
+                    float(rng.random()) / 7, 0.1 + float(rng.random()))
+    values = rng.standard_normal((ny, nx)) * 10.0 ** rng.integers(-300, 300, (ny, nx))
+    pick = rng.random((ny, nx)) < 0.3
+    values[pick] = rng.choice(SPECIAL, int(pick.sum()))
+    f = ScalarField(spec, values, rng.random((ny, nx)) > 0.2)
+    if all_valid:
+        f.mask = np.ones((ny, nx), dtype=bool)
+    return f
+
+
+@pytest.mark.parametrize("all_valid", [False, True])
+@pytest.mark.parametrize("seed,nx,ny", [(0, 3, 3), (1, 7, 3), (2, 3, 11), (3, 32, 17)])
+@pytest.mark.parametrize("writer,oracle", [(write_csv, old_csv),
+                                           (write_gnuplot, old_gnuplot),
+                                           (write_binary, old_binary)],
+                         ids=["csv", "gnuplot", "bin"])
+def test_writers_match_per_value_formulas(writer, oracle, seed, nx, ny, all_valid, tmp_path):
+    f = awkward_field(seed, nx, ny, all_valid)
+    writer(f, tmp_path / "f")
+    assert (tmp_path / "f").read_bytes() == oracle(f)

@@ -140,6 +140,23 @@ class TestDecompose:
         with pytest.raises(DecomposeError):
             decompose(ComplexField(spec, psi.values))
 
+    def test_too_few_cells_names_node_masking(self):
+        spec = GridSpec(17, 17, -2, -2, 0.25, 0.25)
+        X, Y = spec.meshgrid()
+        psi = ComplexField(spec, np.exp(-8.0 * (X**2 + Y**2)) + 0j)
+        with pytest.raises(DecomposeError, match=r"^only \d valid cells remain after "
+                           "masking nodes and non-finite cells;"):
+            decompose(psi, node_threshold=0.9)
+
+    def test_too_few_cells_names_stencil_erosion(self):
+        # a 3x3 grid without nodes: all 9 cells are valid, the stencils
+        # leave only the centre
+        spec = GridSpec(3, 3, -1, -1, 1, 1)
+        X, Y = spec.meshgrid()
+        with pytest.raises(DecomposeError, match="^only 1 valid cells remain after "
+                           "stencil erosion of 9 valid cells;"):
+            decompose(ComplexField(spec, np.exp(X + 1j * Y)))
+
     def test_consistency_identity(self):
         # lapI + 2 gradS.gradI reproduces Im(lap psi / psi), recomputed here
         from madelab.grid import raw_laplacian
