@@ -1,0 +1,61 @@
+"""Closed-form states sampled at cell centers: the catalog behind
+`--builtin`. Needs only numpy.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .currents import PhysicalParams
+from .grid import ComplexField, GridSpec
+
+BUILTIN_NAMES = ("plane_wave", "ho_ground", "ho_vortex", "box_mode", "exp_z", "gauss_real")
+
+
+def builtin_state(
+    name: str,
+    params: dict,
+    spec: GridSpec,
+    p: PhysicalParams,
+) -> tuple[ComplexField, float | None]:
+    """Sample a catalog state at cell centers; returns (psi, exact energy).
+
+    Energy is None for diagnostics fixtures that are not eigenstates of a
+    cataloged potential (exp_z, gauss_real). Oscillator states use omega=1;
+    box modes live on the unit box [0,1]^2.
+    """
+    X, Y = spec.meshgrid()
+    hbar, mass = p.hbar, p.mass
+    if name == "plane_wave":
+        k1 = float(params.get("k1", 1.0))
+        k2 = float(params.get("k2", 0.0))
+        psi = np.exp(1j * (k1 * X + k2 * Y))
+        return ComplexField(spec, psi), hbar**2 * (k1**2 + k2**2) / (2.0 * mass)
+    if name == "ho_ground":
+        a = mass / hbar  # omega = 1
+        psi = np.exp(-0.5 * a * (X**2 + Y**2)).astype(complex)
+        return ComplexField(spec, psi), hbar * 1.0
+    if name == "ho_vortex":
+        ell = int(params.get("l", 1))
+        if ell < 1:
+            raise ValueError("ho_vortex needs l >= 1")
+        a = mass / hbar
+        z = np.sqrt(a) * (X + 1j * Y)
+        psi = z**ell * np.exp(-0.5 * a * (X**2 + Y**2))
+        return ComplexField(spec, psi), hbar * (ell + 1.0)
+    if name == "box_mode":
+        n1 = int(params.get("n1", 1))
+        n2 = int(params.get("n2", 1))
+        if n1 < 1 or n2 < 1:
+            raise ValueError("box_mode needs n1, n2 >= 1")
+        psi = (np.sin(n1 * np.pi * X) * np.sin(n2 * np.pi * Y)).astype(complex)
+        return ComplexField(spec, psi), hbar**2 * np.pi**2 * (n1**2 + n2**2) / (2.0 * mass)
+    if name == "exp_z":
+        return ComplexField(spec, np.exp(X + 1j * Y)), None
+    if name == "gauss_real":
+        sigma = float(params.get("sigma", 1.0))
+        if sigma <= 0:
+            raise ValueError("gauss_real needs sigma > 0")
+        psi = np.exp(-0.5 * (X**2 + Y**2) / sigma**2).astype(complex)
+        return ComplexField(spec, psi), None
+    raise ValueError(f"unknown builtin state {name!r}; choose from {BUILTIN_NAMES}")

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analytic, currents, exprlang, fieldio, madelung, spectral
+from . import analytic, catalog, currents, exprlang, fieldio, madelung
 from .currents import PhysicalParams
 from .grid import ComplexField, GridSpec, ScalarField
 
@@ -98,7 +98,7 @@ def _add_state_source(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--psi", default=None, metavar="EXPR",
                      help="wavefunction expression in x, y")
-    src.add_argument("--builtin", default=None, choices=spectral.BUILTIN_NAMES,
+    src.add_argument("--builtin", default=None, choices=catalog.BUILTIN_NAMES,
                      help="closed-form catalog state")
     p.add_argument("--energy", type=float, default=None,
                    help="state energy for the Hamilton-Jacobi residual")
@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("convergence", help="refinement study; CSV on stdout")
     _add_common(pc)
     _add_state_source(pc)
-    pc.add_argument("--levels", type=int, default=3, help="number of refinements")
+    pc.add_argument("--levels", type=int, default=3, help="number of refinements, at least 2")
     return parser
 
 
@@ -188,7 +188,7 @@ def _state_from_args(args, spec: GridSpec, p: PhysicalParams):
         expr = exprlang.parse(args.psi)
         psi = exprlang.eval_field(expr, spec)
         return psi, args.energy, {"source": "expression", "psi": args.psi}
-    psi, energy = spectral.builtin_state(args.builtin, _builtin_params(args), spec, p)
+    psi, energy = catalog.builtin_state(args.builtin, _builtin_params(args), spec, p)
     if args.energy is not None:
         energy = args.energy
     prov = {"source": "builtin", "name": args.builtin,
@@ -460,6 +460,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from . import spectral  # the one module that needs scipy; loaded by solve only
+
     spec = _parse_grid(args)
     p = _params(args)
     out_dir = _out_dir(args)
@@ -504,9 +506,10 @@ ROUNDOFF_FLOOR = 1e-12
 def cmd_convergence(args) -> int:
     base = _parse_grid(args)
     p = _params(args)
-    levels = max(args.levels, 2)
+    if args.levels < 2:
+        raise CliError("--levels needs at least 2 refinements")
     rows = []
-    for k in range(levels):
+    for k in range(args.levels):
         factor = 2**k
         nx = (base.nx + 1) * factor - 1
         ny = (base.ny + 1) * factor - 1
@@ -553,8 +556,7 @@ def main(argv=None) -> int:
     try:
         return handler(args)
     except (CliError, exprlang.ParseError, madelung.DecomposeError,
-            analytic.EmptyInteriorError, spectral.DegeneracyError,
-            ValueError) as err:
+            analytic.EmptyInteriorError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILURE
     except OSError as err:

@@ -125,6 +125,13 @@ class TestExitCodes:
     def test_solve_requires_potential(self, tmp_path, capsys):
         assert cli.main(["solve", "--out", str(tmp_path)]) == 1
 
+    def test_potential_nonfinite_everywhere_exit_one(self, tmp_path, capsys):
+        code = cli.main(["solve", "--potential", "1/0", "--count", "2",
+                         "--out", str(tmp_path)])
+        assert code == 1
+        assert "error: potential is non-finite at every cell" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_degenerate_combine_mismatch_exit_one(self, tmp_path, capsys):
         code = cli.main([
             "solve", "--potential", "0", "--grid", "32x32",
@@ -448,6 +455,19 @@ class TestSolve:
         assert code == 1
         assert "error: --combine" in capsys.readouterr().err
 
+    def test_count_cutting_a_cluster_converges(self, tmp_path, capsys):
+        # --count 2 cuts the E = 2 pair; at seed 0 the cut pair alone
+        # misses 1e-10, and the solver completes the cluster
+        code = cli.main([
+            "solve", "--potential", "(x^2+y^2)/2", "--count", "2",
+            "--domain", "-6,6,-6,6", "--grid", "129x129", "--solver-tol", "1e-10",
+            "--seed", "0", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        rep = load_report(tmp_path)
+        assert len(rep["energies"]) == len(rep["solver_residuals"]) == 2
+        assert max(rep["solver_residuals"]) <= 1e-10
+
     def test_bad_combine_spec(self, tmp_path, capsys):
         code = cli.main([
             "solve", "--potential", "0", "--grid", "16x16", "--domain", "0,1,0,1",
@@ -479,3 +499,12 @@ class TestConvergence:
         h0 = float(lines[1].split(",")[0])
         h1 = float(lines[2].split(",")[0])
         assert h1 == pytest.approx(h0 / 2)
+
+    @pytest.mark.parametrize("levels", ["1", "0", "-2"])
+    def test_fewer_than_two_levels_exit_one(self, levels, capsys):
+        code = cli.main(["convergence", "--psi", "exp(x+i*y)", "--grid", "16x16",
+                         "--levels", levels])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: --levels needs at least 2 refinements" in err

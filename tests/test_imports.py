@@ -1,0 +1,70 @@
+"""`import madelab` and the analyze/convergence paths never load scipy; the
+solver names load `spectral` on first access. Each check runs in a fresh
+interpreter, since this test process has long imported everything."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+NO_SCIPY = ("assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], "
+            "sorted(m for m in sys.modules if m.startswith('scipy'))")
+
+
+def run_fresh(code: str, tmp_path: Path) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", f"import sys\n{code}"], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+@pytest.mark.parametrize("module", ["madelab", "madelab.cli"])
+def test_import_leaves_scipy_unloaded(module, tmp_path):
+    run_fresh(f"import {module}\n{NO_SCIPY}", tmp_path)
+
+
+def test_analyze_and_convergence_leave_scipy_unloaded(tmp_path):
+    run_fresh(f"""
+from madelab import cli
+assert cli.main(["analyze", "--builtin", "ho_vortex", "--grid", "32x32",
+                 "--domain", "-4,4,-4,4", "--out", "out"]) == 2
+assert cli.main(["convergence", "--builtin", "ho_ground", "--grid", "8x8",
+                 "--levels", "2"]) == 0
+{NO_SCIPY}
+""", tmp_path)
+
+
+def test_solver_names_load_spectral_on_first_use(tmp_path):
+    run_fresh(f"""
+import madelab
+{NO_SCIPY}
+assert "solve_lowest" in dir(madelab) and "builtin_state" in dir(madelab)
+from madelab import solve_lowest
+import madelab.catalog
+import madelab.spectral
+assert solve_lowest is madelab.solve_lowest is madelab.spectral.solve_lowest
+for name in ("EigenSolution", "Hamiltonian", "assemble", "combine"):
+    assert getattr(madelab, name) is getattr(madelab.spectral, name)
+assert madelab.spectral.builtin_state is madelab.catalog.builtin_state
+assert madelab.builtin_state is madelab.catalog.builtin_state
+assert madelab.spectral.BUILTIN_NAMES is madelab.catalog.BUILTIN_NAMES
+assert "scipy.sparse.linalg" in sys.modules
+""", tmp_path)
+
+
+def test_unknown_name_raises_attribute_error(tmp_path):
+    run_fresh("""
+import madelab
+try:
+    madelab.nonexistent
+except AttributeError as err:
+    assert "nonexistent" in str(err)
+else:
+    raise AssertionError("madelab.nonexistent resolved")
+assert not hasattr(madelab, "spectral")
+""", tmp_path)

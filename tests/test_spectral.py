@@ -8,6 +8,7 @@ from madelab import spectral
 from madelab.spectral import (
     BUILTIN_NAMES,
     DegeneracyError,
+    EigenConvergenceError,
     assemble,
     builtin_state,
     combine,
@@ -104,6 +105,12 @@ class TestOperator:
         assert H.potential[1, 1] == 1e6
         assert np.isfinite(H.potential).all()
 
+    def test_potential_nonfinite_everywhere_rejected(self):
+        # no finite cell leaves nothing but wall; that is not a potential
+        spec = GridSpec(4, 4, 0, 0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="non-finite at every cell"):
+            assemble(ScalarField(spec, np.full(spec.shape, np.inf)), P)
+
     def test_hbar_mass_scaling(self):
         spec = box_spec(15)
         E1 = solve_lowest(free_hamiltonian(spec), 1).energies[0]
@@ -185,24 +192,37 @@ class TestSolver:
         assert len(solve_lowest(H, 8).energies) == 8
 
 
+@pytest.fixture
+def eigsh_runs(monkeypatch):
+    """One entry per Lanczos run: the applications ARPACK makes of the
+    operator it is handed, counted independently of the solver's counter."""
+    seen = []
+    eigsh = spla.eigsh
+
+    def counting_eigsh(*args, OPinv, **kwargs):
+        seen.append(0)
+
+        def apply(x):
+            seen[-1] += 1
+            return OPinv.matvec(x)
+
+        op = spla.LinearOperator(OPinv.shape, matvec=apply, dtype=OPinv.dtype)
+        return eigsh(*args, OPinv=op, **kwargs)
+
+    monkeypatch.setattr(spectral.spla, "eigsh", counting_eigsh)
+    return seen
+
+
+def oscillator_256():
+    # the CLI's grid convention on [-6, 6]^2, as in the headline flow
+    n, half = 256, 6.0
+    h = 2 * half / (n + 1)
+    return assemble(ho_potential(GridSpec(n, n, -half + h, -half + h, h, h)), P)
+
+
 class TestCounters:
-    def test_opinv_calls_are_the_real_count(self, monkeypatch):
-        # count the applications ARPACK makes of the operator it is handed,
-        # independently of the solver's own counter
-        seen = []
-        eigsh = spla.eigsh
-
-        def counting_eigsh(*args, OPinv, **kwargs):
-            seen.append(0)
-
-            def apply(x):
-                seen[-1] += 1
-                return OPinv.matvec(x)
-
-            op = spla.LinearOperator(OPinv.shape, matvec=apply, dtype=OPinv.dtype)
-            return eigsh(*args, OPinv=op, **kwargs)
-
-        monkeypatch.setattr(spectral.spla, "eigsh", counting_eigsh)
+    def test_opinv_calls_are_the_real_count(self, eigsh_runs):
+        seen = eigsh_runs
         H = assemble(ho_potential(ho_spec(49)), P)
         s1 = solve_lowest(H, 3, seed=5)
         s2 = solve_lowest(H, 3, seed=5)
@@ -213,10 +233,47 @@ class TestCounters:
 
     def test_fill_reducing_factor_at_256(self):
         # the default column ordering (COLAMD) fills 6.70 M nonzeros here
-        n, half = 256, 6.0
+        assert solve_lowest(oscillator_256(), 1).factor_nnz <= 3.6e6
+
+
+class TestWholeClusters:
+    """A count that cuts a degenerate cluster is completed by one retry."""
+
+    def cut_pair(self):
+        # 129^2 oscillator on [-6, 6]^2: count 2 cuts the E = 2 pair, and at
+        # seed 0 the pair's first member alone misses 1e-10 (1.95e-10)
+        n, half = 129, 6.0
         h = 2 * half / (n + 1)
-        H = assemble(ho_potential(GridSpec(n, n, -half + h, -half + h, h, h)), P)
-        assert solve_lowest(H, 1).factor_nnz <= 3.6e6
+        return assemble(ho_potential(GridSpec(n, n, -half + h, -half + h, h, h)), P)
+
+    def test_cut_cluster_is_solved_whole(self, eigsh_runs):
+        H = self.cut_pair()
+        sol = solve_lowest(H, 2, tol=1e-10, seed=0)
+        assert sol.solved_count == 3
+        assert len(eigsh_runs) == 2 and sol.opinv_calls == sum(eigsh_runs)
+        assert len(sol.energies) == len(sol.states) == len(sol.residuals) == 2
+        assert max(sol.residuals) <= 1e-10
+        whole = solve_lowest(H, 3, tol=1e-10, seed=0)
+        assert np.allclose(sol.energies, whole.energies[:2], rtol=0, atol=1e-10)
+
+    def test_headline_flow_never_retries(self, eigsh_runs):
+        sol = solve_lowest(oscillator_256(), 3, tol=1e-10, seed=1)
+        assert sol.solved_count == 3
+        assert eigsh_runs == [sol.opinv_calls]
+
+    def test_retry_failure_reports_the_requested_prefix(self, eigsh_runs):
+        H = assemble(ho_potential(ho_spec(32, 5.0)), P)
+        with pytest.raises(EigenConvergenceError) as info:
+            solve_lowest(H, 4, tol=1e-16)
+        assert len(eigsh_runs) == 2
+        assert len(info.value.energies) == len(info.value.residuals) == 4
+
+    def test_no_retry_past_the_cell_count(self, eigsh_runs):
+        # 8 pairs of a 9-cell grid leave no room for a ninth
+        H = free_hamiltonian(GridSpec(3, 3, 0, 0, 0.25, 0.25))
+        with pytest.raises(EigenConvergenceError):
+            solve_lowest(H, 8, tol=1e-30)
+        assert len(eigsh_runs) == 1
 
 
 def clusters(energies, tol=1e-8):
