@@ -16,6 +16,7 @@ noise, so agreement is the falsifiable form of "if and only if".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +28,39 @@ HOLDS = "holds"
 FAILS = "fails"
 PRECONDITION_NOT_MET = "precondition-not-met"
 
-PROPERTY_NAMES = ("P1", "P2", "P3", "P4", "P5")
+
+class _Property(NamedTuple):
+    hypothesis: tuple[str, ...]  # norms that must each be <= tol
+    unmet_note: str              # the note when the hypothesis fails
+    unmet: tuple[str, ...]       # residuals reported when it fails
+    rule: str                    # "agree": both sides on one side of tol; "both": both <= tol
+    sides: tuple[str, str]
+    tested: tuple[str, ...]      # residuals reported when the property is tested
+
+
+# One row per property. P1's unmet residuals and P2's tested residuals do not
+# follow the pattern of the others; report.json shows them as they are.
+PROPERTIES = {
+    # under the stationary continuity hypothesis (defectC ~ 0), "I harmonic"
+    # and "g analytic" (orthogonality) must agree
+    "P1": _Property(("defectC",), "state is not stationary at this tolerance (defectC > tol)",
+                    ("defectC", "harmI", "orth"), "agree", ("harmI", "orth"),
+                    ("defectC", "harmI", "orth")),
+    # gradS ~ 0 (plus stationarity) forces I harmonic and g analytic
+    "P2": _Property(("gradS", "defectC"), "hypothesis |gradS| ~ 0 (with defectC ~ 0) not met",
+                    ("gradS", "defectC"), "both", ("harmI", "orth"), ("gradS", "harmI", "orth")),
+    # "div J~ = 0" iff the analytic bracket vanishes; the two sides are
+    # algebraically the same expression, so this doubles as a self-test
+    "P3": _Property((), "", (), "agree", ("divJtilde_scaled", "defectA"),
+                    ("divJtilde_scaled", "defectA")),
+    # with S harmonic, "div J~ = 0" (via defectA) must agree with orth
+    "P4": _Property(("harmS",), "hypothesis lapS ~ 0 not met", ("harmS",), "agree",
+                    ("defectA", "orth"), ("harmS", "defectA", "orth")),
+    # constant S forces defectA ~ 0 and analyticity
+    "P5": _Property(("gradS",), "hypothesis |gradS| ~ 0 not met", ("gradS",), "both",
+                    ("defectA", "orth"), ("gradS", "defectA", "orth")),
+}
+PROPERTY_NAMES = tuple(PROPERTIES)
 
 
 class EmptyInteriorError(ValueError):
@@ -135,106 +168,23 @@ def verdicts(
     """P1-P5 from a `norm_table`, the interior max |gradS| and tol."""
     if not tol > 0:
         raise ValueError("tol must be positive")
-
-    n_orth = table_max(norms["orth"])
-    n_harmS = table_max(norms["harmS"])
-    n_harmI = table_max(norms["harmI"])
-    n_defC = table_max(norms["defectC"])
-    n_defA = table_max(norms["defectA"])
-    n_divJt_scaled = table_max(norms["divJtilde_scaled"])
-
-    def ok(n: float | None) -> bool | None:
-        return None if n is None else n <= tol
-
+    n = {key: table_max(entry) for key, entry in norms.items()}
+    n["gradS"] = n_gradS
     out: dict[str, PropertyVerdict] = {}
-
-    # P1: under the stationary continuity hypothesis (defectC ~ 0),
-    # "I harmonic" and "g analytic" (orthogonality) must agree.
-    if None in (n_defC, n_harmI, n_orth):
-        out["P1"] = PropertyVerdict(PRECONDITION_NOT_MET, {}, tol, "indeterminate input")
-    elif not ok(n_defC):
-        out["P1"] = PropertyVerdict(
-            PRECONDITION_NOT_MET,
-            {"defectC": n_defC, "harmI": n_harmI, "orth": n_orth},
-            tol,
-            "state is not stationary at this tolerance (defectC > tol)",
-        )
-    else:
-        agree = ok(n_harmI) == ok(n_orth)
-        out["P1"] = PropertyVerdict(
-            HOLDS if agree else FAILS,
-            {"defectC": n_defC, "harmI": n_harmI, "orth": n_orth},
-            tol,
-        )
-
-    # P2: gradS ~ 0 (plus stationarity) forces I harmonic and g analytic.
-    if None in (n_gradS, n_defC, n_harmI, n_orth):
-        out["P2"] = PropertyVerdict(PRECONDITION_NOT_MET, {}, tol, "indeterminate input")
-    elif not (ok(n_gradS) and ok(n_defC)):
-        out["P2"] = PropertyVerdict(
-            PRECONDITION_NOT_MET,
-            {"gradS": n_gradS, "defectC": n_defC},
-            tol,
-            "hypothesis |gradS| ~ 0 (with defectC ~ 0) not met",
-        )
-    else:
-        conclusion = ok(n_harmI) and ok(n_orth)
-        out["P2"] = PropertyVerdict(
-            HOLDS if conclusion else FAILS,
-            {"gradS": n_gradS, "harmI": n_harmI, "orth": n_orth},
-            tol,
-        )
-
-    # P3: "div J~ = 0" iff the analytic bracket vanishes. The two sides are
-    # algebraically the same expression, so this doubles as a self-test.
-    lhs_name, lhs = ("divJtilde_scaled", n_divJt_scaled)
-    if lhs is None:
-        lhs_name, lhs = ("defectA", n_defA)
-    if lhs is None or n_defA is None:
-        out["P3"] = PropertyVerdict(PRECONDITION_NOT_MET, {}, tol, "indeterminate input")
-    else:
-        agree = ok(lhs) == ok(n_defA)
-        out["P3"] = PropertyVerdict(
-            HOLDS if agree else FAILS,
-            {lhs_name: lhs, "defectA": n_defA},
-            tol,
-            "" if lhs_name != "defectA" else "J~ unavailable; bracket used for both sides",
-        )
-
-    # P4: with S harmonic, "div J~ = 0" (via defectA) must agree with orth.
-    if None in (n_harmS, n_defA, n_orth):
-        out["P4"] = PropertyVerdict(PRECONDITION_NOT_MET, {}, tol, "indeterminate input")
-    elif not ok(n_harmS):
-        out["P4"] = PropertyVerdict(
-            PRECONDITION_NOT_MET,
-            {"harmS": n_harmS},
-            tol,
-            "hypothesis lapS ~ 0 not met",
-        )
-    else:
-        agree = ok(n_defA) == ok(n_orth)
-        out["P4"] = PropertyVerdict(
-            HOLDS if agree else FAILS,
-            {"harmS": n_harmS, "defectA": n_defA, "orth": n_orth},
-            tol,
-        )
-
-    # P5: constant S forces defectA ~ 0 and analyticity.
-    if None in (n_gradS, n_defA, n_orth):
-        out["P5"] = PropertyVerdict(PRECONDITION_NOT_MET, {}, tol, "indeterminate input")
-    elif not ok(n_gradS):
-        out["P5"] = PropertyVerdict(
-            PRECONDITION_NOT_MET,
-            {"gradS": n_gradS},
-            tol,
-            "hypothesis |gradS| ~ 0 not met",
-        )
-    else:
-        conclusion = ok(n_defA) and ok(n_orth)
-        out["P5"] = PropertyVerdict(
-            HOLDS if conclusion else FAILS,
-            {"gradS": n_gradS, "defectA": n_defA, "orth": n_orth},
-            tol,
-        )
-
+    for name, (hypothesis, unmet_note, unmet, rule, sides, tested) in PROPERTIES.items():
+        note = ""
+        if "divJtilde_scaled" in sides and n["divJtilde_scaled"] is None:
+            # J~ is undefined when the phase has vortices; the bracket stands in
+            sides, tested = ("defectA", "defectA"), ("defectA",)
+            note = "J~ unavailable; bracket used for both sides"
+        if None in (n[key] for key in hypothesis + sides):
+            out[name] = PropertyVerdict(PRECONDITION_NOT_MET, {}, tol, "indeterminate input")
+        elif not all(n[key] <= tol for key in hypothesis):
+            out[name] = PropertyVerdict(
+                PRECONDITION_NOT_MET, {key: n[key] for key in unmet}, tol, unmet_note)
+        else:
+            a, b = (n[key] <= tol for key in sides)
+            held = a == b if rule == "agree" else a and b
+            out[name] = PropertyVerdict(
+                HOLDS if held else FAILS, {key: n[key] for key in tested}, tol, note)
     return out

@@ -16,7 +16,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,18 +49,28 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-# flags whose values may start with '-' (negative coordinates, complex
-# coefficients); fold them into --flag=value so argparse accepts them
-_DASH_VALUE_FLAGS = ("--domain", "--grid-raw", "--combine", "--energy")
-
-
-def _fold_dash_values(argv: list[str]) -> list[str]:
+def _fold_dash_values(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+    """Fold `--flag value` into `--flag=value` when the value starts with '-'
+    (negative numbers such as -1e1, expressions such as -exp(x)), which argparse
+    would take for an option. Every option of any subcommand that takes one
+    value qualifies; a token that is itself an option string is never folded."""
+    takes_one, options = set(), set()
+    parsers = [parser]
+    for p in parsers:
+        for action in p._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            options.update(action.option_strings)
+            if action.nargs is None:
+                takes_one.update(action.option_strings)
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _DASH_VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"{tok}={argv[i + 1]}")
+        value = argv[i + 1] if i + 1 < len(argv) else ""
+        if (tok in takes_one and value.startswith("-")
+                and value.partition("=")[0] not in options):
+            out.append(f"{tok}={value}")
             i += 2
         else:
             out.append(tok)
@@ -201,7 +211,10 @@ def _potential_field(args, spec: GridSpec) -> ScalarField | None:
         return None
     expr = exprlang.parse(args.potential)
     vf = exprlang.eval_field(expr, spec)
-    return ScalarField(spec, vf.values.real.copy(), vf.mask.copy())
+    V = ScalarField(spec, vf.values.real.copy(), vf.mask.copy())
+    if not V.mask.any():
+        raise CliError("potential is non-finite at every cell")
+    return V
 
 
 def _parse_combine(text: str) -> tuple[list[int], list[complex]]:
@@ -263,19 +276,6 @@ def vortex_summary(m) -> dict:
         "unwrapped": m.I_unwrapped is not None,
         "tears": [list(t) for t in tears[:50]],
     }
-
-
-def _verdicts_json(verdicts: dict) -> dict:
-    out = {}
-    for name, v in verdicts.items():
-        out[name] = {
-            "status": v.status,
-            "residuals": v.residuals,
-            "tol": v.tol,
-        }
-        if v.note:
-            out[name]["note"] = v.note
-    return out
 
 
 def _collect_fields(d: Diagnosis) -> dict:
@@ -423,7 +423,9 @@ def build_report(args, d: Diagnosis | None = None, **entries) -> dict:
             "tolerance": d.tol,
             "norms": d.norms,
             "vortices": vortex_summary(d.m),
-            "properties": _verdicts_json(d.verdicts),
+            "properties": {name: {k: v for k, v in asdict(verdict).items()
+                                  if k != "note" or v}
+                           for name, verdict in d.verdicts.items()},
         })
     report.update(entries)
     return report
@@ -547,7 +549,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_fold_dash_values(list(argv)))
+        args = parser.parse_args(_fold_dash_values(list(argv), parser))
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILURE

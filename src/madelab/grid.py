@@ -51,14 +51,16 @@ class GridSpec:
         return np.meshgrid(self.x(), self.y(), indexing="xy")
 
 
-def _full_mask(spec: GridSpec) -> np.ndarray:
-    return np.ones(spec.shape, dtype=bool)
-
-
-def _check_shape(spec: GridSpec, *arrays: np.ndarray) -> None:
-    for a in arrays:
+def _valid_mask(spec: GridSpec, mask: np.ndarray | None, *arrays: np.ndarray) -> np.ndarray:
+    """`mask` (every cell if None) AND the finiteness of each array: a
+    non-finite cell is never valid. All shapes must match the grid."""
+    mask = np.ones(spec.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    for a in (*arrays, mask):
         if a.shape != spec.shape:
             raise ValueError(f"array shape {a.shape} does not match grid {spec.shape}")
+    for a in arrays:
+        mask = mask & np.isfinite(a)
+    return mask
 
 
 @dataclass
@@ -69,12 +71,7 @@ class ScalarField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.mask is None:
-            self.mask = _full_mask(self.spec)
-        self.mask = np.asarray(self.mask, dtype=bool)
-        _check_shape(self.spec, self.values, self.mask)
-        # never count non-finite cells as valid
-        self.mask = self.mask & np.isfinite(self.values)
+        self.mask = _valid_mask(self.spec, self.mask, self.values)
 
 
 @dataclass
@@ -87,11 +84,7 @@ class VectorField:
     def __post_init__(self):
         self.vx = np.asarray(self.vx, dtype=float)
         self.vy = np.asarray(self.vy, dtype=float)
-        if self.mask is None:
-            self.mask = _full_mask(self.spec)
-        self.mask = np.asarray(self.mask, dtype=bool)
-        _check_shape(self.spec, self.vx, self.vy, self.mask)
-        self.mask = self.mask & np.isfinite(self.vx) & np.isfinite(self.vy)
+        self.mask = _valid_mask(self.spec, self.mask, self.vx, self.vy)
 
 
 @dataclass
@@ -102,11 +95,8 @@ class ComplexField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
-        if self.mask is None:
-            self.mask = _full_mask(self.spec)
-        self.mask = np.asarray(self.mask, dtype=bool)
-        _check_shape(self.spec, self.values, self.mask)
-        self.mask = self.mask & np.isfinite(self.values.real) & np.isfinite(self.values.imag)
+        # isfinite of a complex value is isfinite(re) & isfinite(im)
+        self.mask = _valid_mask(self.spec, self.mask, self.values)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,129 @@ from madelab.analytic import (
     PRECONDITION_NOT_MET,
     PROPERTY_NAMES,
     EmptyInteriorError,
+    PropertyVerdict,
     analyze,
     check_properties,
     default_tolerance,
+    table_max,
+    verdicts,
 )
 from madelab.currents import PhysicalParams, compute_currents
 from madelab.grid import ComplexField, GridSpec
 from madelab.madelung import decompose
 
 P = PhysicalParams()
+
+
+def reference_verdicts(
+    norms: dict, n_gradS: float | None, tol: float
+) -> dict[str, PropertyVerdict]:
+    """Reference for `verdicts`: one hand-written branch block per property."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+
+    n_orth = table_max(norms["orth"])
+    n_harmS = table_max(norms["harmS"])
+    n_harmI = table_max(norms["harmI"])
+    n_defC = table_max(norms["defectC"])
+    n_defA = table_max(norms["defectA"])
+    n_divJt_scaled = table_max(norms["divJtilde_scaled"])
+
+    def ok(n: float | None) -> bool | None:
+        return None if n is None else n <= tol
+
+    out: dict[str, PropertyVerdict] = {}
+
+    # P1: under the stationary continuity hypothesis (defectC ~ 0),
+    # "I harmonic" and "g analytic" (orthogonality) must agree.
+    if None in (n_defC, n_harmI, n_orth):
+        out["P1"] = PropertyVerdict(PRECONDITION_NOT_MET, {}, tol, "indeterminate input")
+    elif not ok(n_defC):
+        out["P1"] = PropertyVerdict(
+            PRECONDITION_NOT_MET,
+            {"defectC": n_defC, "harmI": n_harmI, "orth": n_orth},
+            tol,
+            "state is not stationary at this tolerance (defectC > tol)",
+        )
+    else:
+        agree = ok(n_harmI) == ok(n_orth)
+        out["P1"] = PropertyVerdict(
+            HOLDS if agree else FAILS,
+            {"defectC": n_defC, "harmI": n_harmI, "orth": n_orth},
+            tol,
+        )
+
+    # P2: gradS ~ 0 (plus stationarity) forces I harmonic and g analytic.
+    if None in (n_gradS, n_defC, n_harmI, n_orth):
+        out["P2"] = PropertyVerdict(PRECONDITION_NOT_MET, {}, tol, "indeterminate input")
+    elif not (ok(n_gradS) and ok(n_defC)):
+        out["P2"] = PropertyVerdict(
+            PRECONDITION_NOT_MET,
+            {"gradS": n_gradS, "defectC": n_defC},
+            tol,
+            "hypothesis |gradS| ~ 0 (with defectC ~ 0) not met",
+        )
+    else:
+        conclusion = ok(n_harmI) and ok(n_orth)
+        out["P2"] = PropertyVerdict(
+            HOLDS if conclusion else FAILS,
+            {"gradS": n_gradS, "harmI": n_harmI, "orth": n_orth},
+            tol,
+        )
+
+    # P3: "div J~ = 0" iff the analytic bracket vanishes. The two sides are
+    # algebraically the same expression, so this doubles as a self-test.
+    lhs_name, lhs = ("divJtilde_scaled", n_divJt_scaled)
+    if lhs is None:
+        lhs_name, lhs = ("defectA", n_defA)
+    if lhs is None or n_defA is None:
+        out["P3"] = PropertyVerdict(PRECONDITION_NOT_MET, {}, tol, "indeterminate input")
+    else:
+        agree = ok(lhs) == ok(n_defA)
+        out["P3"] = PropertyVerdict(
+            HOLDS if agree else FAILS,
+            {lhs_name: lhs, "defectA": n_defA},
+            tol,
+            "" if lhs_name != "defectA" else "J~ unavailable; bracket used for both sides",
+        )
+
+    # P4: with S harmonic, "div J~ = 0" (via defectA) must agree with orth.
+    if None in (n_harmS, n_defA, n_orth):
+        out["P4"] = PropertyVerdict(PRECONDITION_NOT_MET, {}, tol, "indeterminate input")
+    elif not ok(n_harmS):
+        out["P4"] = PropertyVerdict(
+            PRECONDITION_NOT_MET,
+            {"harmS": n_harmS},
+            tol,
+            "hypothesis lapS ~ 0 not met",
+        )
+    else:
+        agree = ok(n_defA) == ok(n_orth)
+        out["P4"] = PropertyVerdict(
+            HOLDS if agree else FAILS,
+            {"harmS": n_harmS, "defectA": n_defA, "orth": n_orth},
+            tol,
+        )
+
+    # P5: constant S forces defectA ~ 0 and analyticity.
+    if None in (n_gradS, n_defA, n_orth):
+        out["P5"] = PropertyVerdict(PRECONDITION_NOT_MET, {}, tol, "indeterminate input")
+    elif not ok(n_gradS):
+        out["P5"] = PropertyVerdict(
+            PRECONDITION_NOT_MET,
+            {"gradS": n_gradS},
+            tol,
+            "hypothesis |gradS| ~ 0 not met",
+        )
+    else:
+        conclusion = ok(n_defA) and ok(n_orth)
+        out["P5"] = PropertyVerdict(
+            HOLDS if conclusion else FAILS,
+            {"gradS": n_gradS, "defectA": n_defA, "orth": n_orth},
+            tol,
+        )
+
+    return out
 
 
 def grid(n=65, half=2.0, x0=None, y0=None):
@@ -184,3 +300,24 @@ class TestVerdicts:
             assert verdict.tol > 0
             for val in verdict.residuals.values():
                 assert np.isfinite(val)
+
+
+TABLE_NORMS = ("orth", "harmS", "harmI", "defectC", "defectA", "divJtilde_scaled")
+
+
+@pytest.mark.parametrize("gradS_factor", [None, 0.5, 1.0, 2.0])
+def test_table_verdicts_match_reference(gradS_factor):
+    # every combination of the six norms the verdicts read, each masked,
+    # n/a, below, at or above tol; the loop over the property table must
+    # reproduce the branch-by-branch reference in status, residuals (key
+    # order included), tol and note
+    tol = 1e-3
+    n_gradS = None if gradS_factor is None else gradS_factor * tol
+    entries = ["masked", "n/a"] + [{"max": f * tol, "rms": f * tol} for f in (0.5, 1.0, 2.0)]
+    for combo in itertools.product(entries, repeat=len(TABLE_NORMS)):
+        norms = dict(zip(TABLE_NORMS, combo))
+        got, want = verdicts(norms, n_gradS, tol), reference_verdicts(norms, n_gradS, tol)
+        assert list(got) == list(want) == list(PROPERTY_NAMES)
+        for name, w in want.items():
+            assert got[name] == w, (name, norms, n_gradS)
+            assert list(got[name].residuals) == list(w.residuals), (name, norms, n_gradS)

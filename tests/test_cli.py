@@ -132,6 +132,19 @@ class TestExitCodes:
         assert "error: potential is non-finite at every cell" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--builtin", "ho_ground", "--potential", "1/0", "--energy", "1"],
+        ["convergence", "--builtin", "ho_ground", "--potential", "1/0", "--energy", "1"],
+    ])
+    def test_potential_nonfinite_everywhere_other_commands(self, argv, tmp_path, monkeypatch,
+                                                           capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert "error: potential is non-finite at every cell" in err
+        assert out == ""
+        assert not list(tmp_path.rglob("report.json"))
+
     def test_degenerate_combine_mismatch_exit_one(self, tmp_path, capsys):
         code = cli.main([
             "solve", "--potential", "0", "--grid", "32x32",
@@ -165,6 +178,20 @@ class TestGridParsing:
         g = load_report(tmp_path)["grid"]
         assert (g["nx"], g["ny"]) == (11, 12)
         assert (g["x0"], g["y0"], g["dx"], g["dy"]) == (-1.0, 0.5, 0.25, 0.125)
+
+    @pytest.mark.parametrize("argv,key,value", [
+        (["analyze", "--psi", "-exp(x+i*y)"], "psi", "-exp(x+i*y)"),
+        (["solve", "--potential", "-1/(1+x^2+y^2)", "--count", "1", "--grid", "33x33"],
+         "potential", "-1/(1+x^2+y^2)"),
+        (["analyze", "--builtin", "plane_wave", "--k1", "-1e1"], "k1", -10.0),
+    ])
+    def test_any_value_may_start_with_dash(self, argv, key, value, tmp_path):
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+        assert load_report(tmp_path)["config"][key] == value
+
+    def test_option_is_never_taken_as_a_value(self, tmp_path, capsys):
+        assert analyze(tmp_path, "--psi", "--builtin", "ho_ground") == 1
+        assert "argument --psi: expected one argument" in capsys.readouterr().err
 
     def test_malformed_grid(self, tmp_path, capsys):
         assert analyze(tmp_path, "--psi", "1", "--grid", "64") == 1

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from madelab.grid import (
+    ComplexField,
     GridMismatchError,
     GridSpec,
     ScalarField,
@@ -42,6 +43,37 @@ class TestGridSpec:
         spec = GridSpec(4, 3, x0=1.0, y0=2.0, dx=0.5, dy=0.25)
         assert np.allclose(spec.x(), [1.0, 1.5, 2.0, 2.5])
         assert np.allclose(spec.y(), [2.0, 2.25, 2.5])
+
+
+class TestFieldMasks:
+    def test_non_finite_cells_are_never_valid(self):
+        spec = GridSpec(3, 4)
+        zero = np.zeros(spec.shape)
+        bad = zero.copy()
+        bad[0, 0], bad[1, 1], bad[2, 2] = np.nan, np.inf, -np.inf
+        given = np.ones(spec.shape, dtype=bool)
+        given[0, 2] = False
+        want = given & np.isfinite(bad)
+        imag_bad = np.zeros(spec.shape, dtype=complex)
+        imag_bad.imag = bad
+        for field in (
+            ScalarField(spec, bad, given),
+            VectorField(spec, bad, zero, given),
+            VectorField(spec, zero, bad, given),
+            ComplexField(spec, bad + 0j, given),
+            ComplexField(spec, imag_bad, given),
+        ):
+            assert np.array_equal(field.mask, want)
+        assert given[0, 0] and not given[0, 2]  # the caller's mask is not written
+        assert ScalarField(spec, zero).mask.all()
+
+    @pytest.mark.parametrize("values_shape,mask_shape", [((4, 4), (4, 3)), ((4, 3), (3, 4))])
+    def test_shape_must_match_grid(self, values_shape, mask_shape):
+        spec = GridSpec(3, 4)
+        with pytest.raises(ValueError, match="does not match grid"):
+            ScalarField(spec, np.zeros(values_shape), np.ones(mask_shape, dtype=bool))
+        with pytest.raises(ValueError, match="does not match grid"):
+            ComplexField(spec, np.zeros(values_shape), np.ones(mask_shape, dtype=bool))
 
 
 class TestGradient:
