@@ -166,8 +166,8 @@ def verdicts(
     norms: dict, n_gradS: float | None, tol: float
 ) -> dict[str, PropertyVerdict]:
     """P1-P5 from a `norm_table`, the interior max |gradS| and tol."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     n = {key: table_max(entry) for key, entry in norms.items()}
     n["gradS"] = n_gradS
     out: dict[str, PropertyVerdict] = {}

@@ -12,6 +12,7 @@ from .grid import ComplexField, GridSpec
 BUILTIN_NAMES = ("plane_wave", "ho_ground", "ho_vortex", "box_mode", "exp_z", "gauss_real")
 
 
+@np.errstate(all="ignore")  # like exprlang.eval_field: non-finite samples are masked
 def builtin_state(
     name: str,
     params: dict,
@@ -29,6 +30,8 @@ def builtin_state(
     if name == "plane_wave":
         k1 = float(params.get("k1", 1.0))
         k2 = float(params.get("k2", 0.0))
+        if not np.isfinite([k1, k2]).all():
+            raise ValueError("plane_wave needs finite k1, k2")
         psi = np.exp(1j * (k1 * X + k2 * Y))
         return ComplexField(spec, psi), hbar**2 * (k1**2 + k2**2) / (2.0 * mass)
     if name == "ho_ground":
@@ -54,8 +57,8 @@ def builtin_state(
         return ComplexField(spec, np.exp(X + 1j * Y)), None
     if name == "gauss_real":
         sigma = float(params.get("sigma", 1.0))
-        if sigma <= 0:
-            raise ValueError("gauss_real needs sigma > 0")
+        if not 0 < sigma < np.inf:
+            raise ValueError("gauss_real needs a finite sigma > 0")
         psi = np.exp(-0.5 * (X**2 + Y**2) / sigma**2).astype(complex)
         return ComplexField(spec, psi), None
     raise ValueError(f"unknown builtin state {name!r}; choose from {BUILTIN_NAMES}")

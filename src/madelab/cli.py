@@ -123,17 +123,20 @@ def _add_state_source(p: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="madelab",
+        allow_abbrev=False,
         description="Amplitude/phase decomposition diagnostics for stationary "
                     "quantum states on 2D grids.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pa = sub.add_parser("analyze", help="diagnose a closed-form or builtin state")
+    pa = sub.add_parser("analyze", help="diagnose a closed-form or builtin state",
+                        allow_abbrev=False)
     _add_common(pa)
     _add_report(pa)
     _add_state_source(pa)
 
-    ps = sub.add_parser("solve", help="solve the Schrodinger eigenproblem, then diagnose")
+    ps = sub.add_parser("solve", help="solve the Schrodinger eigenproblem, then diagnose",
+                        allow_abbrev=False)
     _add_common(ps)
     _add_report(ps)
     ps.add_argument("--count", type=int, default=1, help="number of eigenpairs")
@@ -146,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--state-index", type=int, default=0,
                     help="eigenstate to diagnose when --combine is absent")
 
-    pc = sub.add_parser("convergence", help="refinement study; CSV on stdout")
+    pc = sub.add_parser("convergence", help="refinement study; CSV on stdout",
+                        allow_abbrev=False)
     _add_common(pc)
     _add_state_source(pc)
     pc.add_argument("--levels", type=int, default=3, help="number of refinements, at least 2")
@@ -194,6 +198,8 @@ def _builtin_params(args) -> dict:
 
 def _state_from_args(args, spec: GridSpec, p: PhysicalParams):
     """Returns (psi, energy-or-None, provenance dict)."""
+    if args.energy is not None and not np.isfinite(args.energy):
+        raise CliError("--energy must be finite")
     if args.psi is not None:
         expr = exprlang.parse(args.psi)
         psi = exprlang.eval_field(expr, spec)
@@ -264,17 +270,12 @@ def diagnose(
 
 def vortex_summary(m) -> dict:
     plaquettes = m.vortex_plaquettes()
-    # unwrap_phase raises with the residues when any is nonzero, and with
-    # the tears only otherwise
-    tears = []
-    if m.unwrap_error is not None and not plaquettes:
-        tears = m.unwrap_error.plaquettes
     return {
         "plaquettes": [list(t) for t in plaquettes[:50]],
         "count": len(plaquettes),
         "total_winding": int(sum(w for _, _, w in plaquettes)),
         "unwrapped": m.I_unwrapped is not None,
-        "tears": [list(t) for t in tears[:50]],
+        "tears": [list(t) for t in m.tears[:50]],
     }
 
 
@@ -398,7 +399,7 @@ def _sha256(path: Path) -> str:
 
 def write_report(report: dict, out_dir: Path) -> Path:
     path = out_dir / "report.json"
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return path
 
 

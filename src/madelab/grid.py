@@ -32,6 +32,9 @@ class GridSpec:
             raise ValueError("grid needs at least 3 cells per axis")
         if not (self.dx > 0 and self.dy > 0):
             raise ValueError("grid spacings must be positive")
+        far = (self.x0 + (self.nx - 1) * self.dx, self.y0 + (self.ny - 1) * self.dy)
+        if not np.isfinite([self.x0, self.y0, self.dx, self.dy, *far]).all():
+            raise ValueError("grid origin, spacings and far edge must be finite")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -122,7 +125,7 @@ def deriv2(values: np.ndarray, d: float, axis: int) -> np.ndarray:
     inv = 1.0 / (d * d)
     out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) * inv
     if len(f) < 4:
-        # no room for the 4-point one-sided stencil; _erode2 masks these
+        # no room for the 4-point one-sided stencil; _erode masks these
         out[0] = out[-1] = np.nan
     else:
         out[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) * inv
@@ -130,27 +133,18 @@ def deriv2(values: np.ndarray, d: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def _erode1(mask: np.ndarray, axis: int) -> np.ndarray:
-    """Mask for deriv1 output: all stencil inputs (and the cell) valid."""
+def _erode(mask: np.ndarray, axis: int, reach: int) -> np.ndarray:
+    """Mask for a stencil output along `axis`: the cell and every input it
+    reads are valid. A one-sided boundary row reads `reach` cells (3 for
+    deriv1, 4 for deriv2), so it is invalid on an axis shorter than that."""
     m = np.moveaxis(mask, axis, 0)
     out = np.empty_like(m)
     out[1:-1] = m[:-2] & m[1:-1] & m[2:]
-    out[0] = m[0] & m[1] & m[2]
-    out[-1] = m[-1] & m[-2] & m[-3]
-    return np.moveaxis(out, 0, axis)
-
-
-def _erode2(mask: np.ndarray, axis: int) -> np.ndarray:
-    """Mask for deriv2 output (boundary rows reach 4 cells one-sided, so
-    they are invalid on an axis shorter than 4 cells)."""
-    m = np.moveaxis(mask, axis, 0)
-    out = np.empty_like(m)
-    out[1:-1] = m[:-2] & m[1:-1] & m[2:]
-    if len(m) < 4:
+    if len(m) < reach:
         out[0] = out[-1] = False
     else:
-        out[0] = m[0] & m[1] & m[2] & m[3]
-        out[-1] = m[-1] & m[-2] & m[-3] & m[-4]
+        out[0] = np.logical_and.reduce(m[:reach])
+        out[-1] = np.logical_and.reduce(m[-reach:])
     return np.moveaxis(out, 0, axis)
 
 
@@ -158,13 +152,13 @@ def raw_gradient(values: np.ndarray, mask: np.ndarray, spec: GridSpec):
     """(d/dx, d/dy, eroded mask) on a raw array; works for complex input."""
     gx = deriv1(values, spec.dx, 1)
     gy = deriv1(values, spec.dy, 0)
-    m = _erode1(mask, 1) & _erode1(mask, 0)
+    m = _erode(mask, 1, 3) & _erode(mask, 0, 3)
     return gx, gy, m
 
 
 def raw_laplacian(values: np.ndarray, mask: np.ndarray, spec: GridSpec):
     lap = deriv2(values, spec.dx, 1) + deriv2(values, spec.dy, 0)
-    m = _erode2(mask, 1) & _erode2(mask, 0)
+    m = _erode(mask, 1, 4) & _erode(mask, 0, 4)
     return lap, m
 
 
@@ -181,7 +175,7 @@ def laplacian(f: ScalarField) -> ScalarField:
 def divergence(w: VectorField) -> ScalarField:
     spec = w.spec
     div = deriv1(w.vx, spec.dx, 1) + deriv1(w.vy, spec.dy, 0)
-    m = _erode1(w.mask, 1) & _erode1(w.mask, 0)
+    m = _erode(w.mask, 1, 3) & _erode(w.mask, 0, 3)
     return ScalarField(spec, div, m)
 
 

@@ -7,14 +7,16 @@ grad(psi)/psi and the identity lap(psi)/psi = (gS + i gI)^2 + lapS + i lapI,
 never from differentiating ln|psi| or a wrapped phase.
 
 The unwrapped phase integrates wrapped differences along a breadth-first
-spanning tree (Itoh, Appl. Opt. 21 (1982) 2470). The search advances one
-whole level at a time with array operations, and it builds the same tree,
-and so the same floats, as a cell-by-cell FIFO search would.
+spanning tree (Itoh, Appl. Opt. 21 (1982) 2470) on the grid padded with one
+ring of invalid cells. The search advances one whole level at a time with
+array operations, and it builds the same tree, and so the same floats, as a
+cell-by-cell FIFO search would. `decompose` unwraps only when no plaquette
+winds, and keeps any tears (vortex cores hidden in masked cells) as data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,17 +61,16 @@ class MadelungFields:
     lapI: ScalarField
     cross: ScalarField             # gradS . gradI, the cross term of lap(psi)/psi
     node_mask: np.ndarray          # True = too close to a node of psi
-    residues: np.ndarray           # (ny-1, nx-1) integer winding per plaquette
-    residue_mask: np.ndarray       # True = plaquette winding is computable
+    residues: np.ndarray           # (ny-1, nx-1) winding per plaquette, 0 if uncomputable
     I_unwrapped: ScalarField | None = None
-    unwrap_error: VortexError | None = None
+    tears: list[tuple[int, int, int]] = field(default_factory=list)  # (j, i, winding)
 
     @property
     def spec(self):
         return self.S.spec
 
     def vortex_plaquettes(self) -> list[tuple[int, int, int]]:
-        js, iis = np.nonzero(self.residue_mask & (self.residues != 0))
+        js, iis = np.nonzero(self.residues)
         return [(int(j), int(i), int(self.residues[j, i])) for j, i in zip(js, iis)]
 
 
@@ -82,7 +83,7 @@ def residues(psi: ComplexField) -> tuple[np.ndarray, np.ndarray]:
     """Integer winding number per 2x2 plaquette of valid cells.
 
     Returns (residues, computable_mask); plaquettes touching masked cells
-    are reported as indeterminate (mask False).
+    are reported as indeterminate (mask False) with winding 0.
     """
     theta = np.angle(psi.values)
     m = psi.mask
@@ -126,11 +127,14 @@ def unwrap_phase(psi: ComplexField, winding: np.ndarray | None = None) -> Scalar
 
     Itoh's method: each cell's I is its BFS parent's I plus the wrapped
     phase difference to it, I[c] = I[p] + wrap(theta[c] - theta[p]). The
-    breadth-first search runs level by level on flat indices: the frontier
-    is kept in queue order, each level's candidates are its cells' four
-    neighbours in the order (+y, -y, +x, -x), and a cell reached by several
-    frontier cells takes the first. That is exactly the tree, and so the
-    floats, of a cell-by-cell FIFO search with the same neighbour order.
+    search runs on flat indices of the grid padded with one ring of invalid
+    cells (w = nx + 2 per row), so every neighbour of a valid cell is a real
+    index, no +-1 step joins two rows and no step needs a border check.
+    It goes level by level: the frontier is kept in queue order, each
+    level's candidates are its cells' four neighbours in the order (+y, -y,
+    +x, -x) = (+w, -w, +1, -1), and a cell reached by several frontier cells
+    takes the first. That is exactly the tree, and so the floats, of a
+    cell-by-cell FIFO search with the same neighbour order.
 
     The anchor keeps its principal-value phase; the result is unique up to
     a global 2*pi*n on the anchor's component, and cells of other
@@ -145,28 +149,26 @@ def unwrap_phase(psi: ComplexField, winding: np.ndarray | None = None) -> Scalar
         js, iis = np.nonzero(winding != 0)
         raise VortexError((int(j), int(i), int(winding[j, i])) for j, i in zip(js, iis))
 
-    theta = np.angle(psi.values)
     valid = psi.mask
     if not valid.any():
         raise DecomposeError("no valid cells to unwrap")
     amp = np.abs(psi.values)
     amp[~valid] = -1.0
-    anchor = int(np.argmax(amp))
+    w = psi.spec.nx + 2
+    j, i = np.unravel_index(np.argmax(amp), amp.shape)
+    anchor = (j + 1) * w + i + 1
 
-    ny, nx = psi.spec.shape
-    flat_theta = theta.ravel()
-    flat_valid = valid.ravel()
-    flat_I = np.full(ny * nx, np.nan)
-    flat_done = np.zeros(ny * nx, dtype=bool)
+    flat_valid = np.pad(valid, 1).ravel()
+    flat_theta = np.pad(np.angle(psi.values), 1).ravel()
+    flat_I = np.full(flat_valid.size, np.nan)
+    flat_done = np.zeros(flat_valid.size, dtype=bool)
     flat_I[anchor] = flat_theta[anchor]
     flat_done[anchor] = True
-    steps = np.array([nx, -nx, 1, -1])
+    steps = np.array([w, -w, 1, -1])
     front = np.array([anchor])
     while front.size:
-        j, i = np.divmod(front, nx)
-        inside = np.stack([j < ny - 1, j > 0, i < nx - 1, i > 0], axis=1).ravel()
-        parent = np.repeat(front, 4)[inside]
-        child = (front[:, None] + steps).ravel()[inside]
+        parent = np.repeat(front, 4)
+        child = (front[:, None] + steps).ravel()
         keep = flat_valid[child] & ~flat_done[child]
         parent, child = parent[keep], child[keep]
         _, first = np.unique(child, return_index=True)
@@ -175,25 +177,21 @@ def unwrap_phase(psi: ComplexField, winding: np.ndarray | None = None) -> Scalar
         flat_I[child] = flat_I[parent] + _wrap(flat_theta[child] - flat_theta[parent])
         flat_done[child] = True
         front = child
-    I = flat_I.reshape(ny, nx)
-    done = flat_done.reshape(ny, nx)
 
     # A vortex hiding inside a masked hole leaves every computable plaquette
-    # at zero winding but tears I by 2*pi*n across some off-tree edge.
-    # Any such inconsistency means I is not globally definable.
+    # at zero winding but tears I by 2*pi*n across some off-tree edge: check
+    # each cell against its +y, then +x neighbour (a real cell, by the ring).
+    # Grid-shaped temporaries, not padded ones, reuse the heap decompose frees.
+    I, done, theta = (a.reshape(-1, w) for a in (flat_I, flat_done, flat_theta))
+    cell = (slice(1, -1), slice(1, -1))
     tears = []
-    for axis in (0, 1):
-        a = (slice(None, -1), slice(None)) if axis == 0 else (slice(None), slice(None, -1))
-        b = (slice(1, None), slice(None)) if axis == 0 else (slice(None), slice(1, None))
-        both = done[a] & done[b]
-        jump = I[b] - I[a] - _wrap(theta[b] - theta[a])
-        bad = both & (np.abs(jump) > np.pi)
-        for j, i in zip(*np.nonzero(bad)):
-            w = int(np.rint(jump[j, i] / _TWO_PI))
-            tears.append((int(j), int(i), w))
+    for nb in ((slice(2, None), slice(1, -1)), (slice(1, -1), slice(2, None))):
+        jump = I[nb] - I[cell] - _wrap(theta[nb] - theta[cell])
+        for j, i in zip(*np.nonzero(done[cell] & done[nb] & (np.abs(jump) > np.pi))):
+            tears.append((int(j), int(i), int(np.rint(jump[j, i] / _TWO_PI))))
     if tears:
         raise VortexError(tears)
-    return ScalarField(psi.spec, I, done)
+    return ScalarField(psi.spec, I[cell].copy(), done[cell])  # frees the padded buffers
 
 
 def decompose(
@@ -204,8 +202,9 @@ def decompose(
 
     Cells with |psi| < node_threshold * max|psi| are flagged as nodes and
     masked out of every derived field (the log-amplitude diverges there).
-    When no vortices are present, `I_unwrapped` is filled in; vortices
-    leave it None without raising.
+    When no plaquette winds, the phase is unwrapped into `I_unwrapped`,
+    unless it tears around a core hidden in masked cells; the tears then go
+    to `tears`. Vortices leave `I_unwrapped` None without raising.
     """
     if not (0.0 < node_threshold < 1.0):
         raise ValueError("node_threshold must lie in (0, 1)")
@@ -249,26 +248,14 @@ def decompose(
             "no interior to analyze"
         )
 
-    field = ComplexField(spec, psi.values, valid)
-    winding, ok = residues(field)
+    valid_psi = ComplexField(spec, psi.values, valid)
+    winding, _ = residues(valid_psi)
+    I_unwrapped, tears = None, []
+    if not winding.any():
+        try:
+            I_unwrapped = unwrap_phase(valid_psi, winding)
+        except VortexError as err:
+            tears = err.plaquettes
 
-    I_unwrapped = None
-    unwrap_error = None
-    try:
-        I_unwrapped = unwrap_phase(field, winding)
-    except VortexError as err:
-        unwrap_error = err
-
-    return MadelungFields(
-        S=S,
-        gradS=gradS,
-        gradI=gradI,
-        lapS=lapS,
-        lapI=lapI,
-        cross=cross,
-        node_mask=node_mask,
-        residues=winding,
-        residue_mask=ok,
-        I_unwrapped=I_unwrapped,
-        unwrap_error=unwrap_error,
-    )
+    return MadelungFields(S, gradS, gradI, lapS, lapI, cross, node_mask, winding,
+                          I_unwrapped, tears)

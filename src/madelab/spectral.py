@@ -118,8 +118,8 @@ def solve_lowest(
     """
     if not (1 <= count <= MAX_EIGENPAIRS):
         raise ValueError(f"count must be in 1..{MAX_EIGENPAIRS}")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     A = H.matrix
     n = A.shape[0]
     if count >= n:

@@ -294,6 +294,13 @@ class TestVerdicts:
         with pytest.raises(ValueError):
             check_properties(m, c, r, 0.0)
 
+    @pytest.mark.parametrize("tol", [np.inf, np.nan])
+    def test_tol_must_be_finite(self, tol):
+        # an infinite tolerance would let every hypothesis and side hold
+        m, c, r, _ = full_run(lambda X, Y: np.exp(X + 1j * Y), grid(17))
+        with pytest.raises(ValueError, match="finite"):
+            check_properties(m, c, r, tol)
+
     def test_verdict_residuals_are_floats(self):
         _, _, _, v = full_run(lambda X, Y: np.exp(X + 1j * Y), grid(33))
         for verdict in v.values():

@@ -12,7 +12,7 @@ import pytest
 from madelab import cli, fieldio
 from madelab.currents import PhysicalParams
 from madelab.grid import ComplexField, GridSpec, ScalarField
-from madelab.madelung import decompose
+from madelab.madelung import VortexError, decompose, unwrap_phase
 from madelab.spectral import builtin_state
 
 
@@ -145,6 +145,23 @@ class TestExitCodes:
         assert out == ""
         assert not list(tmp_path.rglob("report.json"))
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--psi", "exp(-(x^2+y^2))", "--tol", "inf"],
+        ["solve", "--potential", "(x^2+y^2)/2", "--count", "3", "--combine", "0,1:1,i",
+         "--solver-tol", "inf", "--grid", "33x33", "--domain", "-5,5,-5,5"],
+        ["analyze", "--builtin", "ho_ground", "--energy", "nan", "--potential", "x"],
+        ["analyze", "--builtin", "ho_ground", "--grid-raw", "9,9,nan,0,0.1,0.1"],
+        ["analyze", "--builtin", "ho_ground", "--domain", "-1e308,1e308,-1,1"],
+        ["analyze", "--builtin", "plane_wave", "--k1", "inf"],
+        ["analyze", "--builtin", "gauss_real", "--sigma", "nan"],
+    ])
+    def test_non_finite_numbers_exit_one(self, argv, tmp_path, capsys):
+        # each is refused for what it is, not as a vanishing psi or a verdict
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_degenerate_combine_mismatch_exit_one(self, tmp_path, capsys):
         code = cli.main([
             "solve", "--potential", "0", "--grid", "32x32",
@@ -192,6 +209,16 @@ class TestGridParsing:
     def test_option_is_never_taken_as_a_value(self, tmp_path, capsys):
         assert analyze(tmp_path, "--psi", "--builtin", "ho_ground") == 1
         assert "argument --psi: expected one argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--ps", "exp(x+i*y)"],
+        ["analyze", "--builtin", "ho_ground", "--dom", "0,1,0,1"],
+        ["analyze", "--builtin", "ho_ground", "--node-thr", "0.1"],
+    ])
+    def test_options_are_spelled_in_full(self, argv, tmp_path, capsys):
+        # the dash-value fold and argparse accept the same option names
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_malformed_grid(self, tmp_path, capsys):
         assert analyze(tmp_path, "--psi", "1", "--grid", "64") == 1
@@ -252,13 +279,16 @@ class TestReport:
 
 class TestVortexSummary:
     @staticmethod
-    def by_set_difference(m):
-        """The summary with tears defined as the unwrap error's entries that
-        are not residues."""
+    def by_set_difference(m, psi):
+        """The summary with tears recomputed from `unwrap_phase` on the
+        valid cells: the entries of its error that are not residues."""
         plaquettes = m.vortex_plaquettes()
         residues = set(plaquettes)
-        tears = [] if m.unwrap_error is None else [
-            list(t) for t in m.unwrap_error.plaquettes if t not in residues]
+        try:
+            unwrap_phase(ComplexField(m.spec, psi.values, m.S.mask))
+            tears = []
+        except VortexError as err:
+            tears = [list(t) for t in err.plaquettes if t not in residues]
         return {
             "plaquettes": [list(t) for t in plaquettes[:50]],
             "count": len(plaquettes),
@@ -270,12 +300,13 @@ class TestVortexSummary:
     def test_noise_phase_summary_is_fast(self):
         spec = GridSpec(129, 129, -4.0, -4.0, 0.0625, 0.0625)
         theta = np.random.default_rng(0).uniform(-np.pi, np.pi, spec.shape)
-        m = decompose(ComplexField(spec, np.exp(1j * theta)))
+        psi = ComplexField(spec, np.exp(1j * theta))
+        m = decompose(psi)
         assert len(m.vortex_plaquettes()) > 5000
         start = time.perf_counter()
         got = cli.vortex_summary(m)
         assert time.perf_counter() - start < 1.0
-        assert got == self.by_set_difference(m)
+        assert got == self.by_set_difference(m, psi)
 
     def test_hidden_vortex_reports_tears(self):
         spec = GridSpec(65, 65, -4.0, -4.0, 0.125, 0.125)
@@ -283,7 +314,7 @@ class TestVortexSummary:
         m = decompose(psi, node_threshold=0.3)
         got = cli.vortex_summary(m)
         assert got["count"] == 0 and got["tears"]
-        assert got == self.by_set_difference(m)
+        assert got == self.by_set_difference(m, psi)
 
 
 class TestDumps:

@@ -37,12 +37,17 @@ CONVERGENCE_ARGV = ["convergence", "--psi", "exp(x+i*y)", "--grid", "16x16",
                     "--domain", "-1,1,-1,1", "--levels", "3"]
 
 
+def reject_constant(name: str):
+    raise ValueError(f"report.json is not strict JSON: {name}")
+
+
 def report_text(argv: list[str]) -> tuple[int, str]:
     with tempfile.TemporaryDirectory() as tmp:
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv + ["--out", tmp])
-        report = json.loads((Path(tmp) / "report.json").read_text())
+        report = json.loads((Path(tmp) / "report.json").read_text(),
+                            parse_constant=reject_constant)
     report.pop("generated_at")
     report["config"].pop("out")
     return code, json.dumps(report, sort_keys=True, indent=2) + "\n"

@@ -39,6 +39,13 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(5, 5, dx=-0.1)
 
+    @pytest.mark.parametrize("kw", [{"x0": np.nan}, {"y0": -np.inf}, {"dx": np.inf},
+                                    {"dy": np.nan}, {"x0": 1e308, "dx": 1e308}])
+    def test_non_finite_geometry_rejected(self, kw):
+        # the far edge x0 + (nx-1)*dx must be finite too
+        with pytest.raises(ValueError):
+            GridSpec(5, 5, **kw)
+
     def test_coordinates(self):
         spec = GridSpec(4, 3, x0=1.0, y0=2.0, dx=0.5, dy=0.25)
         assert np.allclose(spec.x(), [1.0, 1.5, 2.0, 2.5])

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -5,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from madelab import madelung
 from madelab.analytic import analyze, norm_table
+from madelab.catalog import builtin_state
 from madelab.currents import PhysicalParams, compute_currents
 from madelab.grid import ComplexField, GridSpec, ScalarField, interior_mask
 from madelab.madelung import (
@@ -302,6 +306,46 @@ def test_decompose_records_vortex_without_raising():
     m = decompose(ComplexField(spec, (X + 1j * Y) * np.exp(-0.5 * (X**2 + Y**2))))
     assert m.I_unwrapped is None
     assert m.vortex_plaquettes() == [(19, 19, 1)]
+
+
+class TestDecomposeTears:
+    def test_winding_phase_is_never_unwrapped(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("unwrap_phase called on a winding phase")
+
+        monkeypatch.setattr(madelung, "unwrap_phase", fail)
+        m = decompose(vortex(GridSpec(40, 40, -3.9, -3.9, 0.2, 0.2)))
+        assert m.I_unwrapped is None and m.tears == []
+        assert m.vortex_plaquettes() == [(19, 19, 1)]
+
+    def test_hidden_core_tears_are_the_unwrap_error(self):
+        # the core cell and its ring fall under the node threshold, so no
+        # plaquette winds and only the tear scan sees the vortex
+        spec = GridSpec(65, 65, -4.0, -4.0, 0.125, 0.125)
+        psi, _ = builtin_state("ho_vortex", {"l": 1}, spec, PhysicalParams())
+        m = decompose(psi, node_threshold=0.3)
+        with pytest.raises(VortexError) as err:
+            unwrap_phase(ComplexField(spec, psi.values, psi.mask & ~m.node_mask))
+        assert m.vortex_plaquettes() == []
+        assert m.I_unwrapped is None
+        assert m.tears == err.value.plaquettes != []
+
+    def test_decompose_holds_only_its_fields(self):
+        # the fields decompose returns for a 256^2 state take ~5 MB; an
+        # exception kept with its traceback pinned every temporary array
+        # of decompose's frame as well (~11 MB in all)
+        spec = GridSpec(256, 256, -4 + 8 / 257, -4 + 8 / 257, 8 / 257, 8 / 257)
+        psi, _ = builtin_state("ho_vortex", {"l": 1}, spec, PhysicalParams())
+        gc.collect()
+        tracemalloc.start()
+        try:
+            m = decompose(psi)
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.I_unwrapped is None and m.vortex_plaquettes()
+        assert held < 7e6
 
 
 @st.composite

@@ -181,6 +181,12 @@ class TestSolver:
         with pytest.raises(ValueError):
             solve_lowest(H, 21)
 
+    @pytest.mark.parametrize("tol", [0.0, np.inf, np.nan])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # combine's degeneracy test scales with tol; at inf it accepts any mix
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            solve_lowest(free_hamiltonian(box_spec(8)), 1, tol=tol)
+
     def test_residuals_below_tol(self):
         sol = solve_lowest(free_hamiltonian(box_spec(24)), 2, tol=1e-8)
         assert all(r <= 1e-8 for r in sol.residuals)
@@ -385,6 +391,18 @@ class TestBuiltins:
             builtin_state("box_mode", {"n1": 0}, spec, P)
         with pytest.raises(ValueError):
             builtin_state("gauss_real", {"sigma": -1}, spec, P)
+        for name, params in [("plane_wave", {"k1": np.inf}), ("plane_wave", {"k2": np.nan}),
+                             ("gauss_real", {"sigma": np.inf})]:
+            with pytest.raises(ValueError, match="finite"):
+                builtin_state(name, params, spec, P)
+
+    def test_overflowing_samples_are_masked_silently(self):
+        # z**l overflows off the unit disc; pytest turns any RuntimeWarning
+        # into an error
+        spec = GridSpec(9, 9, -2.4, -2.4, 0.6, 0.6)
+        psi, _ = builtin_state("ho_vortex", {"l": 100000}, spec, P)
+        assert not psi.mask.all()
+        assert np.isfinite(psi.values[psi.mask]).all()
 
     def test_ho_ground_satisfies_eigenproblem(self):
         # H psi ~ E psi pointwise away from the boundary
