@@ -67,14 +67,18 @@ class EmptyInteriorError(ValueError):
     """No interior valid cells to diagnose."""
 
 
-def _norm_entry(f: ScalarField | None) -> dict | str:
-    """Interior {"max", "rms"}; "masked" without interior cells; "n/a" for None."""
+def _norm_entry(name: str, f: ScalarField | None) -> dict | str:
+    """Interior {"max", "rms"}; "masked" without interior cells; "n/a" for
+    None. A norm that overflows is refused: the report is strict JSON."""
     if f is None:
         return "n/a"
     mx = max_norm(f.values, f.mask)
     if mx is None:
         return "masked"
-    return {"max": mx, "rms": rms_norm(f.values, f.mask)}
+    rms = rms_norm(f.values, f.mask)
+    if rms == np.inf:
+        raise ValueError(f"the interior rms norm of {name} overflows")
+    return {"max": mx, "rms": rms}
 
 
 @dataclass
@@ -87,7 +91,7 @@ class AnalyticityReport:
     @property
     def norms(self) -> dict:
         """Norms of the four residuals, taken from the fields as they are now."""
-        return {name: _norm_entry(getattr(self, name))
+        return {name: _norm_entry(name, getattr(self, name))
                 for name in ("orth", "crStrict", "harmS", "harmI")}
 
 
@@ -105,7 +109,7 @@ def analyze(m: MadelungFields) -> AnalyticityReport:
     cr = np.sqrt(
         (m.gradS.vx - m.gradI.vy) ** 2 + (m.gradS.vy + m.gradI.vx) ** 2
     )
-    crStrict = ScalarField(m.spec, cr, m.gradS.mask & m.gradI.mask)
+    crStrict = ScalarField(m.spec, cr)
     return AnalyticityReport(m.cross, crStrict, m.lapS, m.lapI)
 
 
@@ -136,15 +140,10 @@ def norm_table(m: MadelungFields, c: CurrentFields, r: AnalyticityReport) -> dic
         with np.errstate(over="ignore", invalid="ignore"):
             values = (c.divJtilde.values * np.exp(-2.0 * m.I_unwrapped.values)
                       * (c.params.mass / c.params.hbar))
-        scaled = ScalarField(m.spec, values, c.divJtilde.mask & m.I_unwrapped.mask)
-    return {
-        **r.norms,
-        "defectC": _norm_entry(c.defectC),
-        "defectA": _norm_entry(c.defectA),
-        "divJ": _norm_entry(c.divJ),
-        "divJtilde_scaled": _norm_entry(scaled),
-        "qhjResidual": _norm_entry(c.qhjResidual),
-    }
+        scaled = ScalarField(m.spec, values)
+    fields = {"defectC": c.defectC, "defectA": c.defectA, "divJ": c.divJ,
+              "divJtilde_scaled": scaled, "qhjResidual": c.qhjResidual}
+    return {**r.norms, **{name: _norm_entry(name, f) for name, f in fields.items()}}
 
 
 def table_max(entry: dict | str) -> float | None:

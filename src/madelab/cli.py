@@ -217,7 +217,7 @@ def _potential_field(args, spec: GridSpec) -> ScalarField | None:
         return None
     expr = exprlang.parse(args.potential)
     vf = exprlang.eval_field(expr, spec)
-    V = ScalarField(spec, vf.values.real.copy(), vf.mask.copy())
+    V = ScalarField(spec, vf.values.real)
     if not V.mask.any():
         raise CliError("potential is non-finite at every cell")
     return V
@@ -283,13 +283,13 @@ def _collect_fields(d: Diagnosis) -> dict:
     m, c, r = d.m, d.c, d.r
     fields = {
         "S": m.S,
-        "gradS.x": ScalarField(m.spec, m.gradS.vx, m.gradS.mask),
-        "gradS.y": ScalarField(m.spec, m.gradS.vy, m.gradS.mask),
-        "gradI.x": ScalarField(m.spec, m.gradI.vx, m.gradI.mask),
-        "gradI.y": ScalarField(m.spec, m.gradI.vy, m.gradI.mask),
+        "gradS.x": ScalarField(m.spec, m.gradS.vx),
+        "gradS.y": ScalarField(m.spec, m.gradS.vy),
+        "gradI.x": ScalarField(m.spec, m.gradI.vx),
+        "gradI.y": ScalarField(m.spec, m.gradI.vy),
         "rho": c.rho,
-        "J.x": ScalarField(m.spec, c.J.vx, c.J.mask),
-        "J.y": ScalarField(m.spec, c.J.vy, c.J.mask),
+        "J.x": ScalarField(m.spec, c.J.vx),
+        "J.y": ScalarField(m.spec, c.J.vy),
         "divJ": c.divJ,
         "defectC": c.defectC,
         "defectA": c.defectA,
@@ -303,8 +303,8 @@ def _collect_fields(d: Diagnosis) -> dict:
     if m.I_unwrapped is not None:
         fields["I"] = m.I_unwrapped
     if c.Jtilde is not None:
-        fields["Jtilde.x"] = ScalarField(m.spec, c.Jtilde.vx, c.Jtilde.mask)
-        fields["Jtilde.y"] = ScalarField(m.spec, c.Jtilde.vy, c.Jtilde.mask)
+        fields["Jtilde.x"] = ScalarField(m.spec, c.Jtilde.vx)
+        fields["Jtilde.y"] = ScalarField(m.spec, c.Jtilde.vy)
         fields["divJtilde"] = c.divJtilde
     if c.qhjResidual is not None:
         fields["qhjResidual"] = c.qhjResidual

@@ -56,12 +56,9 @@ def probability_current(
     """J = (hbar/m) e^{2S} gradI, its stencil divergence, and defectC."""
     c = p.hbar / p.mass
     rho = np.exp(2.0 * m.S.values)
-    mask = m.gradI.mask & m.S.mask
-    J = VectorField(m.spec, c * rho * m.gradI.vx, c * rho * m.gradI.vy, mask)
+    J = VectorField(m.spec, c * rho * m.gradI.vx, c * rho * m.gradI.vy)
     divJ = divergence(J)
-    defectC = ScalarField(
-        m.spec, 2.0 * m.cross.values + m.lapI.values, m.cross.mask & m.lapI.mask
-    )
+    defectC = ScalarField(m.spec, 2.0 * m.cross.values + m.lapI.values)
     return J, divJ, defectC
 
 
@@ -74,16 +71,13 @@ def analytic_current(
     could not be unwrapped (vortices), J~ and its divergence come back as
     None; the caller decides whether that is an error.
     """
-    defectA = ScalarField(
-        m.spec, 2.0 * m.cross.values + m.lapS.values, m.cross.mask & m.lapS.mask
-    )
+    defectA = ScalarField(m.spec, 2.0 * m.cross.values + m.lapS.values)
     if m.I_unwrapped is None:
         return None, None, defectA
     c = p.hbar / p.mass
     with np.errstate(over="ignore"):
         rho_t = np.exp(2.0 * m.I_unwrapped.values)
-    mask = m.gradS.mask & m.I_unwrapped.mask
-    Jt = VectorField(m.spec, c * rho_t * m.gradS.vx, c * rho_t * m.gradS.vy, mask)
+    Jt = VectorField(m.spec, c * rho_t * m.gradS.vx, c * rho_t * m.gradS.vy)
     return Jt, divergence(Jt), defectA
 
 
@@ -91,7 +85,7 @@ def quantum_potential(m: MadelungFields, p: PhysicalParams) -> ScalarField:
     """U = -(hbar^2 / 2m) (|gradS|^2 + lapS)."""
     gS2 = dot(m.gradS, m.gradS)
     c = p.hbar * p.hbar / (2.0 * p.mass)
-    return ScalarField(m.spec, -c * (gS2.values + m.lapS.values), gS2.mask & m.lapS.mask)
+    return ScalarField(m.spec, -c * (gS2.values + m.lapS.values))
 
 
 def qhj_residual(
@@ -104,15 +98,15 @@ def qhj_residual(
     gI2 = dot(m.gradI, m.gradI)
     c = p.hbar * p.hbar / (2.0 * p.mass)
     res = c * gI2.values + V.values + U.values - E
-    return ScalarField(m.spec, res, gI2.mask & U.mask & V.mask)
+    return ScalarField(m.spec, res)
 
 
 def de_broglie(m: MadelungFields, p: PhysicalParams) -> ScalarField:
     """lambda = hbar/(m|v|) = 1/|gradI|; near-zero speeds are masked."""
     speed = np.hypot(m.gradI.vx, m.gradI.vy)
-    mask = m.gradI.mask & (speed >= DE_BROGLIE_SPEED_FLOOR)
-    lam = np.divide(1.0, speed, out=np.full(speed.shape, np.nan), where=mask)
-    return ScalarField(m.spec, lam, mask)
+    lam = np.divide(1.0, speed, out=np.full(speed.shape, np.nan),
+                    where=speed >= DE_BROGLIE_SPEED_FLOOR)
+    return ScalarField(m.spec, lam)
 
 
 def compute_currents(
@@ -122,7 +116,7 @@ def compute_currents(
     E: float | None = None,
 ) -> CurrentFields:
     """Assemble every current diagnostic for one state."""
-    rho = ScalarField(m.spec, np.exp(2.0 * m.S.values), m.S.mask.copy())
+    rho = ScalarField(m.spec, np.exp(2.0 * m.S.values))
     J, divJ, defectC = probability_current(m, p)
     Jt, divJt, defectA = analytic_current(m, p)
     U = quantum_potential(m, p)

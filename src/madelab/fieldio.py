@@ -58,7 +58,7 @@ def read_csv(path: str | Path) -> ScalarField:
     if values.shape != (ny, nx):
         raise FieldFormatError(f"{path}: expected {ny}x{nx} rows, got {values.shape}")
     spec = GridSpec(nx, ny, x0, y0, dx, dy)
-    return ScalarField(spec, values, np.isfinite(values))
+    return ScalarField(spec, values)
 
 
 def write_binary(f: ScalarField, path: str | Path) -> None:
@@ -80,14 +80,14 @@ def read_binary(path: str | Path) -> ScalarField:
         raise FieldFormatError(f"{path}: expected {nx * ny} doubles, got {data.size}")
     values = data.reshape(ny, nx).astype(float)
     spec = GridSpec(nx, ny, x0, y0, dx, dy)
-    return ScalarField(spec, values, np.isfinite(values))
+    return ScalarField(spec, values)
 
 
 def complex_parts(f: ComplexField, path: str | Path) -> list[tuple[ScalarField, Path]]:
     """The `.re` and `.im` scalar fields of `f` with the paths they go to."""
     path = Path(path)
-    return [(ScalarField(f.spec, f.values.real, f.mask), path.with_name(path.name + ".re")),
-            (ScalarField(f.spec, f.values.imag, f.mask), path.with_name(path.name + ".im"))]
+    return [(ScalarField(f.spec, f.values.real), path.with_name(path.name + ".re")),
+            (ScalarField(f.spec, f.values.imag), path.with_name(path.name + ".im"))]
 
 
 def write_complex(f: ComplexField, path: str | Path, writer=write_binary) -> tuple[Path, Path]:
@@ -101,7 +101,7 @@ def read_complex(path: str | Path, reader=read_binary) -> ComplexField:
     path = Path(path)
     re = reader(path.with_name(path.name + ".re"))
     im = reader(path.with_name(path.name + ".im"))
-    return ComplexField(re.spec, re.values + 1j * im.values, re.mask & im.mask)
+    return ComplexField(re.spec, re.values + 1j * im.values)
 
 
 def write_gnuplot(f: ScalarField, path: str | Path) -> None:

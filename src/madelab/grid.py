@@ -2,9 +2,12 @@
 finite-difference operators (gradient, Laplacian, divergence, dot).
 
 Arrays are stored row-major with shape (ny, nx); element [j, i] sits at
-(x0 + i*dx, y0 + j*dy). A mask entry of True marks a valid cell. All
-operators erode the mask: an output cell is valid only if every cell its
-stencil touches is valid.
+(x0 + i*dx, y0 + j*dy). A cell is valid when its value is finite (for a
+vector field, both components); each field's `mask` is derived from that
+when it is built. A `mask=` argument sets the cells it excludes to NaN, and
+every invalid cell holds NaN, in every component of a vector or complex
+field. The stencils need no masks: NaN propagates, so an output cell is
+valid only if every cell its stencil touches is valid.
 """
 
 from __future__ import annotations
@@ -30,8 +33,9 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 3 or self.ny < 3:
             raise ValueError("grid needs at least 3 cells per axis")
-        if not (self.dx > 0 and self.dy > 0):
-            raise ValueError("grid spacings must be positive")
+        # the stencils divide by d^2, which must not underflow or overflow
+        if not all(d > 0 and d * d > 0 and 0 < 1 / (d * d) < np.inf for d in (self.dx, self.dy)):
+            raise ValueError("grid spacings d must be positive with d^2 and 1/d^2 finite")
         far = (self.x0 + (self.nx - 1) * self.dx, self.y0 + (self.ny - 1) * self.dy)
         if not np.isfinite([self.x0, self.y0, self.dx, self.dy, *far]).all():
             raise ValueError("grid origin, spacings and far edge must be finite")
@@ -54,16 +58,21 @@ class GridSpec:
         return np.meshgrid(self.x(), self.y(), indexing="xy")
 
 
-def _valid_mask(spec: GridSpec, mask: np.ndarray | None, *arrays: np.ndarray) -> np.ndarray:
-    """`mask` (every cell if None) AND the finiteness of each array: a
-    non-finite cell is never valid. All shapes must match the grid."""
-    mask = np.ones(spec.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    for a in (*arrays, mask):
+def _validate(spec: GridSpec, mask: np.ndarray | None, arrays: list, nan) -> tuple:
+    """(mask, arrays): a cell is valid where every array is finite and
+    `mask`, if given, is True. Each invalid cell of each array is set to
+    `nan` (in a copy). All shapes must match the grid."""
+    for a in arrays if mask is None else (*arrays, np.asarray(mask)):
         if a.shape != spec.shape:
             raise ValueError(f"array shape {a.shape} does not match grid {spec.shape}")
-    for a in arrays:
-        mask = mask & np.isfinite(a)
-    return mask
+    valid = np.isfinite(arrays[0])
+    for a in arrays[1:]:
+        valid &= np.isfinite(a)
+    if mask is not None:
+        valid &= np.asarray(mask, dtype=bool)
+    if not valid.all():
+        arrays = [np.where(valid, a, nan) for a in arrays]
+    return valid, arrays
 
 
 @dataclass
@@ -73,8 +82,8 @@ class ScalarField:
     mask: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.mask = _valid_mask(self.spec, self.mask, self.values)
+        values = np.asarray(self.values, dtype=float)
+        self.mask, (self.values,) = _validate(self.spec, self.mask, [values], np.nan)
 
 
 @dataclass
@@ -85,9 +94,9 @@ class VectorField:
     mask: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        self.vx = np.asarray(self.vx, dtype=float)
-        self.vy = np.asarray(self.vy, dtype=float)
-        self.mask = _valid_mask(self.spec, self.mask, self.vx, self.vy)
+        # one NaN set for both components: each stands alone as a ScalarField
+        vx, vy = np.asarray(self.vx, dtype=float), np.asarray(self.vy, dtype=float)
+        self.mask, (self.vx, self.vy) = _validate(self.spec, self.mask, [vx, vy], np.nan)
 
 
 @dataclass
@@ -97,9 +106,10 @@ class ComplexField:
     mask: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
         # isfinite of a complex value is isfinite(re) & isfinite(im)
-        self.mask = _valid_mask(self.spec, self.mask, self.values)
+        values = np.asarray(self.values, dtype=complex)
+        self.mask, (self.values,) = _validate(
+            self.spec, self.mask, [values], complex(np.nan, np.nan))
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +119,15 @@ class ComplexField:
 # ---------------------------------------------------------------------------
 
 def deriv1(values: np.ndarray, d: float, axis: int) -> np.ndarray:
-    """Second-order first derivative along `axis` (0 = y, 1 = x)."""
+    """Second-order first derivative along `axis` (0 = y, 1 = x). The
+    central stencil skips its own cell, so a non-finite input cell is
+    copied to its output."""
     f = np.moveaxis(values, axis, 0)
     out = np.empty_like(f)
     out[1:-1] = (f[2:] - f[:-2]) / (2.0 * d)
     out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * d)
     out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * d)
+    np.copyto(out, f, where=~np.isfinite(f))
     return np.moveaxis(out, 0, axis)
 
 
@@ -125,64 +138,40 @@ def deriv2(values: np.ndarray, d: float, axis: int) -> np.ndarray:
     inv = 1.0 / (d * d)
     out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) * inv
     if len(f) < 4:
-        # no room for the 4-point one-sided stencil; _erode masks these
-        out[0] = out[-1] = np.nan
+        # no room for the 4-point one-sided stencil (NaN in every part)
+        out[0] = out[-1] = f[0] * np.nan
     else:
         out[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) * inv
         out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) * inv
     return np.moveaxis(out, 0, axis)
 
 
-def _erode(mask: np.ndarray, axis: int, reach: int) -> np.ndarray:
-    """Mask for a stencil output along `axis`: the cell and every input it
-    reads are valid. A one-sided boundary row reads `reach` cells (3 for
-    deriv1, 4 for deriv2), so it is invalid on an axis shorter than that."""
-    m = np.moveaxis(mask, axis, 0)
-    out = np.empty_like(m)
-    out[1:-1] = m[:-2] & m[1:-1] & m[2:]
-    if len(m) < reach:
-        out[0] = out[-1] = False
-    else:
-        out[0] = np.logical_and.reduce(m[:reach])
-        out[-1] = np.logical_and.reduce(m[-reach:])
-    return np.moveaxis(out, 0, axis)
+def raw_gradient(values: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(d/dx, d/dy) on a raw array, non-finite where any cell read is;
+    works for complex input."""
+    return deriv1(values, spec.dx, 1), deriv1(values, spec.dy, 0)
 
 
-def raw_gradient(values: np.ndarray, mask: np.ndarray, spec: GridSpec):
-    """(d/dx, d/dy, eroded mask) on a raw array; works for complex input."""
-    gx = deriv1(values, spec.dx, 1)
-    gy = deriv1(values, spec.dy, 0)
-    m = _erode(mask, 1, 3) & _erode(mask, 0, 3)
-    return gx, gy, m
-
-
-def raw_laplacian(values: np.ndarray, mask: np.ndarray, spec: GridSpec):
-    lap = deriv2(values, spec.dx, 1) + deriv2(values, spec.dy, 0)
-    m = _erode(mask, 1, 4) & _erode(mask, 0, 4)
-    return lap, m
+def raw_laplacian(values: np.ndarray, spec: GridSpec) -> np.ndarray:
+    return deriv2(values, spec.dx, 1) + deriv2(values, spec.dy, 0)
 
 
 def gradient(f: ScalarField) -> VectorField:
-    gx, gy, m = raw_gradient(f.values, f.mask, f.spec)
-    return VectorField(f.spec, gx, gy, m)
+    return VectorField(f.spec, *raw_gradient(f.values, f.spec))
 
 
 def laplacian(f: ScalarField) -> ScalarField:
-    lap, m = raw_laplacian(f.values, f.mask, f.spec)
-    return ScalarField(f.spec, lap, m)
+    return ScalarField(f.spec, raw_laplacian(f.values, f.spec))
 
 
 def divergence(w: VectorField) -> ScalarField:
-    spec = w.spec
-    div = deriv1(w.vx, spec.dx, 1) + deriv1(w.vy, spec.dy, 0)
-    m = _erode(w.mask, 1, 3) & _erode(w.mask, 0, 3)
-    return ScalarField(spec, div, m)
+    return ScalarField(w.spec, deriv1(w.vx, w.spec.dx, 1) + deriv1(w.vy, w.spec.dy, 0))
 
 
 def dot(a: VectorField, b: VectorField) -> ScalarField:
     if a.spec != b.spec:
         raise GridMismatchError("dot() needs both fields on one grid")
-    return ScalarField(a.spec, a.vx * b.vx + a.vy * b.vy, a.mask & b.mask)
+    return ScalarField(a.spec, a.vx * b.vx + a.vy * b.vy)
 
 
 def interior_mask(mask: np.ndarray) -> np.ndarray:
@@ -210,4 +199,5 @@ def rms_norm(values: np.ndarray, mask: np.ndarray) -> float | None:
     if not m.any():
         return None
     v = values[m]
-    return float(np.sqrt(np.mean(v * v)))
+    with np.errstate(over="ignore"):  # the caller refuses an infinite norm
+        return float(np.sqrt(np.mean(v * v)))

@@ -94,9 +94,8 @@ def residues(psi: ComplexField) -> tuple[np.ndarray, np.ndarray]:
         + _wrap(theta[1:, :-1] - theta[1:, 1:])
         + _wrap(theta[:-1, :-1] - theta[1:, :-1])
     )
-    winding = np.rint(s / _TWO_PI).astype(int)
     ok = m[:-1, :-1] & m[:-1, 1:] & m[1:, 1:] & m[1:, :-1]
-    winding[~ok] = 0
+    winding = np.rint(np.where(ok, s, 0.0) / _TWO_PI).astype(int)
     return winding, ok
 
 
@@ -191,7 +190,7 @@ def unwrap_phase(psi: ComplexField, winding: np.ndarray | None = None) -> Scalar
             tears.append((int(j), int(i), int(np.rint(jump[j, i] / _TWO_PI))))
     if tears:
         raise VortexError(tears)
-    return ScalarField(psi.spec, I[cell].copy(), done[cell])  # frees the padded buffers
+    return ScalarField(psi.spec, I[cell].copy())  # frees the padded buffers
 
 
 def decompose(
@@ -215,31 +214,24 @@ def decompose(
     if amax == 0.0:
         raise DecomposeError("psi vanishes everywhere")
     node_mask = base & (amp < node_threshold * amax)
-    valid = base & ~node_mask
+    valid_psi = ComplexField(spec, psi.values, base & ~node_mask)
+    values = valid_psi.values  # NaN at nodes and non-finite cells
 
     with np.errstate(all="ignore"):
-        S_vals = np.where(valid, np.log(np.where(valid, amp, 1.0)), np.nan)
-    S = ScalarField(spec, S_vals, valid)
-
-    gx, gy, gmask = raw_gradient(psi.values, valid, spec)
-    with np.errstate(all="ignore"):
-        Lx = np.where(gmask, gx / psi.values, np.nan)
-        Ly = np.where(gmask, gy / psi.values, np.nan)
-    gradS = VectorField(spec, Lx.real, Ly.real, gmask.copy())
-    gradI = VectorField(spec, Lx.imag, Ly.imag, gmask.copy())
-
-    lap, lmask = raw_laplacian(psi.values, valid, spec)
-    lmask = lmask & gradS.mask
-    with np.errstate(all="ignore"):
-        L2 = np.where(lmask, lap / psi.values, np.nan)
+        S = ScalarField(spec, np.log(np.abs(values)))
+        gx, gy = raw_gradient(values, spec)
+        Lx, Ly = gx / values, gy / values
+        L2 = raw_laplacian(values, spec) / values
+    gradS = VectorField(spec, Lx.real, Ly.real)
+    gradI = VectorField(spec, Lx.imag, Ly.imag)
     gS2 = gradS.vx**2 + gradS.vy**2
     gI2 = gradI.vx**2 + gradI.vy**2
     cross = gradS.vx * gradI.vx + gradS.vy * gradI.vy
-    lapS = ScalarField(spec, L2.real - gS2 + gI2, lmask.copy())
-    lapI = ScalarField(spec, L2.imag - 2.0 * cross, lmask.copy())
-    cross = ScalarField(spec, cross, gradS.mask & gradI.mask)
+    lapS = ScalarField(spec, L2.real - gS2 + gI2)
+    lapI = ScalarField(spec, L2.imag - 2.0 * cross)
+    cross = ScalarField(spec, cross)
 
-    n_valid, n_interior = int(valid.sum()), int(lmask.sum())
+    n_valid, n_interior = int(valid_psi.mask.sum()), int(lapS.mask.sum())
     if n_interior < 9:
         cause = ("masking nodes and non-finite cells" if n_valid < 9
                  else f"stencil erosion of {n_valid} valid cells")
@@ -248,7 +240,6 @@ def decompose(
             "no interior to analyze"
         )
 
-    valid_psi = ComplexField(spec, psi.values, valid)
     winding, _ = residues(valid_psi)
     I_unwrapped, tears = None, []
     if not winding.any():

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite" in err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("argv, err", [
+        # the norms overflow: strict JSON cannot hold them, so nothing is written
+        (["--builtin", "ho_ground", "--energy", "1e308", "--potential", "x"],
+         "error: the interior rms norm of qhjResidual overflows\n"),
+        (["--psi", "exp(x+i*y)", "--mass", "1e-300"],
+         "error: the interior rms norm of divJ overflows\n"),
+        (["--builtin", "plane_wave", "--k1", "1e200"],
+         "error: the plane_wave energy overflows: it must be finite\n"),
+        (["--builtin", "ho_ground", "--grid-raw", "17,17,0,0,1e-300,1e-300"],
+         "error: grid spacings d must be positive with d^2 and 1/d^2 finite\n"),
+        (["--psi", "exp(i*x)", "--grid-raw", "17,17,0,0,1e200,1e200"],
+         "error: grid spacings d must be positive with d^2 and 1/d^2 finite\n"),
+        # z^l overflows at every cell but those it underflows to nodes
+        (["--builtin", "ho_vortex", "--l", "100000"],
+         "error: only 0 valid cells remain after masking nodes and non-finite cells; "
+         "no interior to analyze\n"),
+    ], ids=["qhj-norm", "divJ-norm", "plane-wave-energy", "tiny-spacing", "huge-spacing",
+            "vortex-l-100000"])
+    def test_overflow_refused_quietly_before_output(self, argv, err, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["analyze", *argv, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == err
+        assert not list(tmp_path.iterdir())
 
     def test_degenerate_combine_mismatch_exit_one(self, tmp_path, capsys):
         code = cli.main([

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from madelab.grid import (
     ComplexField,
@@ -46,6 +47,15 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(5, 5, **kw)
 
+    @pytest.mark.parametrize("kw", [{"dx": 1e-300}, {"dy": 1e-160}, {"dx": 1e200},
+                                    {"dy": 1e155}])
+    def test_spacing_squared_and_inverse_must_be_finite(self, kw):
+        # the Laplacian divides by d*d: 1e-300 would divide by zero, 1e-160
+        # by a subnormal (1/d^2 = inf), and 1e200 would make every Laplacian
+        # silently zero
+        with pytest.raises(ValueError, match="d\\^2 and 1/d\\^2 finite"):
+            GridSpec(5, 5, **kw)
+
     def test_coordinates(self):
         spec = GridSpec(4, 3, x0=1.0, y0=2.0, dx=0.5, dy=0.25)
         assert np.allclose(spec.x(), [1.0, 1.5, 2.0, 2.5])
@@ -73,6 +83,24 @@ class TestFieldMasks:
             assert np.array_equal(field.mask, want)
         assert given[0, 0] and not given[0, 2]  # the caller's mask is not written
         assert ScalarField(spec, zero).mask.all()
+
+    def test_invalid_cells_hold_nan(self):
+        # a mask= argument sets the cells it excludes to NaN in a copy, in
+        # both parts of a complex value and in both vector components
+        spec = GridSpec(3, 4)
+        ones = np.ones(spec.shape)
+        excluded = np.ones(spec.shape, dtype=bool)
+        excluded[1, 2] = False
+        vy = ones.copy()
+        vy[3, 0] = np.inf
+        s = ScalarField(spec, ones, excluded)
+        v = VectorField(spec, ones, vy, excluded)
+        c = ComplexField(spec, ones + 1j, excluded)
+        assert np.isnan(s.values[1, 2]) and (ones == 1).all()
+        assert np.isnan(c.values[1, 2].real) and np.isnan(c.values[1, 2].imag)
+        for component in (v.vx, v.vy):
+            assert np.array_equal(ScalarField(spec, component).mask, v.mask)
+        assert np.isnan(v.vx[[1, 3], [2, 0]]).all()
 
     @pytest.mark.parametrize("values_shape,mask_shape", [((4, 4), (4, 3)), ((4, 3), (3, 4))])
     def test_shape_must_match_grid(self, values_shape, mask_shape):
@@ -263,3 +291,86 @@ def test_gradient_linearity():
     gf, gg = gradient(f), gradient(g)
     assert np.allclose(combo.vx, a * gf.vx + b * gg.vx, atol=1e-12)
     assert np.allclose(combo.vy, a * gf.vy + b * gg.vy, atol=1e-12)
+
+
+# --- reference: the erosion masks the stencils kept before validity became
+# finiteness. A stencil output was valid where `_erode` said every cell it
+# reads is valid, and the output value is finite.
+
+def _old_deriv1(values, d, axis):
+    f = np.moveaxis(values, axis, 0)
+    out = np.empty_like(f)
+    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * d)
+    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * d)
+    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * d)
+    return np.moveaxis(out, 0, axis)
+
+
+def _old_deriv2(values, d, axis):
+    f = np.moveaxis(values, axis, 0)
+    out = np.empty_like(f)
+    inv = 1.0 / (d * d)
+    out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) * inv
+    if len(f) < 4:
+        out[0] = out[-1] = np.nan
+    else:
+        out[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) * inv
+        out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) * inv
+    return np.moveaxis(out, 0, axis)
+
+
+def _erode(mask, axis, reach):
+    m = np.moveaxis(mask, axis, 0)
+    out = np.empty_like(m)
+    out[1:-1] = m[:-2] & m[1:-1] & m[2:]
+    if len(m) < reach:
+        out[0] = out[-1] = False
+    else:
+        out[0] = np.logical_and.reduce(m[:reach])
+        out[-1] = np.logical_and.reduce(m[-reach:])
+    return np.moveaxis(out, 0, axis)
+
+
+def _eroded(mask, reach):
+    return _erode(mask, 1, reach) & _erode(mask, 0, reach)
+
+
+def _awkward(rng, shape):
+    """Doubles over a wide exponent range (so stencils can overflow), with
+    NaN and +-inf sprinkled in, and a random mask."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 308, shape)
+    pick = rng.random(shape) < 0.1
+    values[pick] = rng.choice([np.nan, np.inf, -np.inf], int(pick.sum()))
+    return values, rng.random(shape) > 0.2
+
+
+def _assert_same(field_mask, field_values, want_mask, want_values):
+    assert np.array_equal(field_mask, want_mask)
+    for got, want in zip(field_values, want_values):
+        assert np.array_equal(got.view(np.uint64)[want_mask], want.view(np.uint64)[want_mask])
+        assert np.isnan(got[~want_mask]).all()
+
+
+@given(st.integers(3, 40), st.integers(3, 40), st.integers(0, 2**32 - 1),
+       st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+def test_stencil_masks_match_erosion_oracle(nx, ny, seed, dx, dy):
+    rng = np.random.default_rng(seed)
+    spec = GridSpec(nx, ny, -1.0, -1.0, dx, dy)
+    (a, ma), (b, mb), (c, mc) = (_awkward(rng, spec.shape) for _ in range(3))
+    with np.errstate(all="ignore"):
+        f = ScalarField(spec, a, ma)
+        v = VectorField(spec, b, c, mb)
+        w = VectorField(spec, c, a, mc)
+        grad, lap, div, vw = gradient(f), laplacian(f), divergence(v), dot(v, w)
+
+        fm, vm, wm = ma & np.isfinite(a), mb & np.isfinite(b) & np.isfinite(c), \
+            mc & np.isfinite(c) & np.isfinite(a)
+        gx, gy = _old_deriv1(a, dx, 1), _old_deriv1(a, dy, 0)
+        old_lap = _old_deriv2(a, dx, 1) + _old_deriv2(a, dy, 0)
+        old_div = _old_deriv1(b, dx, 1) + _old_deriv1(c, dy, 0)
+        old_dot = b * c + c * a
+    _assert_same(grad.mask, (grad.vx, grad.vy),
+                 _eroded(fm, 3) & np.isfinite(gx) & np.isfinite(gy), (gx, gy))
+    _assert_same(lap.mask, (lap.values,), _eroded(fm, 4) & np.isfinite(old_lap), (old_lap,))
+    _assert_same(div.mask, (div.values,), _eroded(vm, 3) & np.isfinite(old_div), (old_div,))
+    _assert_same(vw.mask, (vw.values,), vm & wm & np.isfinite(old_dot), (old_dot,))
