@@ -106,9 +106,10 @@ class PropertyVerdict:
 def analyze(m: MadelungFields) -> AnalyticityReport:
     if not interior_mask(m.lapS.mask).any():
         raise EmptyInteriorError("empty interior after node masking")
-    cr = np.sqrt(
-        (m.gradS.vx - m.gradI.vy) ** 2 + (m.gradS.vy + m.gradI.vx) ** 2
-    )
+    with np.errstate(over="ignore"):  # `_norm_entry` refuses an infinite rms
+        cr = np.sqrt(
+            (m.gradS.vx - m.gradI.vy) ** 2 + (m.gradS.vy + m.gradI.vx) ** 2
+        )
     crStrict = ScalarField(m.spec, cr)
     return AnalyticityReport(m.cross, crStrict, m.lapS, m.lapI)
 
@@ -116,9 +117,10 @@ def analyze(m: MadelungFields) -> AnalyticityReport:
 def default_tolerance(m: MadelungFields) -> float:
     """max(10 h^2, 1e-8), scaled by the state's typical gradient size."""
     h = max(m.spec.dx, m.spec.dy)
-    g = np.sqrt(
-        m.gradS.vx**2 + m.gradS.vy**2 + m.gradI.vx**2 + m.gradI.vy**2
-    )
+    with np.errstate(over="ignore"):  # an infinite tol is refused by `verdicts`
+        g = np.sqrt(
+            m.gradS.vx**2 + m.gradS.vy**2 + m.gradI.vx**2 + m.gradI.vy**2
+        )
     scale = rms_norm(g, m.gradS.mask & m.gradI.mask)
     scale = max(1.0, scale if scale is not None else 1.0)
     return max(10.0 * h * h, 1e-8) * scale

@@ -51,11 +51,13 @@ class CurrentFields:
 
 
 def probability_current(
-    m: MadelungFields, p: PhysicalParams
+    m: MadelungFields, p: PhysicalParams, rho: np.ndarray | None = None
 ) -> tuple[VectorField, ScalarField, ScalarField]:
-    """J = (hbar/m) e^{2S} gradI, its stencil divergence, and defectC."""
+    """J = (hbar/m) e^{2S} gradI, its stencil divergence, and defectC.
+    `rho` is e^{2S} when the caller already has it."""
     c = p.hbar / p.mass
-    rho = np.exp(2.0 * m.S.values)
+    if rho is None:
+        rho = np.exp(2.0 * m.S.values)
     J = VectorField(m.spec, c * rho * m.gradI.vx, c * rho * m.gradI.vy)
     divJ = divergence(J)
     defectC = ScalarField(m.spec, 2.0 * m.cross.values + m.lapI.values)
@@ -117,7 +119,7 @@ def compute_currents(
 ) -> CurrentFields:
     """Assemble every current diagnostic for one state."""
     rho = ScalarField(m.spec, np.exp(2.0 * m.S.values))
-    J, divJ, defectC = probability_current(m, p)
+    J, divJ, defectC = probability_current(m, p, rho.values)
     Jt, divJt, defectA = analytic_current(m, p)
     U = quantum_potential(m, p)
     lam = de_broglie(m, p)

@@ -6,17 +6,25 @@ All derivatives of S and I come from the complex log-derivative
 grad(psi)/psi and the identity lap(psi)/psi = (gS + i gI)^2 + lapS + i lapI,
 never from differentiating ln|psi| or a wrapped phase.
 
-The unwrapped phase integrates wrapped differences along a breadth-first
-spanning tree (Itoh, Appl. Opt. 21 (1982) 2470) on the grid padded with one
-ring of invalid cells. The search advances one whole level at a time with
-array operations, and it builds the same tree, and so the same floats, as a
-cell-by-cell FIFO search would. `decompose` unwraps only when no plaquette
+theta = angle(psi) and its wrapped differences along every grid edge, in
+both directions, are formed once (`phase_differences`). The plaquette
+residues, the unwrapping tree and the tear scan all read these same
+differences.
+
+The unwrapped phase integrates wrapped differences along a spanning tree
+(Itoh, Appl. Opt. 21 (1982) 2470) whose nodes are row runs, the maximal
+horizontal segments of valid cells, as in the region-based trees of Ghiglia
+& Pritt, Two-Dimensional Phase Unwrapping (Wiley 1998). Every valid
+component is unwrapped from its own anchor, its cell of largest |psi|. On a
+full rectangle the tree is the comb that a cell-by-cell breadth-first search
+builds, with the same floats. `decompose` unwraps only when no plaquette
 winds, and keeps any tears (vortex cores hidden in masked cells) as data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,21 +87,48 @@ def _wrap(d: np.ndarray) -> np.ndarray:
     return np.pi - np.mod(np.pi - d, _TWO_PI)
 
 
-def residues(psi: ComplexField) -> tuple[np.ndarray, np.ndarray]:
+def _wrap_step(d: np.ndarray) -> np.ndarray:
+    """_wrap(d), bit for bit, when |d| <= 2 pi, as for a difference of two
+    angles. pi - d then lies in [-pi, 3 pi], where np.mod by 2 pi is a
+    single shift by 2 pi or none, with the same rounding; this skips its
+    division, which costs most of _wrap's time."""
+    x = np.pi - d
+    x -= _TWO_PI * ((x >= _TWO_PI).astype(float) - (x < 0.0))
+    return np.pi - x
+
+
+class PhaseDifferences(NamedTuple):
+    """theta = angle(psi) and its wrapped differences along every edge, both
+    ways: dxf[j, i] = wrap(theta[j, i+1] - theta[j, i]) and dxb[j, i] =
+    wrap(theta[j, i] - theta[j, i+1]); dyf and dyb the same along y. Each
+    is NaN where it reads an invalid cell."""
+
+    theta: np.ndarray
+    dxf: np.ndarray
+    dxb: np.ndarray
+    dyf: np.ndarray
+    dyb: np.ndarray
+
+
+def phase_differences(psi: ComplexField) -> PhaseDifferences:
+    t = np.angle(psi.values)
+    return PhaseDifferences(t, _wrap_step(t[:, 1:] - t[:, :-1]),
+                            _wrap_step(t[:, :-1] - t[:, 1:]),
+                            _wrap_step(t[1:] - t[:-1]), _wrap_step(t[:-1] - t[1:]))
+
+
+def residues(psi: ComplexField, diffs: PhaseDifferences | None = None
+             ) -> tuple[np.ndarray, np.ndarray]:
     """Integer winding number per 2x2 plaquette of valid cells.
 
     Returns (residues, computable_mask); plaquettes touching masked cells
-    are reported as indeterminate (mask False) with winding 0.
+    are reported as indeterminate (mask False) with winding 0. `diffs` is
+    `phase_differences(psi)` when the caller already has it.
     """
-    theta = np.angle(psi.values)
+    d = phase_differences(psi) if diffs is None else diffs
     m = psi.mask
     # counterclockwise: (j,i) -> (j,i+1) -> (j+1,i+1) -> (j+1,i) -> (j,i)
-    s = (
-        _wrap(theta[:-1, 1:] - theta[:-1, :-1])
-        + _wrap(theta[1:, 1:] - theta[:-1, 1:])
-        + _wrap(theta[1:, :-1] - theta[1:, 1:])
-        + _wrap(theta[:-1, :-1] - theta[1:, :-1])
-    )
+    s = d.dxf[:-1] + d.dyf[:, 1:] + d.dxb[1:] + d.dyb[:, :-1]
     ok = m[:-1, :-1] & m[:-1, 1:] & m[1:, 1:] & m[1:, :-1]
     winding = np.rint(np.where(ok, s, 0.0) / _TWO_PI).astype(int)
     return winding, ok
@@ -121,29 +156,133 @@ def loop_winding(psi: ComplexField, j0: int, j1: int, i0: int, i1: int) -> int:
     return int(np.rint(total / _TWO_PI))
 
 
-def unwrap_phase(psi: ComplexField, winding: np.ndarray | None = None) -> ScalarField:
-    """Unwrap the phase of psi from the valid cell of largest |psi|.
+def _run_tree(amp: np.ndarray, valid: np.ndarray, diffs: PhaseDifferences) -> np.ndarray:
+    """I on every valid cell, integrated along the run tree of each valid
+    component from that component's largest |psi| (see unwrap_phase)."""
+    theta, dxf, dxb, dyf, dyb = diffs
+    ny, nx = valid.shape
+    first = valid.copy()
+    first[:, 1:] &= ~valid[:, :-1]
+    last = valid.copy()
+    last[:, :-1] &= ~valid[:, 1:]
+    starts = np.flatnonzero(first)
+    row, lo, hi = starts // nx, starts % nx, np.flatnonzero(last) % nx
 
-    Itoh's method: each cell's I is its BFS parent's I plus the wrapped
-    phase difference to it, I[c] = I[p] + wrap(theta[c] - theta[p]). The
-    search runs on flat indices of the grid padded with one ring of invalid
-    cells (w = nx + 2 per row), so every neighbour of a valid cell is a real
-    index, no +-1 step joins two rows and no step needs a border check.
-    It goes level by level: the frontier is kept in queue order, each
-    level's candidates are its cells' four neighbours in the order (+y, -y,
-    +x, -x) = (+w, -w, +1, -1), and a cell reached by several frontier cells
-    takes the first. That is exactly the tree, and so the floats, of a
-    cell-by-cell FIFO search with the same neighbour order.
+    # Each run's largest |psi| and its first cell holding it: runs are
+    # contiguous among the row-major valid cells.
+    size = hi - lo + 1
+    offset = np.cumsum(size) - size
+    amp = amp[valid]
+    peak = np.maximum.reduceat(amp, offset)
+    at_peak = np.flatnonzero(amp == np.repeat(peak, size))
+    peak_col = (lo + at_peak[np.searchsorted(at_peak, offset)] - offset).tolist()
 
-    The anchor keeps its principal-value phase; the result is unique up to
-    a global 2*pi*n on the anchor's component, and cells of other
-    components stay unset (mask False). `winding` is `residues(psi)[0]`
-    when the caller already has it. Raises VortexError when any computable
+    # Runs that share a vertical edge, and the columns [a, b] they share,
+    # row-major by lower row, then column. Each such pair gives two ways
+    # in: ways[:n] enter the upper run from below, ways[n:] the lower run
+    # from above; a way's index ranks it on a tie: from below first, then
+    # from the left. ptr[r]:ptr[r + 1] indexes the ways out of run r in
+    # `by_parent`.
+    both = valid[:-1] & valid[1:]
+    opens = np.flatnonzero(both & (first[:-1] | first[1:]))
+    closes = np.flatnonzero(both & (last[:-1] | last[1:]))
+    lower = np.searchsorted(starts, opens, side="right") - 1
+    upper = np.searchsorted(starts, opens + nx, side="right") - 1
+    n = opens.size
+    parent = np.concatenate([lower, upper])
+    by_parent = np.argsort(parent, kind="stable")
+    ptr = np.searchsorted(parent[by_parent], np.arange(row.size + 1)).tolist()
+    kids = np.concatenate([upper, lower])[by_parent].tolist()
+    a_col = np.tile(opens % nx, 2)[by_parent].tolist()
+    b_col = np.tile(closes % nx, 2)[by_parent].tolist()
+    rank = by_parent.tolist()
+
+    # The search: each run's entry column and the I it takes there. Seeds
+    # go by largest |psi|, the first run first on a tie.
+    run_row = row.tolist()
+    col = [0] * row.size
+    entry = [0.0] * row.size
+    reached = [False] * row.size
+    for seed in np.argsort(-peak, kind="stable").tolist():
+        if reached[seed]:
+            continue
+        anchor = peak_col[seed]
+        reached[seed] = True
+        col[seed], entry[seed] = anchor, float(theta[run_row[seed], anchor])
+        level = [seed]
+        while level:
+            best = {}  # run -> (key, column, parent); the least key wins
+            for p in level:
+                for w in range(ptr[p], ptr[p + 1]):
+                    kid = kids[w]
+                    if not reached[kid]:
+                        a, b = a_col[w], b_col[w]
+                        c = anchor if a <= anchor <= b else (a if anchor < a else b)
+                        key = (abs(c - anchor), rank[w])
+                        if kid not in best or key < best[kid][0]:
+                            best[kid] = (key, c, p)
+            for kid, ((_, k), c, p) in best.items():
+                # walk the parent's row from its entry cell to column c,
+                # then step across the vertical edge into the new run
+                jp, cp, x = run_row[p], col[p], entry[p]
+                for d in (dxf[jp, cp:c] if c > cp else dxb[jp, c:cp][::-1]).tolist():
+                    x += d
+                x += float(dyf[jp, c] if k < n else dyb[jp - 1, c])
+                reached[kid] = True
+                col[kid], entry[kid] = c, x
+            level = list(best)
+
+    # Walk every run outward from its entry cell: the runs entered at one
+    # column together, as one block cumsum to the right over dxf and one to
+    # the left over dxb (a walk to the right on the mirrored columns). The
+    # cumsum adds along each row in order, the same floats in the same order
+    # as a cell-by-cell walk; a block's cells past a run's end are computed
+    # but not kept.
+    I = np.full((ny, nx), np.nan)
+    col, entry = np.array(col), np.array(entry)
+    by_col = np.argsort(col, kind="stable")
+    for sel in np.split(by_col, np.flatnonzero(np.diff(col[by_col])) + 1):
+        c, r = col[sel[0]], row[sel]
+        for out, diff, c0, steps in ((I, dxf, c, hi[sel] - c),
+                                     (I[:, ::-1], dxb[:, ::-1], nx - 1 - c, c - lo[sel])):
+            m = steps.max()
+            walked = np.cumsum(np.column_stack([entry[sel], diff[r, c0:c0 + m]]), axis=1)
+            block = out[r, c0:c0 + m + 1]
+            np.copyto(block, walked, where=np.arange(m + 1) <= steps[:, None])
+            out[r, c0:c0 + m + 1] = block
+    return I
+
+
+def unwrap_phase(psi: ComplexField, winding: np.ndarray | None = None,
+                 diffs: PhaseDifferences | None = None) -> ScalarField:
+    """Unwrap the phase of psi on every valid cell.
+
+    Itoh's method on a spanning tree of row runs, the maximal horizontal
+    segments of valid cells. Each valid component is unwrapped from its
+    own anchor, the cell of largest |psi| in it, which keeps its principal
+    phase. The search goes one level of runs at a time: it enters each new
+    run through one vertical edge from a run of the level before, at the
+    overlap column nearest the anchor's column (on a tie, from the run
+    below, then the leftmost column), so I there is the parent cell's I
+    plus the wrapped difference along that edge. It then walks the run
+    outward from that entry cell, adding the wrapped differences to the
+    right and to the left in turn. On a full rectangle this is the comb of
+    a cell-by-cell breadth-first search: the anchor's column first, then
+    each row outward from it, with the same floats. Components are taken
+    in order of their largest |psi|, so each restart seeds the largest |psi|
+    among the runs not reached yet.
+
+    The result is unique up to 2*pi*n per component. `winding` is
+    `residues(psi)[0]` and `diffs` is `phase_differences(psi)`, when the
+    caller already has them; the plaquettes, the tree and the tear scan
+    all read the same differences. Raises VortexError when any computable
     plaquette has nonzero winding, or when I tears by 2*pi*n across an
     edge off the tree.
     """
+    if diffs is None:
+        diffs = phase_differences(psi)
     if winding is None:
-        winding, _ = residues(psi)
+        winding, _ = residues(psi, diffs)
     if np.any(winding != 0):
         js, iis = np.nonzero(winding != 0)
         raise VortexError((int(j), int(i), int(winding[j, i])) for j, i in zip(js, iis))
@@ -151,46 +290,19 @@ def unwrap_phase(psi: ComplexField, winding: np.ndarray | None = None) -> Scalar
     valid = psi.mask
     if not valid.any():
         raise DecomposeError("no valid cells to unwrap")
-    amp = np.abs(psi.values)
-    amp[~valid] = -1.0
-    w = psi.spec.nx + 2
-    j, i = np.unravel_index(np.argmax(amp), amp.shape)
-    anchor = (j + 1) * w + i + 1
-
-    flat_valid = np.pad(valid, 1).ravel()
-    flat_theta = np.pad(np.angle(psi.values), 1).ravel()
-    flat_I = np.full(flat_valid.size, np.nan)
-    flat_done = np.zeros(flat_valid.size, dtype=bool)
-    flat_I[anchor] = flat_theta[anchor]
-    flat_done[anchor] = True
-    steps = np.array([w, -w, 1, -1])
-    front = np.array([anchor])
-    while front.size:
-        parent = np.repeat(front, 4)
-        child = (front[:, None] + steps).ravel()
-        keep = flat_valid[child] & ~flat_done[child]
-        parent, child = parent[keep], child[keep]
-        _, first = np.unique(child, return_index=True)
-        first.sort()
-        parent, child = parent[first], child[first]
-        flat_I[child] = flat_I[parent] + _wrap(flat_theta[child] - flat_theta[parent])
-        flat_done[child] = True
-        front = child
+    I = _run_tree(np.abs(psi.values), valid, diffs)
 
     # A vortex hiding inside a masked hole leaves every computable plaquette
     # at zero winding but tears I by 2*pi*n across some off-tree edge: check
-    # each cell against its +y, then +x neighbour (a real cell, by the ring).
-    # Grid-shaped temporaries, not padded ones, reuse the heap decompose frees.
-    I, done, theta = (a.reshape(-1, w) for a in (flat_I, flat_done, flat_theta))
-    cell = (slice(1, -1), slice(1, -1))
+    # each cell against its +y, then +x neighbour. I is NaN off the valid
+    # cells, and a NaN jump is no tear.
     tears = []
-    for nb in ((slice(2, None), slice(1, -1)), (slice(1, -1), slice(2, None))):
-        jump = I[nb] - I[cell] - _wrap(theta[nb] - theta[cell])
-        for j, i in zip(*np.nonzero(done[cell] & done[nb] & (np.abs(jump) > np.pi))):
+    for jump in (I[1:] - I[:-1] - diffs.dyf, I[:, 1:] - I[:, :-1] - diffs.dxf):
+        for j, i in zip(*np.nonzero(np.abs(jump) > np.pi)):
             tears.append((int(j), int(i), int(np.rint(jump[j, i] / _TWO_PI))))
     if tears:
         raise VortexError(tears)
-    return ScalarField(psi.spec, I[cell].copy())  # frees the padded buffers
+    return ScalarField(psi.spec, I)
 
 
 def decompose(
@@ -224,12 +336,14 @@ def decompose(
         L2 = raw_laplacian(values, spec) / values
     gradS = VectorField(spec, Lx.real, Ly.real)
     gradI = VectorField(spec, Lx.imag, Ly.imag)
-    gS2 = gradS.vx**2 + gradS.vy**2
-    gI2 = gradI.vx**2 + gradI.vy**2
-    cross = gradS.vx * gradI.vx + gradS.vy * gradI.vy
+    with np.errstate(over="ignore"):  # an infinite norm is refused downstream
+        gS2 = gradS.vx**2 + gradS.vy**2
+        gI2 = gradI.vx**2 + gradI.vy**2
+        cross = gradS.vx * gradI.vx + gradS.vy * gradI.vy
     lapS = ScalarField(spec, L2.real - gS2 + gI2)
     lapI = ScalarField(spec, L2.imag - 2.0 * cross)
     cross = ScalarField(spec, cross)
+    del gx, gy, L2, gS2, gI2  # freed before the phase differences are formed
 
     n_valid, n_interior = int(valid_psi.mask.sum()), int(lapS.mask.sum())
     if n_interior < 9:
@@ -240,11 +354,12 @@ def decompose(
             "no interior to analyze"
         )
 
-    winding, _ = residues(valid_psi)
+    diffs = phase_differences(valid_psi)
+    winding, _ = residues(valid_psi, diffs)
     I_unwrapped, tears = None, []
     if not winding.any():
         try:
-            I_unwrapped = unwrap_phase(valid_psi, winding)
+            I_unwrapped = unwrap_phase(valid_psi, winding, diffs)
         except VortexError as err:
             tears = err.plaquettes
 

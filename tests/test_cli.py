@@ -179,8 +179,11 @@ class TestExitCodes:
         (["--builtin", "ho_vortex", "--l", "100000"],
          "error: only 0 valid cells remain after masking nodes and non-finite cells; "
          "no interior to analyze\n"),
+        # finite gradients of ~1e154 whose squares overflow
+        (["--psi", "x", "--grid-raw", "17,17,-8.5e-154,-8.5e-154,1e-154,1e-154"],
+         "error: the interior rms norm of crStrict overflows\n"),
     ], ids=["qhj-norm", "divJ-norm", "plane-wave-energy", "tiny-spacing", "huge-spacing",
-            "vortex-l-100000"])
+            "vortex-l-100000", "gradient-squares"])
     def test_overflow_refused_quietly_before_output(self, argv, err, tmp_path, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -351,6 +354,16 @@ class TestDumps:
         psi = fieldio.read_complex(tmp_path / "psi.mfld")
         # S from dump matches ln|psi|
         assert np.allclose(f.values[f.mask], np.log(np.abs(psi.values))[f.mask])
+
+    def test_split_mask_unwraps_every_component(self, tmp_path):
+        # the nodal line x = 1/2 splits the valid cells in two; each half is
+        # unwrapped from its own largest |psi|
+        code = analyze(tmp_path, "--builtin", "box_mode", "--n1", "2", "--n2", "1",
+                       "--domain", "0,1,0,1", "--dump", "bin")
+        assert code == 0 and load_report(tmp_path)["vortices"]["unwrapped"] is True
+        S = fieldio.read_binary(tmp_path / "S.mfld")
+        I = fieldio.read_binary(tmp_path / "I.mfld")
+        assert np.array_equal(I.mask, S.mask) and S.mask.sum() == 4160
 
     def test_csv_dump(self, tmp_path):
         analyze(tmp_path, "--builtin", "ho_ground", "--grid", "9x9", "--dump", "csv")

@@ -16,6 +16,7 @@ from madelab.madelung import (
     DecomposeError,
     VortexError,
     _wrap,
+    _wrap_step,
     decompose,
     loop_winding,
     residues,
@@ -24,7 +25,8 @@ from madelab.madelung import (
 
 
 def bfs_unwrap(psi):
-    """Reference for unwrap_phase: the cell-by-cell FIFO flood fill."""
+    """Reference for unwrap_phase on a fully valid rectangle: the
+    cell-by-cell FIFO flood fill, whose tree there is the run tree's comb."""
     winding, ok = residues(psi)
     if np.any(winding != 0):
         js, iis = np.nonzero(winding != 0)
@@ -65,6 +67,103 @@ def bfs_unwrap(psi):
     if tears:
         raise VortexError(tears)
     return ScalarField(psi.spec, I, done)
+
+
+def run_tree_unwrap(psi):
+    """Reference for unwrap_phase on any mask: the run tree, built and
+    walked one cell at a time."""
+    winding, _ = residues(psi)
+    if np.any(winding != 0):
+        js, iis = np.nonzero(winding != 0)
+        raise VortexError((int(j), int(i), int(winding[j, i])) for j, i in zip(js, iis))
+
+    theta = np.angle(psi.values)
+    valid = psi.mask
+    if not valid.any():
+        raise DecomposeError("no valid cells to unwrap")
+    amp = np.abs(psi.values)
+    ny, nx = psi.spec.shape
+
+    def step(a, b):
+        return float(_wrap(theta[b] - theta[a]))
+
+    runs, run_of = [], {}
+    for j in range(ny):
+        for i in range(nx):
+            if valid[j, i]:
+                if i == 0 or not valid[j, i - 1]:
+                    runs.append([])
+                runs[-1].append((j, i))
+                run_of[j, i] = len(runs) - 1
+
+    I = np.full((ny, nx), np.nan)
+
+    def walk(run, start, value):
+        cells = runs[run]
+        k = cells.index(start)
+        I[start] = value
+        for q in range(k, len(cells) - 1):
+            I[cells[q + 1]] = I[cells[q]] + step(cells[q], cells[q + 1])
+        for q in range(k, 0, -1):
+            I[cells[q - 1]] = I[cells[q]] + step(cells[q], cells[q - 1])
+
+    reached = set()
+    # each component starts from its largest |psi|, the first cell on a tie
+    for anchor in sorted(run_of, key=lambda c: (-amp[c], c)):
+        if run_of[anchor] in reached:
+            continue
+        reached.add(run_of[anchor])
+        walk(run_of[anchor], anchor, theta[anchor])
+        level = [run_of[anchor]]
+        while level:
+            best = {}  # run -> (key, parent cell, entry cell)
+            for run in level:
+                for j, i in runs[run]:
+                    for dj in (1, -1):
+                        kid = run_of.get((j + dj, i))
+                        if kid is None or kid in reached:
+                            continue
+                        # nearest the anchor's column, then from below, then leftmost
+                        key = (abs(i - anchor[1]), dj == -1, i)
+                        if kid not in best or key < best[kid][0]:
+                            best[kid] = (key, (j, i), (j + dj, i))
+            for kid, (_, src, dst) in best.items():
+                reached.add(kid)
+                walk(kid, dst, I[src] + step(src, dst))
+            level = list(best)
+
+    tears = []
+    for dj, di in ((1, 0), (0, 1)):
+        for j in range(ny - dj):
+            for i in range(nx - di):
+                a, b = (j, i), (j + dj, i + di)
+                if valid[a] and valid[b]:
+                    jump = I[b] - I[a] - step(a, b)
+                    if abs(jump) > np.pi:
+                        tears.append((j, i, int(np.rint(jump / (2 * np.pi)))))
+    if tears:
+        raise VortexError(tears)
+    return ScalarField(psi.spec, I)
+
+
+def components(valid):
+    """The 4-connected components of the valid cells, as lists of cells."""
+    seen, out = set(), []
+    for start in zip(*np.nonzero(valid)):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, comp = [start], []
+        while stack:
+            j, i = stack.pop()
+            comp.append((j, i))
+            for nb in ((j + 1, i), (j - 1, i), (j, i + 1), (j, i - 1)):
+                if (0 <= nb[0] < valid.shape[0] and 0 <= nb[1] < valid.shape[1]
+                        and valid[nb] and nb not in seen):
+                    seen.add(nb)
+                    stack.append(nb)
+        out.append(comp)
+    return out
 
 
 def grid(n=65, half=3.0):
@@ -257,6 +356,19 @@ class TestResidues:
         assert total == int(w[5:34, 5:34].sum())
 
 
+def test_wrap_step_is_wrap_on_angle_differences():
+    # every pair of edge-case angles, and random angles as np.angle returns
+    # them, including differences of exactly +-pi and +-2 pi
+    edge = np.array([np.pi, -np.pi, 0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300,
+                     np.nextafter(np.pi, 0), np.nextafter(-np.pi, 0), np.pi / 2, -np.pi / 2])
+    rng = np.random.default_rng(0)
+    theta = np.angle(rng.normal(size=400_000) + 1j * rng.normal(size=400_000))
+    a = np.concatenate([np.repeat(edge, edge.size), theta[::2], theta[::2]])
+    b = np.concatenate([np.tile(edge, edge.size), theta[1::2], np.nextafter(theta[::2], 4)])
+    for d in (a - b, b - a):
+        assert np.array_equal(_wrap_step(d).view(np.uint64), _wrap(d).view(np.uint64))
+
+
 class TestUnwrap:
     def test_plane_wave_unwraps_to_linear_phase(self):
         spec = grid(65)
@@ -349,31 +461,34 @@ class TestDecomposeTears:
 
 
 @st.composite
-def masked_phases(draw, vortex=st.booleans()):
-    """Fields of 3x3 to 40x40 cells with random masks, split masks, an
-    isolated cell, a chosen anchor (the cell of largest |psi|) and an
-    optional vortex, whose core cell may be hidden in a masked hole."""
+def phases(draw, masked=True, vortex=st.booleans()):
+    """Fields of 3x3 to 40x40 cells with a chosen anchor (the cell of
+    largest |psi|) and an optional vortex. With `masked`, also random masks,
+    split masks, an isolated cell, and a vortex core that may be hidden in a
+    masked hole; without, every cell is valid."""
     ny, nx = draw(st.integers(3, 40)), draw(st.integers(3, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     spec = GridSpec(nx, ny, -1.0, -1.0, 2.0 / (nx - 1), 2.0 / (ny - 1))
     X, Y = spec.meshgrid()
     a, b, c, d = rng.normal(scale=3.0, size=4)
     theta = a * X + b * Y + c * np.sin(d * X * Y)
-    mask = rng.random(spec.shape) >= draw(st.sampled_from([0.0, 0.05, 0.2, 0.4]))
-    if draw(st.booleans()):
-        # a masked row or column splits the valid cells
+    mask = np.ones(spec.shape, dtype=bool)
+    if masked:
+        mask = rng.random(spec.shape) >= draw(st.sampled_from([0.0, 0.05, 0.2, 0.4]))
         if draw(st.booleans()):
-            mask[rng.integers(ny), :] = False
-        else:
-            mask[:, rng.integers(nx)] = False
+            # a masked row or column splits the valid cells
+            if draw(st.booleans()):
+                mask[rng.integers(ny), :] = False
+            else:
+                mask[:, rng.integers(nx)] = False
     if draw(vortex):
         j0, i0 = rng.integers(ny), rng.integers(nx)
         theta = theta + np.arctan2(Y - spec.y()[j0], X - spec.x()[i0])
-        r = draw(st.sampled_from([None, 0, 1, 2]))
+        r = draw(st.sampled_from([None, 0, 1, 2])) if masked else None
         if r is not None:
             mask[max(j0 - r, 0):j0 + r + 1, max(i0 - r, 0):i0 + r + 1] = False
     island = rng.integers(ny), rng.integers(nx)
-    if draw(st.booleans()):
+    if masked and draw(st.booleans()):
         # one valid cell whose four neighbours are masked
         j, i = island
         mask[max(j - 1, 0):j + 2, i] = False
@@ -398,9 +513,7 @@ def outcome(unwrap, psi):
         return err
 
 
-@given(masked_phases())
-def test_unwrap_matches_cell_by_cell_bfs(psi):
-    want, got = outcome(bfs_unwrap, psi), outcome(unwrap_phase, psi)
+def assert_same_outcome(got, want):
     assert type(got) is type(want)
     if isinstance(want, VortexError):
         assert got.plaquettes == want.plaquettes
@@ -409,13 +522,29 @@ def test_unwrap_matches_cell_by_cell_bfs(psi):
         assert np.array_equal(got.mask, want.mask)
 
 
-@given(masked_phases(vortex=st.just(False)))
+@given(phases(masked=False))
+def test_unwrap_matches_cell_by_cell_bfs(psi):
+    assert_same_outcome(outcome(unwrap_phase, psi), outcome(bfs_unwrap, psi))
+
+
+@given(phases())
+def test_unwrap_matches_cell_by_cell_run_tree(psi):
+    assert_same_outcome(outcome(unwrap_phase, psi), outcome(run_tree_unwrap, psi))
+
+
+@given(phases(vortex=st.just(False)))
 def test_unwrapped_phase_congruent_to_angle(psi):
     try:
         I = unwrap_phase(psi)
     except VortexError:
         return
-    d = _wrap(I.values - np.angle(psi.values))
+    # every valid cell is set, and each component keeps its anchor's phase
+    assert np.array_equal(np.isfinite(I.values), psi.mask)
+    theta, amp = np.angle(psi.values), np.abs(psi.values)
+    for comp in components(psi.mask):
+        anchor = min(comp, key=lambda c: (-amp[c], c))
+        assert I.values[anchor] == theta[anchor]
+    d = _wrap(I.values - theta)
     assert np.max(np.abs(d[I.mask])) < 1e-9
 
 
