@@ -118,9 +118,7 @@ def default_tolerance(m: MadelungFields) -> float:
     """max(10 h^2, 1e-8), scaled by the state's typical gradient size."""
     h = max(m.spec.dx, m.spec.dy)
     with np.errstate(over="ignore"):  # an infinite tol is refused by `verdicts`
-        g = np.sqrt(
-            m.gradS.vx**2 + m.gradS.vy**2 + m.gradI.vx**2 + m.gradI.vy**2
-        )
+        g = np.sqrt(m.gS2 + m.gradI.vx**2 + m.gradI.vy**2)
     scale = rms_norm(g, m.gradS.mask & m.gradI.mask)
     scale = max(1.0, scale if scale is not None else 1.0)
     return max(10.0 * h * h, 1e-8) * scale

@@ -558,9 +558,11 @@ def main(argv=None) -> int:
                "convergence": cmd_convergence}[args.command]
     try:
         return handler(args)
-    except (CliError, exprlang.ParseError, madelung.DecomposeError,
-            analytic.EmptyInteriorError, ValueError) as err:
+    except (CliError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_FAILURE
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return EXIT_FAILURE
     except OSError as err:
         # the subcommands touch the file system only to create --out and

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridMismatchError, ScalarField, VectorField, divergence, dot
+from .grid import GridMismatchError, ScalarField, VectorField, divergence
 from .madelung import MadelungFields
 
 DE_BROGLIE_SPEED_FLOOR = 1e-12
@@ -85,9 +85,8 @@ def analytic_current(
 
 def quantum_potential(m: MadelungFields, p: PhysicalParams) -> ScalarField:
     """U = -(hbar^2 / 2m) (|gradS|^2 + lapS)."""
-    gS2 = dot(m.gradS, m.gradS)
     c = p.hbar * p.hbar / (2.0 * p.mass)
-    return ScalarField(m.spec, -c * (gS2.values + m.lapS.values))
+    return ScalarField(m.spec, -c * (m.gS2 + m.lapS.values))
 
 
 def qhj_residual(
@@ -97,9 +96,8 @@ def qhj_residual(
     if V.spec != m.spec:
         raise GridMismatchError("potential grid does not match the state grid")
     U = quantum_potential(m, p)
-    gI2 = dot(m.gradI, m.gradI)
     c = p.hbar * p.hbar / (2.0 * p.mass)
-    res = c * gI2.values + V.values + U.values - E
+    res = c * m.gI2 + V.values + U.values - E
     return ScalarField(m.spec, res)
 
 

@@ -8,6 +8,9 @@ x0, y0, dx, dy as little-endian doubles; then nx*ny little-endian doubles
 row-major (NaN = masked).
 
 Complex fields are stored as two scalar files suffixed `.re` and `.im`.
+
+The writers write each field's `values` as they are: `grid` holds NaN in
+every invalid cell, so the files need no masking of their own.
 """
 
 from __future__ import annotations
@@ -27,15 +30,11 @@ class FieldFormatError(ValueError):
     """Raised on a malformed field file."""
 
 
-def _masked_values(f: ScalarField) -> np.ndarray:
-    return np.where(f.mask, f.values, np.nan)
-
-
 def write_csv(f: ScalarField, path: str | Path) -> None:
     s = f.spec
     with open(path, "w") as fh:
         fh.write(f"# {s.nx} {s.ny} {s.x0!r} {s.y0!r} {s.dx!r} {s.dy!r}\n")
-        for row in _masked_values(f):
+        for row in f.values:
             fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
@@ -66,7 +65,7 @@ def write_binary(f: ScalarField, path: str | Path) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(_HEADER.pack(s.nx, s.ny, s.x0, s.y0, s.dx, s.dy))
-        fh.write(_masked_values(f).astype("<f8", copy=False).tobytes())
+        fh.write(f.values.astype("<f8", copy=False).tobytes())
 
 
 def read_binary(path: str | Path) -> ScalarField:
@@ -108,6 +107,6 @@ def write_gnuplot(f: ScalarField, path: str | Path) -> None:
     """Whitespace `x y value` table with blank lines between rows."""
     xs = [repr(x) for x in f.spec.x().tolist()]
     with open(path, "w") as fh:
-        for y, row in zip(f.spec.y().tolist(), _masked_values(f)):
+        for y, row in zip(f.spec.y().tolist(), f.values):
             mid = f" {y!r} "
             fh.write("".join(x + mid + repr(v) + "\n" for x, v in zip(xs, row.tolist())) + "\n")

@@ -68,6 +68,8 @@ class MadelungFields:
     lapS: ScalarField
     lapI: ScalarField
     cross: ScalarField             # gradS . gradI, the cross term of lap(psi)/psi
+    gS2: np.ndarray                # |gradS|^2 (lapS, U, tolerance), NaN where gradS is invalid
+    gI2: np.ndarray                # |gradI|^2 (lapS, QHJ residual), NaN where gradI is invalid
     node_mask: np.ndarray          # True = too close to a node of psi
     residues: np.ndarray           # (ny-1, nx-1) winding per plaquette, 0 if uncomputable
     I_unwrapped: ScalarField | None = None
@@ -83,15 +85,10 @@ class MadelungFields:
 
 
 def _wrap(d: np.ndarray) -> np.ndarray:
-    """Wrap phase differences into (-pi, pi]."""
-    return np.pi - np.mod(np.pi - d, _TWO_PI)
-
-
-def _wrap_step(d: np.ndarray) -> np.ndarray:
-    """_wrap(d), bit for bit, when |d| <= 2 pi, as for a difference of two
-    angles. pi - d then lies in [-pi, 3 pi], where np.mod by 2 pi is a
-    single shift by 2 pi or none, with the same rounding; this skips its
-    division, which costs most of _wrap's time."""
+    """Wrap phase differences into (-pi, pi], given |d| <= 2 pi, as for a
+    difference of two angles. pi - d then lies in [-pi, 3 pi], where one
+    shift by 2 pi or none wraps it: the result of pi - mod(pi - d, 2 pi),
+    bit for bit, without its division."""
     x = np.pi - d
     x -= _TWO_PI * ((x >= _TWO_PI).astype(float) - (x < 0.0))
     return np.pi - x
@@ -112,9 +109,9 @@ class PhaseDifferences(NamedTuple):
 
 def phase_differences(psi: ComplexField) -> PhaseDifferences:
     t = np.angle(psi.values)
-    return PhaseDifferences(t, _wrap_step(t[:, 1:] - t[:, :-1]),
-                            _wrap_step(t[:, :-1] - t[:, 1:]),
-                            _wrap_step(t[1:] - t[:-1]), _wrap_step(t[:-1] - t[1:]))
+    return PhaseDifferences(t, _wrap(t[:, 1:] - t[:, :-1]),
+                            _wrap(t[:, :-1] - t[:, 1:]),
+                            _wrap(t[1:] - t[:-1]), _wrap(t[:-1] - t[1:]))
 
 
 def residues(psi: ComplexField, diffs: PhaseDifferences | None = None
@@ -330,20 +327,20 @@ def decompose(
     values = valid_psi.values  # NaN at nodes and non-finite cells
 
     with np.errstate(all="ignore"):
-        S = ScalarField(spec, np.log(np.abs(values)))
+        S = ScalarField(spec, np.log(amp), valid_psi.mask)
         gx, gy = raw_gradient(values, spec)
         Lx, Ly = gx / values, gy / values
         L2 = raw_laplacian(values, spec) / values
     gradS = VectorField(spec, Lx.real, Ly.real)
     gradI = VectorField(spec, Lx.imag, Ly.imag)
-    with np.errstate(over="ignore"):  # an infinite norm is refused downstream
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows leave invalid cells
         gS2 = gradS.vx**2 + gradS.vy**2
         gI2 = gradI.vx**2 + gradI.vy**2
         cross = gradS.vx * gradI.vx + gradS.vy * gradI.vy
-    lapS = ScalarField(spec, L2.real - gS2 + gI2)
-    lapI = ScalarField(spec, L2.imag - 2.0 * cross)
+        lapS = ScalarField(spec, L2.real - gS2 + gI2)
+        lapI = ScalarField(spec, L2.imag - 2.0 * cross)
     cross = ScalarField(spec, cross)
-    del gx, gy, L2, gS2, gI2  # freed before the phase differences are formed
+    del gx, gy, L2  # freed before the phase differences are formed
 
     n_valid, n_interior = int(valid_psi.mask.sum()), int(lapS.mask.sum())
     if n_interior < 9:
@@ -363,5 +360,5 @@ def decompose(
         except VortexError as err:
             tears = err.plaquettes
 
-    return MadelungFields(S, gradS, gradI, lapS, lapI, cross, node_mask, winding,
-                          I_unwrapped, tears)
+    return MadelungFields(S, gradS, gradI, lapS, lapI, cross, gS2, gI2, node_mask,
+                          winding, I_unwrapped, tears)

@@ -219,9 +219,12 @@ def combine(
         )
     s = sol.spec
     psi = np.zeros(s.shape, dtype=complex)
-    for i, c in zip(indices, coeffs):
-        psi += complex(c) * sol.states[i].values
-    norm = np.sqrt(np.sum(np.abs(psi) ** 2) * s.dx * s.dy)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is refused
+        for i, c in zip(indices, coeffs):
+            psi += complex(c) * sol.states[i].values
+        norm = np.sqrt(np.sum(np.abs(psi) ** 2) * s.dx * s.dy)
+    if not np.isfinite(norm):
+        raise ValueError("combination has no finite norm; check the coefficients")
     if norm == 0:
         raise ValueError("combination is identically zero")
     return ComplexField(s, psi / norm), float(np.mean(energies))

@@ -191,6 +191,17 @@ class TestExitCodes:
         assert capsys.readouterr().err == err
         assert not list(tmp_path.iterdir())
 
+    def test_out_of_memory_exit_one(self, tmp_path, capsys, monkeypatch):
+        def decompose(*args):
+            raise MemoryError("Unable to allocate 2.98 GiB for an array")
+
+        monkeypatch.setattr(cli.madelung, "decompose", decompose)
+        assert analyze(tmp_path, "--psi", "x") == 1
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 2.98 GiB for an array\n"
+        assert "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_degenerate_combine_mismatch_exit_one(self, tmp_path, capsys):
         code = cli.main([
             "solve", "--potential", "0", "--grid", "32x32",
@@ -571,6 +582,19 @@ class TestSolve:
             "--count", "2", "--combine", "junk", "--out", str(tmp_path),
         ])
         assert code == 1
+
+    # an infinite coefficient, and finite ones whose norm overflows
+    @pytest.mark.parametrize("coeffs", ["1,1/0", "1e308,1e308"])
+    def test_combine_without_finite_norm(self, tmp_path, capsys, coeffs):
+        code = cli.main([
+            "solve", "--potential", "(x^2+y^2)/2", "--count", "3",
+            "--combine", f"1,2:{coeffs}", "--domain", "-4,4,-4,4", "--grid", "33x33",
+            "--out", str(tmp_path),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: combination has no finite norm; check the coefficients\n"
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestConvergence:

@@ -2,7 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from madelab.analytic import default_tolerance
 from madelab.currents import (
     PhysicalParams,
     analytic_current,
@@ -12,8 +15,16 @@ from madelab.currents import (
     qhj_residual,
     quantum_potential,
 )
-from madelab.grid import ComplexField, GridMismatchError, GridSpec, ScalarField, interior_mask
-from madelab.madelung import decompose
+from madelab.grid import (
+    ComplexField,
+    GridMismatchError,
+    GridSpec,
+    ScalarField,
+    dot,
+    interior_mask,
+    rms_norm,
+)
+from madelab.madelung import DecomposeError, decompose
 
 P = PhysicalParams()
 
@@ -255,3 +266,78 @@ def test_vortex_state_jtilde_none_defectA_present():
     sel = interior_mask(c.defectA.mask) & (np.hypot(X, Y) > 0.5) & (np.hypot(X, Y) < 2.0)
     # continuum defectA = -2 for the unit vortex of the oscillator
     assert abs(np.median(c.defectA.values[sel]) + 2.0) < 0.1
+
+
+# --- |gradS|^2 and |gradI|^2, formed once in decompose ---------------------
+
+def old_quantum_potential(m, p):
+    gS2 = dot(m.gradS, m.gradS)
+    c = p.hbar * p.hbar / (2.0 * p.mass)
+    return ScalarField(m.spec, -c * (gS2.values + m.lapS.values))
+
+
+def old_qhj_residual(m, V, E, p):
+    U = old_quantum_potential(m, p)
+    gI2 = dot(m.gradI, m.gradI)
+    c = p.hbar * p.hbar / (2.0 * p.mass)
+    return ScalarField(m.spec, c * gI2.values + V.values + U.values - E)
+
+
+def old_default_tolerance(m):
+    h = max(m.spec.dx, m.spec.dy)
+    g = np.sqrt(m.gradS.vx**2 + m.gradS.vy**2 + m.gradI.vx**2 + m.gradI.vy**2)
+    scale = rms_norm(g, m.gradS.mask & m.gradI.mask)
+    scale = max(1.0, scale if scale is not None else 1.0)
+    return max(10.0 * h * h, 1e-8) * scale
+
+
+@st.composite
+def diagnosed_states(draw):
+    """(m, V, E, p): a decomposed state on 6x6 to 24x24 cells with node
+    cells and non-finite cells, |psi| spread over up to 300 decades (its
+    squared log-gradients then overflow), a potential with non-finite
+    cells, and hbar, mass other than 1."""
+    ny, nx = draw(st.integers(6, 24)), draw(st.integers(6, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = GridSpec(nx, ny, -1.0, -1.0, 2.0 / (nx - 1), 2.0 / (ny - 1))
+    decades = draw(st.sampled_from([1.0, 30.0, 300.0]))
+    amp = 10.0 ** -rng.uniform(0.0, decades, spec.shape)
+    psi = amp * np.exp(1j * rng.uniform(-np.pi, np.pi, spec.shape))
+    bad = rng.random(spec.shape)
+    psi[bad < 0.03] = 0.0  # nodes
+    psi[(bad >= 0.03) & (bad < 0.06)] = complex(np.inf, np.nan)  # non-finite cells
+    try:
+        m = decompose(ComplexField(spec, psi), 1e-8 if decades == 1.0 else 1e-300)
+    except DecomposeError:
+        assume(False)
+    V = rng.normal(scale=10.0, size=spec.shape)
+    V[rng.random(spec.shape) < 0.05] = np.nan
+    p = PhysicalParams(draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0)))
+    return m, ScalarField(spec, V), draw(st.floats(-10.0, 10.0)), p
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+@given(diagnosed_states())
+def test_decompose_keeps_the_gradient_squares(state):
+    m = state[0]
+    with np.errstate(over="ignore"):
+        assert same_bits(m.gS2, m.gradS.vx**2 + m.gradS.vy**2)
+        assert same_bits(m.gI2, m.gradI.vx**2 + m.gradI.vy**2)
+    assert np.array_equal(np.isnan(m.gS2), ~m.gradS.mask)
+    assert np.array_equal(np.isnan(m.gI2), ~m.gradI.mask)
+
+
+@given(diagnosed_states())
+def test_consumers_of_the_squares_keep_their_bits(state):
+    m, V, E, p = state
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = [(quantum_potential(m, p), old_quantum_potential(m, p)),
+                 (qhj_residual(m, V, E, p), old_qhj_residual(m, V, E, p))]
+        tol, old_tol = default_tolerance(m), old_default_tolerance(m)
+    for new, old in pairs:
+        assert np.array_equal(new.mask, old.mask)
+        assert same_bits(new.values, old.values)
+    assert same_bits(np.float64(tol), np.float64(old_tol))
