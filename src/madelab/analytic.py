@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .currents import CurrentFields
-from .grid import ScalarField, interior_mask, max_norm, rms_norm
+from .grid import ScalarField, max_norm, rms_norm
 from .madelung import MadelungFields
 
 HOLDS = "holds"
@@ -63,10 +63,6 @@ PROPERTIES = {
 PROPERTY_NAMES = tuple(PROPERTIES)
 
 
-class EmptyInteriorError(ValueError):
-    """No interior valid cells to diagnose."""
-
-
 def _norm_entry(name: str, f: ScalarField | None) -> dict | str:
     """Interior {"max", "rms"}; "masked" without interior cells; "n/a" for
     None. A norm that overflows is refused: the report is strict JSON."""
@@ -104,8 +100,6 @@ class PropertyVerdict:
 
 
 def analyze(m: MadelungFields) -> AnalyticityReport:
-    if not interior_mask(m.lapS.mask).any():
-        raise EmptyInteriorError("empty interior after node masking")
     with np.errstate(over="ignore"):  # `_norm_entry` refuses an infinite rms
         cr = np.sqrt(
             (m.gradS.vx - m.gradI.vy) ** 2 + (m.gradS.vy + m.gradI.vx) ** 2

@@ -159,12 +159,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_grid(args) -> GridSpec:
     if args.grid_raw is not None:
-        parts = args.grid_raw.split(",")
-        if len(parts) != 6:
-            raise CliError("--grid-raw needs NX,NY,X0,Y0,DX,DY")
-        nx, ny = int(parts[0]), int(parts[1])
-        x0, y0, dx, dy = (float(t) for t in parts[2:])
-        return GridSpec(nx, ny, x0, y0, dx, dy)
+        try:
+            nx, ny, x0, y0, dx, dy = args.grid_raw.split(",")
+            raw = int(nx), int(ny), float(x0), float(y0), float(dx), float(dy)
+        except ValueError as err:
+            raise CliError(f"bad --grid-raw {args.grid_raw!r}: expected NX,NY,X0,Y0,DX,DY") from err
+        return GridSpec(*raw)
     try:
         nx, ny = (int(t) for t in args.grid.lower().split("x"))
     except ValueError as err:

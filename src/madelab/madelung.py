@@ -15,10 +15,12 @@ The unwrapped phase integrates wrapped differences along a spanning tree
 (Itoh, Appl. Opt. 21 (1982) 2470) whose nodes are row runs, the maximal
 horizontal segments of valid cells, as in the region-based trees of Ghiglia
 & Pritt, Two-Dimensional Phase Unwrapping (Wiley 1998). Every valid
-component is unwrapped from its own anchor, its cell of largest |psi|. On a
-full rectangle the tree is the comb that a cell-by-cell breadth-first search
-builds, with the same floats. `decompose` unwraps only when no plaquette
-winds, and keeps any tears (vortex cores hidden in masked cells) as data.
+component is unwrapped from its own anchor, its cell of largest |psi|. Each
+run is walked when the search reaches it, from its parent's I, so each cell
+of I is computed once. On a full rectangle the tree is the comb that a
+cell-by-cell breadth-first search builds, with the same floats. `decompose`
+unwraps only when no plaquette winds, and keeps any tears (vortex cores
+hidden in masked cells) as data.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .grid import (
     ComplexField,
     ScalarField,
     VectorField,
+    interior_mask,
     raw_gradient,
     raw_laplacian,
 )
@@ -127,7 +130,7 @@ def residues(psi: ComplexField, diffs: PhaseDifferences | None = None
     # counterclockwise: (j,i) -> (j,i+1) -> (j+1,i+1) -> (j+1,i) -> (j,i)
     s = d.dxf[:-1] + d.dyf[:, 1:] + d.dxb[1:] + d.dyb[:, :-1]
     ok = m[:-1, :-1] & m[:-1, 1:] & m[1:, 1:] & m[1:, :-1]
-    winding = np.rint(np.where(ok, s, 0.0) / _TWO_PI).astype(int)
+    winding = np.rint(np.where(ok, s, 0.0) / _TWO_PI).astype(np.int8)
     return winding, ok
 
 
@@ -157,7 +160,7 @@ def _run_tree(amp: np.ndarray, valid: np.ndarray, diffs: PhaseDifferences) -> np
     """I on every valid cell, integrated along the run tree of each valid
     component from that component's largest |psi| (see unwrap_phase)."""
     theta, dxf, dxb, dyf, dyb = diffs
-    ny, nx = valid.shape
+    nx = valid.shape[1]
     first = valid.copy()
     first[:, 1:] &= ~valid[:, :-1]
     last = valid.copy()
@@ -175,78 +178,62 @@ def _run_tree(amp: np.ndarray, valid: np.ndarray, diffs: PhaseDifferences) -> np
     peak_col = (lo + at_peak[np.searchsorted(at_peak, offset)] - offset).tolist()
 
     # Runs that share a vertical edge, and the columns [a, b] they share,
-    # row-major by lower row, then column. Each such pair gives two ways
-    # in: ways[:n] enter the upper run from below, ways[n:] the lower run
-    # from above; a way's index ranks it on a tie: from below first, then
-    # from the left. ptr[r]:ptr[r + 1] indexes the ways out of run r in
-    # `by_parent`.
+    # row-major by lower row, then column. Pair k gives two ways in, listed
+    # under the run they leave: into the upper run from below, ranked k, and
+    # into the lower run from above, ranked n + k. On a tie the lower rank
+    # wins: from below first, then from the left.
     both = valid[:-1] & valid[1:]
     opens = np.flatnonzero(both & (first[:-1] | first[1:]))
     closes = np.flatnonzero(both & (last[:-1] | last[1:]))
     lower = np.searchsorted(starts, opens, side="right") - 1
     upper = np.searchsorted(starts, opens + nx, side="right") - 1
     n = opens.size
-    parent = np.concatenate([lower, upper])
-    by_parent = np.argsort(parent, kind="stable")
-    ptr = np.searchsorted(parent[by_parent], np.arange(row.size + 1)).tolist()
-    kids = np.concatenate([upper, lower])[by_parent].tolist()
-    a_col = np.tile(opens % nx, 2)[by_parent].tolist()
-    b_col = np.tile(closes % nx, 2)[by_parent].tolist()
-    rank = by_parent.tolist()
+    ways = [[] for _ in range(row.size)]
+    for k, (p, q, a, b) in enumerate(zip(lower.tolist(), upper.tolist(),
+                                         (opens % nx).tolist(), (closes % nx).tolist())):
+        ways[p].append((k, q, a, b))
+        ways[q].append((n + k, p, a, b))
 
-    # The search: each run's entry column and the I it takes there. Seeds
+    I = np.full(valid.shape, np.nan)
+    row, lo, hi = row.tolist(), lo.tolist(), hi.tolist()
+
+    def walk(r: int, c: int, value: float) -> None:
+        # Run r outward from its entry column c: one accumulate to the right
+        # over dxf and one to the left over dxb, on views of I. These are the
+        # additions of a cell-by-cell walk, in the same order.
+        j = row[r]
+        right, left = I[j, c:hi[r] + 1], I[j, lo[r]:c + 1][::-1]
+        right[0] = value
+        right[1:] = dxf[j, c:hi[r]]
+        left[1:] = dxb[j, lo[r]:c][::-1]
+        np.add.accumulate(right, out=right)
+        np.add.accumulate(left, out=left)
+
+    # The search walks each run when it reaches it, so a new run's entry
+    # value is its parent's I plus the step across the vertical edge. Seeds
     # go by largest |psi|, the first run first on a tie.
-    run_row = row.tolist()
-    col = [0] * row.size
-    entry = [0.0] * row.size
-    reached = [False] * row.size
+    reached = [False] * len(row)
     for seed in np.argsort(-peak, kind="stable").tolist():
         if reached[seed]:
             continue
         anchor = peak_col[seed]
         reached[seed] = True
-        col[seed], entry[seed] = anchor, float(theta[run_row[seed], anchor])
+        walk(seed, anchor, theta[row[seed], anchor])
         level = [seed]
         while level:
             best = {}  # run -> (key, column, parent); the least key wins
             for p in level:
-                for w in range(ptr[p], ptr[p + 1]):
-                    kid = kids[w]
+                for rank, kid, a, b in ways[p]:
                     if not reached[kid]:
-                        a, b = a_col[w], b_col[w]
                         c = anchor if a <= anchor <= b else (a if anchor < a else b)
-                        key = (abs(c - anchor), rank[w])
+                        key = (abs(c - anchor), rank)
                         if kid not in best or key < best[kid][0]:
                             best[kid] = (key, c, p)
-            for kid, ((_, k), c, p) in best.items():
-                # walk the parent's row from its entry cell to column c,
-                # then step across the vertical edge into the new run
-                jp, cp, x = run_row[p], col[p], entry[p]
-                for d in (dxf[jp, cp:c] if c > cp else dxb[jp, c:cp][::-1]).tolist():
-                    x += d
-                x += float(dyf[jp, c] if k < n else dyb[jp - 1, c])
+            for kid, ((_, rank), c, p) in best.items():
+                jp = row[p]
                 reached[kid] = True
-                col[kid], entry[kid] = c, x
+                walk(kid, c, I[jp, c] + (dyf[jp, c] if rank < n else dyb[jp - 1, c]))
             level = list(best)
-
-    # Walk every run outward from its entry cell: the runs entered at one
-    # column together, as one block cumsum to the right over dxf and one to
-    # the left over dxb (a walk to the right on the mirrored columns). The
-    # cumsum adds along each row in order, the same floats in the same order
-    # as a cell-by-cell walk; a block's cells past a run's end are computed
-    # but not kept.
-    I = np.full((ny, nx), np.nan)
-    col, entry = np.array(col), np.array(entry)
-    by_col = np.argsort(col, kind="stable")
-    for sel in np.split(by_col, np.flatnonzero(np.diff(col[by_col])) + 1):
-        c, r = col[sel[0]], row[sel]
-        for out, diff, c0, steps in ((I, dxf, c, hi[sel] - c),
-                                     (I[:, ::-1], dxb[:, ::-1], nx - 1 - c, c - lo[sel])):
-            m = steps.max()
-            walked = np.cumsum(np.column_stack([entry[sel], diff[r, c0:c0 + m]]), axis=1)
-            block = out[r, c0:c0 + m + 1]
-            np.copyto(block, walked, where=np.arange(m + 1) <= steps[:, None])
-            out[r, c0:c0 + m + 1] = block
     return I
 
 
@@ -260,13 +247,14 @@ def unwrap_phase(psi: ComplexField, winding: np.ndarray | None = None,
     phase. The search goes one level of runs at a time: it enters each new
     run through one vertical edge from a run of the level before, at the
     overlap column nearest the anchor's column (on a tie, from the run
-    below, then the leftmost column), so I there is the parent cell's I
-    plus the wrapped difference along that edge. It then walks the run
-    outward from that entry cell, adding the wrapped differences to the
-    right and to the left in turn. On a full rectangle this is the comb of
-    a cell-by-cell breadth-first search: the anchor's column first, then
-    each row outward from it, with the same floats. Components are taken
-    in order of their largest |psi|, so each restart seeds the largest |psi|
+    below, then the leftmost column), and walks the run at once: I at the
+    entry cell is the parent cell's I, already set, plus the wrapped
+    difference along that edge, and the walk adds the wrapped differences
+    outward from there, to the right and to the left in turn. So each cell
+    of I is computed once. On a full rectangle this is the comb of a
+    cell-by-cell breadth-first search: the anchor's column first, then each
+    row outward from it, with the same floats. Components are taken in
+    order of their largest |psi|, so each restart seeds the largest |psi|
     among the runs not reached yet.
 
     The result is unique up to 2*pi*n per component. `winding` is
@@ -349,6 +337,12 @@ def decompose(
         raise DecomposeError(
             f"only {n_interior} valid cells remain after {cause}; "
             "no interior to analyze"
+        )
+    if not interior_mask(lapS.mask).any():
+        # the norms, and so every verdict, are taken two rings in
+        raise DecomposeError(
+            f"none of the {n_interior} cells with a valid Laplacian lies two rings "
+            "in from the grid boundary; no interior to analyze"
         )
 
     diffs = phase_differences(valid_psi)

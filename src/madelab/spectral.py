@@ -223,6 +223,10 @@ def combine(
         for i, c in zip(indices, coeffs):
             psi += complex(c) * sol.states[i].values
         norm = np.sqrt(np.sum(np.abs(psi) ** 2) * s.dx * s.dy)
+        if norm == 0 and psi.any():
+            # the squares underflow: rescale only then, so other norms keep their bits
+            psi /= np.abs(psi).max()
+            norm = np.sqrt(np.sum(np.abs(psi) ** 2) * s.dx * s.dy)
     if not np.isfinite(norm):
         raise ValueError("combination has no finite norm; check the coefficients")
     if norm == 0:

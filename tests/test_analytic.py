@@ -8,7 +8,6 @@ from madelab.analytic import (
     HOLDS,
     PRECONDITION_NOT_MET,
     PROPERTY_NAMES,
-    EmptyInteriorError,
     PropertyVerdict,
     analyze,
     check_properties,
@@ -184,13 +183,6 @@ class TestAnalyze:
         for v in r.norms.values():
             assert set(v) == {"max", "rms"}
             assert v["rms"] <= v["max"]
-
-    def test_empty_interior_raises(self):
-        # a 4x4 grid decomposes fine but has no cells two rings deep
-        spec = GridSpec(4, 4, -1, -1, 0.3, 0.3)
-        X, Y = spec.meshgrid()
-        with pytest.raises(EmptyInteriorError):
-            analyze(decompose(ComplexField(spec, np.exp(X + 1j * Y))))
 
     def test_cr_implies_other_residuals(self):
         # crStrict small forces orth, harmS, harmI small (discretely too)

@@ -191,6 +191,15 @@ class TestExitCodes:
         assert capsys.readouterr().err == err
         assert not list(tmp_path.iterdir())
 
+    # every cell is valid, but none lies two rings in, where the norms are taken
+    @pytest.mark.parametrize("grid, cells", [("4x4", 16), ("4x9", 36)])
+    def test_no_cell_two_rings_in_exit_one(self, grid, cells, tmp_path, capsys):
+        assert analyze(tmp_path, "--psi", "exp(x+i*y)", "--grid", grid) == 1
+        assert capsys.readouterr().err == (
+            f"error: none of the {cells} cells with a valid Laplacian lies two rings in "
+            "from the grid boundary; no interior to analyze\n")
+        assert not list(tmp_path.iterdir())
+
     def test_out_of_memory_exit_one(self, tmp_path, capsys, monkeypatch):
         def decompose(*args):
             raise MemoryError("Unable to allocate 2.98 GiB for an array")
@@ -263,6 +272,13 @@ class TestGridParsing:
     def test_malformed_grid(self, tmp_path, capsys):
         assert analyze(tmp_path, "--psi", "1", "--grid", "64") == 1
         assert analyze(tmp_path, "--psi", "1", "--domain", "1,0,0,1") == 1
+
+    # a bad int, a bad float, and the wrong count of fields
+    @pytest.mark.parametrize("raw", ["a,5,0,0,1,1", "5,5,0,0,1,1e", "5,5,0,0,1"])
+    def test_malformed_grid_raw_names_the_flag(self, raw, tmp_path, capsys):
+        assert analyze(tmp_path, "--psi", "x", "--grid-raw", raw) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad --grid-raw '{raw}': expected NX,NY,X0,Y0,DX,DY\n")
 
 
 class TestReport:
@@ -582,6 +598,22 @@ class TestSolve:
             "--count", "2", "--combine", "junk", "--out", str(tmp_path),
         ])
         assert code == 1
+
+    def test_combine_of_tiny_coefficients_is_not_zero(self, tmp_path, capsys):
+        # the plain sum of squares underflows to 0; the state is that of 1,1
+        reports = []
+        for coeffs in ("1,1", "1e-200,1e-200"):
+            out = tmp_path / coeffs
+            code = cli.main([
+                "solve", "--potential", "(x^2+y^2)/2", "--count", "3",
+                "--combine", f"1,2:{coeffs}", "--domain", "-4,4,-4,4", "--grid", "33x33",
+                "--out", str(out),
+            ])
+            assert code == 2
+            reports.append(load_report(out))
+        for key in ("energies", "vortices"):
+            assert reports[1][key] == reports[0][key]
+        assert reports[1]["state"]["energy"] == reports[0]["state"]["energy"]
 
     # an infinite coefficient, and finite ones whose norm overflows
     @pytest.mark.parametrize("coeffs", ["1,1/0", "1e308,1e308"])

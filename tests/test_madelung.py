@@ -264,6 +264,15 @@ class TestDecompose:
                            "stencil erosion of 9 valid cells;"):
             decompose(ComplexField(spec, np.exp(X + 1j * Y)))
 
+    def test_no_cell_two_rings_in_fails(self):
+        # a 4x4 grid has a valid Laplacian everywhere, but no cell two rings
+        # deep, where the norms are taken
+        spec = GridSpec(4, 4, -1, -1, 0.3, 0.3)
+        X, Y = spec.meshgrid()
+        with pytest.raises(DecomposeError, match="^none of the 16 cells with a valid "
+                           "Laplacian lies two rings in from the grid boundary;"):
+            decompose(ComplexField(spec, np.exp(X + 1j * Y)))
+
     def test_consistency_identity(self):
         # lapI + 2 gradS.gradI reproduces Im(lap psi / psi), recomputed here
         from madelab.grid import raw_laplacian
@@ -567,6 +576,20 @@ def test_residue_additivity_on_random_rectangles(data):
     w, ok = residues(psi)
     assert ok.all()
     assert loop_winding(psi, j0, j1, i0, i1) == int(w[j0:j1, i0:i1].sum())
+
+
+@given(st.data())
+def test_residues_are_int8_roundings_of_the_circulations(data):
+    # noisy phases wind by up to +-2 per plaquette; some cells are masked
+    ny, nx = data.draw(st.integers(3, 30)), data.draw(st.integers(3, 30))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    theta = rng.uniform(-np.pi, np.pi, size=(ny, nx))
+    psi = ComplexField(GridSpec(nx, ny), np.exp(1j * theta), rng.random((ny, nx)) >= 0.1)
+    w, ok = residues(psi)
+    d = madelung.phase_differences(psi)
+    s = d.dxf[:-1] + d.dyf[:, 1:] + d.dxb[1:] + d.dyb[:, :-1]
+    assert w.dtype == np.int8
+    assert np.array_equal(w, np.rint(np.where(ok, s, 0.0) / (2 * np.pi)).astype(np.int64))
 
 
 @given(st.integers(9, 33), st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
