@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import hashlib
 import json
 import os
 import sys
@@ -386,15 +385,7 @@ def _dump_worker(jobs: list, fd: int):
 
 
 def _write_and_hash(jobs: list) -> list[str]:
-    digests = []
-    for writer, field, path in jobs:
-        writer(field, path)
-        digests.append(_sha256(path))
-    return digests
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return [writer(field, path) for writer, field, path in jobs]
 
 
 def write_report(report: dict, out_dir: Path) -> Path:

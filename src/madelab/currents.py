@@ -58,7 +58,8 @@ def probability_current(
     c = p.hbar / p.mass
     if rho is None:
         rho = np.exp(2.0 * m.S.values)
-    J = VectorField(m.spec, c * rho * m.gradI.vx, c * rho * m.gradI.vy)
+    c_rho = c * rho
+    J = VectorField(m.spec, c_rho * m.gradI.vx, c_rho * m.gradI.vy)
     divJ = divergence(J)
     defectC = ScalarField(m.spec, 2.0 * m.cross.values + m.lapI.values)
     return J, divJ, defectC
@@ -79,7 +80,8 @@ def analytic_current(
     c = p.hbar / p.mass
     with np.errstate(over="ignore"):
         rho_t = np.exp(2.0 * m.I_unwrapped.values)
-    Jt = VectorField(m.spec, c * rho_t * m.gradS.vx, c * rho_t * m.gradS.vy)
+    c_rho_t = c * rho_t
+    Jt = VectorField(m.spec, c_rho_t * m.gradS.vx, c_rho_t * m.gradS.vy)
     return Jt, divergence(Jt), defectA
 
 

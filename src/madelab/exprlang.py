@@ -265,9 +265,14 @@ def evaluate(e: Expr, x: float, y: float) -> complex:
 
 
 def eval_field(e: Expr, spec: GridSpec) -> ComplexField:
-    """Evaluate at every cell center; non-finite cells come back masked."""
-    X, Y = spec.meshgrid()
+    """Evaluate at every cell center; non-finite cells come back masked.
+
+    x and y are full complex grids, not a row and a column broadcast: numpy
+    elides temporaries of 256 KiB and more, and an elided complex product
+    takes its operands in the other order, which can move the last bit."""
+    X = np.broadcast_to(spec.x().astype(complex), spec.shape).copy()
+    Y = np.broadcast_to(spec.y().astype(complex)[:, np.newaxis], spec.shape).copy()
     with np.errstate(all="ignore"):
-        v = _eval(e, X.astype(complex), Y.astype(complex))
+        v = _eval(e, X, Y)
     values = np.broadcast_to(np.asarray(v, dtype=complex), spec.shape).copy()
     return ComplexField(spec, values)

@@ -10,12 +10,16 @@ row-major (NaN = masked).
 Complex fields are stored as two scalar files suffixed `.re` and `.im`.
 
 The writers write each field's `values` as they are: `grid` holds NaN in
-every invalid cell, so the files need no masking of their own.
+every invalid cell, so the files need no masking of their own. Each writer
+returns the SHA-256 hex digest of the bytes it wrote, hashed as they are
+written, so no file is read back to be hashed.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +34,22 @@ class FieldFormatError(ValueError):
     """Raised on a malformed field file."""
 
 
-def write_csv(f: ScalarField, path: str | Path) -> None:
+def _write_hashed(path: str | Path, chunks) -> str:
+    """Write the bytes-like `chunks` to `path` in order; return the SHA-256
+    hex digest of everything written."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def write_csv(f: ScalarField, path: str | Path) -> str:
     s = f.spec
-    with open(path, "w") as fh:
-        fh.write(f"# {s.nx} {s.ny} {s.x0!r} {s.y0!r} {s.dx!r} {s.dy!r}\n")
-        for row in f.values:
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
+    header = f"# {s.nx} {s.ny} {s.x0!r} {s.y0!r} {s.dx!r} {s.dy!r}\n"
+    rows = (",".join(map(repr, row.tolist())) + "\n" for row in f.values)
+    return _write_hashed(path, map(str.encode, chain([header], rows)))
 
 
 def read_csv(path: str | Path) -> ScalarField:
@@ -60,12 +74,10 @@ def read_csv(path: str | Path) -> ScalarField:
     return ScalarField(spec, values)
 
 
-def write_binary(f: ScalarField, path: str | Path) -> None:
+def write_binary(f: ScalarField, path: str | Path) -> str:
     s = f.spec
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(_HEADER.pack(s.nx, s.ny, s.x0, s.y0, s.dx, s.dy))
-        fh.write(f.values.astype("<f8", copy=False).tobytes())
+    header = MAGIC + _HEADER.pack(s.nx, s.ny, s.x0, s.y0, s.dx, s.dy)
+    return _write_hashed(path, (header, np.ascontiguousarray(f.values, "<f8")))
 
 
 def read_binary(path: str | Path) -> ScalarField:
@@ -103,10 +115,10 @@ def read_complex(path: str | Path, reader=read_binary) -> ComplexField:
     return ComplexField(re.spec, re.values + 1j * im.values)
 
 
-def write_gnuplot(f: ScalarField, path: str | Path) -> None:
+def write_gnuplot(f: ScalarField, path: str | Path) -> str:
     """Whitespace `x y value` table with blank lines between rows."""
     xs = [repr(x) for x in f.spec.x().tolist()]
-    with open(path, "w") as fh:
-        for y, row in zip(f.spec.y().tolist(), f.values):
-            mid = f" {y!r} "
-            fh.write("".join(x + mid + repr(v) + "\n" for x, v in zip(xs, row.tolist())) + "\n")
+    mids = (f" {y!r} " for y in f.spec.y().tolist())
+    rows = ("".join(x + mid + repr(v) + "\n" for x, v in zip(xs, row.tolist())) + "\n"
+            for mid, row in zip(mids, f.values))
+    return _write_hashed(path, map(str.encode, rows))

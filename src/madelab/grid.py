@@ -124,7 +124,9 @@ def deriv1(values: np.ndarray, d: float, axis: int) -> np.ndarray:
     copied to its output."""
     f = np.moveaxis(values, axis, 0)
     out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * d)
+    mid = out[1:-1]  # (f[2:] - f[:-2]) / (2 d), formed in place
+    np.subtract(f[2:], f[:-2], out=mid)
+    np.divide(mid, 2.0 * d, out=mid)
     out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * d)
     out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * d)
     np.copyto(out, f, where=~np.isfinite(f))
@@ -136,7 +138,11 @@ def deriv2(values: np.ndarray, d: float, axis: int) -> np.ndarray:
     f = np.moveaxis(values, axis, 0)
     out = np.empty_like(f)
     inv = 1.0 / (d * d)
-    out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) * inv
+    mid = out[1:-1]  # (f[2:] - 2 f[1:-1] + f[:-2]) / d^2, formed in place
+    np.multiply(2.0, f[1:-1], out=mid)
+    np.subtract(f[2:], mid, out=mid)
+    np.add(mid, f[:-2], out=mid)
+    np.multiply(mid, inv, out=mid)
     if len(f) < 4:
         # no room for the 4-point one-sided stencil (NaN in every part)
         out[0] = out[-1] = f[0] * np.nan
@@ -153,7 +159,9 @@ def raw_gradient(values: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, np.nda
 
 
 def raw_laplacian(values: np.ndarray, spec: GridSpec) -> np.ndarray:
-    return deriv2(values, spec.dx, 1) + deriv2(values, spec.dy, 0)
+    lap = deriv2(values, spec.dx, 1)
+    lap += deriv2(values, spec.dy, 0)
+    return lap
 
 
 def gradient(f: ScalarField) -> VectorField:
@@ -165,7 +173,9 @@ def laplacian(f: ScalarField) -> ScalarField:
 
 
 def divergence(w: VectorField) -> ScalarField:
-    return ScalarField(w.spec, deriv1(w.vx, w.spec.dx, 1) + deriv1(w.vy, w.spec.dy, 0))
+    div = deriv1(w.vx, w.spec.dx, 1)
+    div += deriv1(w.vy, w.spec.dy, 0)
+    return ScalarField(w.spec, div)
 
 
 def dot(a: VectorField, b: VectorField) -> ScalarField:

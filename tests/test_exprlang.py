@@ -4,18 +4,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from madelab.exprlang import (
     BinOp,
     Call,
     Num,
     ParseError,
+    _eval,
     eval_field,
     evaluate,
     parse,
 )
-from madelab.grid import GridSpec
+from madelab.grid import ComplexField, GridSpec
 
 
 class TestParse:
@@ -203,3 +204,25 @@ class TestEvalField:
         f = eval_field(parse("x+i*y"), spec)
         X, Y = spec.meshgrid()
         assert np.allclose(f.values, X + 1j * Y)
+
+
+_PARSED = [parse(case["src"]) for case in TestCorpus.CASES if "ast" in case]
+
+
+@settings(max_examples=10)  # each example evaluates all 263 expressions twice
+@example(128, 129, -4.0, -4.0, 8 / 127, 8 / 128)  # numpy elides temporaries from 256 KiB
+@given(st.integers(3, 40), st.integers(3, 40), st.floats(-50.0, 50.0),
+       st.floats(-50.0, 50.0), st.floats(1e-3, 10.0), st.floats(1e-3, 10.0))
+def test_eval_field_matches_meshgrid_evaluation(nx, ny, x0, y0, dx, dy):
+    """Every parsing corpus expression, bit for bit in both parts, against
+    the evaluation on `spec.meshgrid()`. A row-and-column evaluation passes
+    on the small grids but not on the large one: there an elided complex
+    product takes its operands in the other order."""
+    spec = GridSpec(nx, ny, x0, y0, dx, dy)
+    X, Y = spec.meshgrid()
+    for e in _PARSED:
+        with np.errstate(all="ignore"):
+            v = _eval(e, X.astype(complex), Y.astype(complex))
+        want = ComplexField(spec, np.broadcast_to(np.asarray(v, dtype=complex), spec.shape).copy())
+        got = eval_field(e, spec)
+        assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64)), e

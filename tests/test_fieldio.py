@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -205,3 +206,24 @@ def test_writers_match_per_value_formulas(writer, oracle, seed, nx, ny, all_vali
     f = awkward_field(seed, nx, ny, all_valid)
     writer(f, tmp_path / "f")
     assert (tmp_path / "f").read_bytes() == oracle(f)
+
+
+@pytest.mark.parametrize("writer", [write_csv, write_gnuplot, write_binary],
+                         ids=["csv", "gnuplot", "bin"])
+def test_writers_return_the_digest_of_the_bytes_written(writer, tmp_path):
+    """The same values with NaN cells, as a plain array, as the strided
+    `.real` view of a complex array and as big-endian doubles: each writer
+    returns the SHA-256 of its file, and the three files are the same."""
+    f = awkward_field(4, 9, 5, all_valid=False)
+    z = np.empty(f.spec.shape, dtype=complex)
+    z.real, z.imag = f.values, -f.values
+    strided, big = ScalarField(f.spec, f.values), ScalarField(f.spec, f.values)
+    strided.values, big.values = z.real, f.values.astype(">f8")
+    assert not strided.values.flags.c_contiguous and big.values.dtype.byteorder == ">"
+    blobs = []
+    for k, field in enumerate((f, strided, big)):
+        path = tmp_path / f"f{k}"
+        digest = writer(field, path)
+        blobs.append(path.read_bytes())
+        assert digest == hashlib.sha256(blobs[-1]).hexdigest()
+    assert blobs[0] == blobs[1] == blobs[2]
