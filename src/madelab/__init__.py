@@ -33,7 +33,6 @@ from .madelung import (
     MadelungFields,
     VortexError,
     decompose,
-    loop_winding,
     residues,
     unwrap_phase,
 )

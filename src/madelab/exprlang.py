@@ -18,7 +18,6 @@ overflow) propagate as non-finite values for the caller to mask.
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -42,7 +41,7 @@ class ParseError(ValueError):
 def _principal(a):
     """Normalize -0.0 imaginary parts to +0.0 so branch cuts of ln/sqrt
     are approached from above on the negative real axis (sqrt(-4) = 2i)."""
-    return np.real(a) + 1j * (np.imag(a) + 0.0)
+    return np.add(np.real(a), np.multiply(1j, np.imag(a) + 0.0))
 
 
 def _power(a, b):
@@ -50,7 +49,7 @@ def _power(a, b):
     n = np.asarray(b)
     if n.ndim == 0 and n.imag == 0 and float(n.real).is_integer():
         return np.power(a, int(n.real))
-    return np.exp(b * np.log(_principal(a)))
+    return np.exp(np.multiply(b, np.log(_principal(a))))
 
 
 # name -> (arity, implementation on complex values)
@@ -71,7 +70,10 @@ FUNCTIONS = {
 CONSTANTS = {"pi": np.complex128(np.pi), "e": np.complex128(np.e), "i": np.complex128(1j)}
 VARIABLES = ("x", "y")
 
-BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+# Ufuncs, not Python operators: numpy may elide a temporary operand of an
+# operator into its output, and an elided complex product takes its operands
+# in the other order, which can move the last bit with the array's size.
+BINOPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.true_divide,
           "^": _power}
 
 
@@ -267,12 +269,11 @@ def evaluate(e: Expr, x: float, y: float) -> complex:
 def eval_field(e: Expr, spec: GridSpec) -> ComplexField:
     """Evaluate at every cell center; non-finite cells come back masked.
 
-    x and y are full complex grids, not a row and a column broadcast: numpy
-    elides temporaries of 256 KiB and more, and an elided complex product
-    takes its operands in the other order, which can move the last bit."""
-    X = np.broadcast_to(spec.x().astype(complex), spec.shape).copy()
-    Y = np.broadcast_to(spec.y().astype(complex)[:, np.newaxis], spec.shape).copy()
+    x is a row and y a column, broadcast by each operation; every operation
+    is a ufunc, so each cell gets the bits `evaluate` gives at its point."""
+    x = spec.x().astype(complex)[np.newaxis, :]
+    y = spec.y().astype(complex)[:, np.newaxis]
     with np.errstate(all="ignore"):
-        v = _eval(e, X, Y)
+        v = _eval(e, x, y)
     values = np.broadcast_to(np.asarray(v, dtype=complex), spec.shape).copy()
     return ComplexField(spec, values)

@@ -173,8 +173,9 @@ def laplacian(f: ScalarField) -> ScalarField:
 
 
 def divergence(w: VectorField) -> ScalarField:
-    div = deriv1(w.vx, w.spec.dx, 1)
-    div += deriv1(w.vy, w.spec.dy, 0)
+    with np.errstate(over="ignore"):  # the caller refuses an infinite norm
+        div = deriv1(w.vx, w.spec.dx, 1)
+        div += deriv1(w.vy, w.spec.dy, 0)
     return ScalarField(w.spec, div)
 
 

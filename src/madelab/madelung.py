@@ -6,10 +6,13 @@ All derivatives of S and I come from the complex log-derivative
 grad(psi)/psi and the identity lap(psi)/psi = (gS + i gI)^2 + lapS + i lapI,
 never from differentiating ln|psi| or a wrapped phase.
 
-theta = angle(psi) and its wrapped differences along every grid edge, in
-both directions, are formed once (`phase_differences`). The plaquette
-residues, the unwrapping tree and the tear scan all read these same
-differences.
+theta = angle(psi) and one wrapped difference per grid edge are formed
+once (`phase_differences`); a step against an edge's direction is the
+exact negation of its difference. The plaquette residues (circulations of
+these antisymmetric differences, Goldstein, Zebker & Werner, Radio Sci. 23
+(1988) 713), the unwrapping tree and the tear scan all read them. A real
+state, or one real up to a quarter-turn phase, has every difference exact,
+so none of its plaquettes winds and its phase unwraps.
 
 The unwrapped phase integrates wrapped differences along a spanning tree
 (Itoh, Appl. Opt. 21 (1982) 2470) whose nodes are row runs, the maximal
@@ -88,33 +91,33 @@ class MadelungFields:
 
 
 def _wrap(d: np.ndarray) -> np.ndarray:
-    """Wrap phase differences into (-pi, pi], given |d| <= 2 pi, as for a
+    """Wrap phase differences into [-pi, pi], given |d| <= 2 pi, as for a
     difference of two angles. pi - d then lies in [-pi, 3 pi], where one
-    shift by 2 pi or none wraps it: the result of pi - mod(pi - d, 2 pi),
-    bit for bit, without its division."""
+    shift by 2 pi or none wraps it. The result is pi - mod(pi - d, 2 pi)
+    bit for bit, without its division, except where pi - d is exactly 2 pi:
+    there it is -pi, not +pi, so _wrap(-pi) = -_wrap(pi) and exact +-pi
+    steps keep their sign."""
     x = np.pi - d
-    x -= _TWO_PI * ((x >= _TWO_PI).astype(float) - (x < 0.0))
+    x -= _TWO_PI * ((x > _TWO_PI).astype(float) - (x < 0.0))
     return np.pi - x
 
 
 class PhaseDifferences(NamedTuple):
-    """theta = angle(psi) and its wrapped differences along every edge, both
-    ways: dxf[j, i] = wrap(theta[j, i+1] - theta[j, i]) and dxb[j, i] =
-    wrap(theta[j, i] - theta[j, i+1]); dyf and dyb the same along y. Each
-    is NaN where it reads an invalid cell."""
+    """theta = angle(psi) in (-pi, pi], reading a -0 imaginary part as +0,
+    and one wrapped difference per edge: dx[j, i] = wrap(theta[j, i+1] -
+    theta[j, i]) and dy[j, i] = wrap(theta[j+1, i] - theta[j, i]). The step
+    the other way is -dx or -dy. Each is NaN where it reads an invalid
+    cell."""
 
     theta: np.ndarray
-    dxf: np.ndarray
-    dxb: np.ndarray
-    dyf: np.ndarray
-    dyb: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray
 
 
 def phase_differences(psi: ComplexField) -> PhaseDifferences:
-    t = np.angle(psi.values)
-    return PhaseDifferences(t, _wrap(t[:, 1:] - t[:, :-1]),
-                            _wrap(t[:, :-1] - t[:, 1:]),
-                            _wrap(t[1:] - t[:-1]), _wrap(t[:-1] - t[1:]))
+    v = psi.values
+    t = np.arctan2(v.imag + 0.0, v.real)
+    return PhaseDifferences(t, _wrap(t[:, 1:] - t[:, :-1]), _wrap(t[1:] - t[:-1]))
 
 
 def residues(psi: ComplexField, diffs: PhaseDifferences | None = None
@@ -128,38 +131,16 @@ def residues(psi: ComplexField, diffs: PhaseDifferences | None = None
     d = phase_differences(psi) if diffs is None else diffs
     m = psi.mask
     # counterclockwise: (j,i) -> (j,i+1) -> (j+1,i+1) -> (j+1,i) -> (j,i)
-    s = d.dxf[:-1] + d.dyf[:, 1:] + d.dxb[1:] + d.dyb[:, :-1]
+    s = d.dx[:-1] + d.dy[:, 1:] - d.dx[1:] - d.dy[:, :-1]
     ok = m[:-1, :-1] & m[:-1, 1:] & m[1:, 1:] & m[1:, :-1]
     winding = np.rint(np.where(ok, s, 0.0) / _TWO_PI).astype(np.int8)
     return winding, ok
 
 
-def loop_winding(psi: ComplexField, j0: int, j1: int, i0: int, i1: int) -> int:
-    """Total phase winding around the rectangle of cells [j0..j1] x [i0..i1].
-
-    Counterclockwise along the rectangle's boundary cells; every boundary
-    cell must be valid. By residue additivity this equals the sum of the
-    enclosed plaquette residues.
-    """
-    theta = np.angle(psi.values)
-    path = (
-        [(j0, i) for i in range(i0, i1 + 1)]
-        + [(j, i1) for j in range(j0 + 1, j1 + 1)]
-        + [(j1, i) for i in range(i1 - 1, i0 - 1, -1)]
-        + [(j, i0) for j in range(j1 - 1, j0 - 1, -1)]
-    )
-    if not all(psi.mask[j, i] for j, i in path):
-        raise ValueError("loop passes through masked cells")
-    total = 0.0
-    for (ja, ia), (jb, ib) in zip(path, path[1:] + path[:1]):
-        total += float(_wrap(theta[jb, ib] - theta[ja, ia]))
-    return int(np.rint(total / _TWO_PI))
-
-
 def _run_tree(amp: np.ndarray, valid: np.ndarray, diffs: PhaseDifferences) -> np.ndarray:
     """I on every valid cell, integrated along the run tree of each valid
     component from that component's largest |psi| (see unwrap_phase)."""
-    theta, dxf, dxb, dyf, dyb = diffs
+    theta, dx, dy = diffs
     nx = valid.shape[1]
     first = valid.copy()
     first[:, 1:] &= ~valid[:, :-1]
@@ -199,13 +180,13 @@ def _run_tree(amp: np.ndarray, valid: np.ndarray, diffs: PhaseDifferences) -> np
 
     def walk(r: int, c: int, value: float) -> None:
         # Run r outward from its entry column c: one accumulate to the right
-        # over dxf and one to the left over dxb, on views of I. These are the
+        # over dx and one to the left over -dx, on views of I. These are the
         # additions of a cell-by-cell walk, in the same order.
         j = row[r]
         right, left = I[j, c:hi[r] + 1], I[j, lo[r]:c + 1][::-1]
         right[0] = value
-        right[1:] = dxf[j, c:hi[r]]
-        left[1:] = dxb[j, lo[r]:c][::-1]
+        right[1:] = dx[j, c:hi[r]]
+        np.negative(dx[j, lo[r]:c][::-1], out=left[1:])
         np.add.accumulate(right, out=right)
         np.add.accumulate(left, out=left)
 
@@ -232,7 +213,7 @@ def _run_tree(amp: np.ndarray, valid: np.ndarray, diffs: PhaseDifferences) -> np
             for kid, ((_, rank), c, p) in best.items():
                 jp = row[p]
                 reached[kid] = True
-                walk(kid, c, I[jp, c] + (dyf[jp, c] if rank < n else dyb[jp - 1, c]))
+                walk(kid, c, I[jp, c] + (dy[jp, c] if rank < n else -dy[jp - 1, c]))
             level = list(best)
     return I
 
@@ -282,7 +263,7 @@ def unwrap_phase(psi: ComplexField, winding: np.ndarray | None = None,
     # each cell against its +y, then +x neighbour. I is NaN off the valid
     # cells, and a NaN jump is no tear.
     tears = []
-    for jump in (I[1:] - I[:-1] - diffs.dyf, I[:, 1:] - I[:, :-1] - diffs.dxf):
+    for jump in (I[1:] - I[:-1] - diffs.dy, I[:, 1:] - I[:, :-1] - diffs.dx):
         for j, i in zip(*np.nonzero(np.abs(jump) > np.pi)):
             tears.append((int(j), int(i), int(np.rint(jump[j, i] / _TWO_PI))))
     if tears:

@@ -182,8 +182,11 @@ class TestExitCodes:
         # finite gradients of ~1e154 whose squares overflow
         (["--psi", "x", "--grid-raw", "17,17,-8.5e-154,-8.5e-154,1e-154,1e-154"],
          "error: the interior rms norm of crStrict overflows\n"),
+        # finite currents of ~1e307 whose divergence overflows
+        (["--psi", "exp(i*3e153*x)+0.5", "--grid-raw", "17,17,1e-154,1e-154,1e-154,1e-154"],
+         "error: the interior rms norm of orth overflows\n"),
     ], ids=["qhj-norm", "divJ-norm", "plane-wave-energy", "tiny-spacing", "huge-spacing",
-            "vortex-l-100000", "gradient-squares"])
+            "vortex-l-100000", "gradient-squares", "divergence"])
     def test_overflow_refused_quietly_before_output(self, argv, err, tmp_path, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -562,10 +565,11 @@ class TestSolve:
             "solve", "--potential", "0", "--grid", "32x32", "--domain", "0,1,0,1",
             "--count", "2", "--state-index", "1", "--out", str(tmp_path),
         ])
-        # the (2,1) mode changes sign across a nodal line, so its 0/pi
-        # phase cannot be unwrapped; the report is still complete
-        assert code == 2
+        # the (2,1) mode changes sign across a nodal line: its 0/pi phase
+        # does not wind, and I is set on both sides of the line
+        assert code == 0
         rep = load_report(tmp_path)
+        assert rep["vortices"]["count"] == 0 and rep["vortices"]["unwrapped"]
         assert rep["state"]["state_index"] == 1
         assert rep["state"]["energy"] == pytest.approx(rep["energies"][1])
 
@@ -600,9 +604,10 @@ class TestSolve:
         assert code == 1
 
     def test_combine_of_tiny_coefficients_is_not_zero(self, tmp_path, capsys):
-        # the plain sum of squares underflows to 0; the state is that of 1,1
+        # the plain sum of squares underflows to 0; the state is that of 1,i,
+        # whose vortex core hides in the node-masked centre cell
         reports = []
-        for coeffs in ("1,1", "1e-200,1e-200"):
+        for coeffs in ("1,i", "1e-200,1e-200*i"):
             out = tmp_path / coeffs
             code = cli.main([
                 "solve", "--potential", "(x^2+y^2)/2", "--count", "3",
@@ -611,6 +616,7 @@ class TestSolve:
             ])
             assert code == 2
             reports.append(load_report(out))
+        assert len(reports[0]["vortices"]["tears"]) == 16
         for key in ("energies", "vortices"):
             assert reports[1][key] == reports[0][key]
         assert reports[1]["state"]["energy"] == reports[0]["state"]["energy"]

@@ -215,9 +215,9 @@ _PARSED = [parse(case["src"]) for case in TestCorpus.CASES if "ast" in case]
        st.floats(-50.0, 50.0), st.floats(1e-3, 10.0), st.floats(1e-3, 10.0))
 def test_eval_field_matches_meshgrid_evaluation(nx, ny, x0, y0, dx, dy):
     """Every parsing corpus expression, bit for bit in both parts, against
-    the evaluation on `spec.meshgrid()`. A row-and-column evaluation passes
-    on the small grids but not on the large one: there an elided complex
-    product takes its operands in the other order."""
+    the evaluation on `spec.meshgrid()`. eval_field broadcasts a row and a
+    column; on the large grid numpy elides temporaries, which an operator
+    could take with its operands in the other order, and a ufunc does not."""
     spec = GridSpec(nx, ny, x0, y0, dx, dy)
     X, Y = spec.meshgrid()
     for e in _PARSED:
@@ -226,3 +226,21 @@ def test_eval_field_matches_meshgrid_evaluation(nx, ny, x0, y0, dx, dy):
         want = ComplexField(spec, np.broadcast_to(np.asarray(v, dtype=complex), spec.shape).copy())
         got = eval_field(e, spec)
         assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64)), e
+
+
+def test_evaluate_matches_eval_field_at_sampled_cells():
+    # a grid large enough that numpy elides temporaries (256 KiB and more);
+    # cells off integer x and y, where a scalar exponent such as e^y takes
+    # the exact integer power and a field's exponent does not
+    spec = GridSpec(128, 129, -4.0, -4.0, 8 / 127, 8 / 128)
+    rng = np.random.default_rng(0)
+    js = rng.choice(np.flatnonzero(spec.y() % 1 != 0), 40)
+    iis = rng.choice(np.flatnonzero(spec.x() % 1 != 0), 40)
+    x, y = spec.x()[iis], spec.y()[js]
+    for e in _PARSED:
+        f = eval_field(e, spec)
+        want = np.array([evaluate(e, a, b) for a, b in zip(x, y)])
+        ok = f.mask[js, iis]
+        assert np.array_equal(f.values[js, iis][ok].view(np.uint64),
+                              want[ok].view(np.uint64)), e
+        assert not np.isfinite(want[~ok]).any(), e

@@ -17,15 +17,45 @@ from madelab.madelung import (
     VortexError,
     _wrap,
     decompose,
-    loop_winding,
     residues,
     unwrap_phase,
 )
 
 
 def mod_wrap(d):
-    """Reference wrap into (-pi, pi] for any d, through np.mod."""
-    return np.pi - np.mod(np.pi - d, 2 * np.pi)
+    """Reference wrap into [-pi, pi] for any d, through np.mod, odd at the
+    boundary: -pi where pi - d is exactly 2 pi, so mod_wrap(-pi) = -pi."""
+    x = np.pi - d
+    return np.where(x == 2 * np.pi, -np.pi, np.pi - np.mod(x, 2 * np.pi))
+
+
+def angle(values):
+    """Reference phase in (-pi, pi]: a -0 imaginary part reads as +0."""
+    return np.arctan2(values.imag + 0.0, values.real)
+
+
+def step(theta, a, b):
+    """The wrapped phase step from cell a to its 4-neighbour b: the edge's
+    one difference, taken from its lower cell, or minus it the other way."""
+    if a < b:
+        return float(mod_wrap(theta[b] - theta[a]))
+    return -float(mod_wrap(theta[a] - theta[b]))
+
+
+def loop_winding(psi, j0, j1, i0, i1):
+    """Total phase winding around the rectangle of cells [j0..j1] x [i0..i1],
+    counterclockwise along its boundary cells, which must all be valid. By
+    residue additivity this equals the sum of the enclosed residues."""
+    theta = angle(psi.values)
+    path = (
+        [(j0, i) for i in range(i0, i1 + 1)]
+        + [(j, i1) for j in range(j0 + 1, j1 + 1)]
+        + [(j1, i) for i in range(i1 - 1, i0 - 1, -1)]
+        + [(j, i0) for j in range(j1 - 1, j0 - 1, -1)]
+    )
+    assert all(psi.mask[c] for c in path)
+    total = sum(step(theta, a, b) for a, b in zip(path, path[1:] + path[:1]))
+    return int(np.rint(total / (2 * np.pi)))
 
 
 def bfs_unwrap(psi):
@@ -36,7 +66,7 @@ def bfs_unwrap(psi):
         js, iis = np.nonzero(winding != 0)
         raise VortexError((int(j), int(i), int(winding[j, i])) for j, i in zip(js, iis))
 
-    theta = np.angle(psi.values)
+    theta = angle(psi.values)
     valid = psi.mask
     if not valid.any():
         raise DecomposeError("no valid cells to unwrap")
@@ -55,7 +85,7 @@ def bfs_unwrap(psi):
         for dj, di in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             nj, ni = j + dj, i + di
             if 0 <= nj < ny and 0 <= ni < nx and valid[nj, ni] and not done[nj, ni]:
-                I[nj, ni] = I[j, i] + float(mod_wrap(theta[nj, ni] - theta[j, i]))
+                I[nj, ni] = I[j, i] + step(theta, (j, i), (nj, ni))
                 done[nj, ni] = True
                 queue.append((nj, ni))
 
@@ -81,15 +111,12 @@ def run_tree_unwrap(psi):
         js, iis = np.nonzero(winding != 0)
         raise VortexError((int(j), int(i), int(winding[j, i])) for j, i in zip(js, iis))
 
-    theta = np.angle(psi.values)
+    theta = angle(psi.values)
     valid = psi.mask
     if not valid.any():
         raise DecomposeError("no valid cells to unwrap")
     amp = np.abs(psi.values)
     ny, nx = psi.spec.shape
-
-    def step(a, b):
-        return float(mod_wrap(theta[b] - theta[a]))
 
     runs, run_of = [], {}
     for j in range(ny):
@@ -107,9 +134,9 @@ def run_tree_unwrap(psi):
         k = cells.index(start)
         I[start] = value
         for q in range(k, len(cells) - 1):
-            I[cells[q + 1]] = I[cells[q]] + step(cells[q], cells[q + 1])
+            I[cells[q + 1]] = I[cells[q]] + step(theta, cells[q], cells[q + 1])
         for q in range(k, 0, -1):
-            I[cells[q - 1]] = I[cells[q]] + step(cells[q], cells[q - 1])
+            I[cells[q - 1]] = I[cells[q]] + step(theta, cells[q], cells[q - 1])
 
     reached = set()
     # each component starts from its largest |psi|, the first cell on a tie
@@ -133,7 +160,7 @@ def run_tree_unwrap(psi):
                             best[kid] = (key, (j, i), (j + dj, i))
             for kid, (_, src, dst) in best.items():
                 reached.add(kid)
-                walk(kid, dst, I[src] + step(src, dst))
+                walk(kid, dst, I[src] + step(theta, src, dst))
             level = list(best)
 
     tears = []
@@ -142,7 +169,7 @@ def run_tree_unwrap(psi):
             for i in range(nx - di):
                 a, b = (j, i), (j + dj, i + di)
                 if valid[a] and valid[b]:
-                    jump = I[b] - I[a] - step(a, b)
+                    jump = I[b] - I[a] - step(theta, a, b)
                     if abs(jump) > np.pi:
                         tears.append((j, i, int(np.rint(jump / (2 * np.pi)))))
     if tears:
@@ -370,7 +397,8 @@ class TestResidues:
 
 
 def test_wrap_step_is_wrap_on_angle_differences():
-    # _wrap's one shift by 2 pi is the np.mod form bit for bit on |d| <= 2 pi
+    # _wrap's one shift by 2 pi is the np.mod form bit for bit on |d| <= 2 pi,
+    # apart from -pi where pi - d is exactly 2 pi (mod_wrap's own rule), on
     # every pair of edge-case angles, and random angles as np.angle returns
     # them, including differences of exactly +-pi and +-2 pi
     edge = np.array([np.pi, -np.pi, 0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300,
@@ -381,6 +409,10 @@ def test_wrap_step_is_wrap_on_angle_differences():
     b = np.concatenate([np.tile(edge, edge.size), theta[1::2], np.nextafter(theta[::2], 4)])
     for d in (a - b, b - a):
         assert np.array_equal(_wrap(d).view(np.uint64), mod_wrap(d).view(np.uint64))
+    # odd at the boundary: a step of exactly -pi is the negation of +pi
+    d = np.array([np.pi, -np.pi])
+    assert np.array_equal(_wrap(-d).view(np.uint64), (-_wrap(d)).view(np.uint64))
+    assert np.array_equal(_wrap(d), d)
 
 
 class TestUnwrap:
@@ -554,11 +586,32 @@ def test_unwrapped_phase_congruent_to_angle(psi):
         return
     # every valid cell is set, and each component keeps its anchor's phase
     assert np.array_equal(np.isfinite(I.values), psi.mask)
-    theta, amp = np.angle(psi.values), np.abs(psi.values)
+    theta, amp = angle(psi.values), np.abs(psi.values)
     for comp in components(psi.mask):
         anchor = min(comp, key=lambda c: (-amp[c], c))
         assert I.values[anchor] == theta[anchor]
     d = mod_wrap(I.values - theta)  # not an angle difference: |I - theta| may exceed 2 pi
+    assert np.max(np.abs(d[I.mask])) < 1e-9
+
+
+@given(st.data())
+def test_real_fields_up_to_a_quarter_turn_never_wind(data):
+    # random signs and +-0 imaginary parts put +-pi steps on nodal lines;
+    # every phase is a multiple of pi/2, so every difference is exact
+    ny, nx = data.draw(st.integers(3, 30)), data.draw(st.integers(3, 30))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    values = np.empty((ny, nx), dtype=complex)
+    values.real = rng.choice([-1.0, 1.0], (ny, nx)) * rng.uniform(0.1, 1.0, (ny, nx))
+    values.imag = rng.choice([-0.0, 0.0], (ny, nx))
+    values *= data.draw(st.sampled_from([1, 1j, -1, -1j]))
+    mask = rng.random((ny, nx)) >= data.draw(st.sampled_from([0.0, 0.1, 0.3]))
+    mask[0, 0] = True
+    psi = ComplexField(GridSpec(nx, ny), values, mask)
+    w, _ = residues(psi)
+    assert not w.any()
+    I = unwrap_phase(psi)
+    assert np.array_equal(np.isfinite(I.values), psi.mask)
+    d = mod_wrap(I.values - angle(psi.values))
     assert np.max(np.abs(d[I.mask])) < 1e-9
 
 
@@ -586,8 +639,9 @@ def test_residues_are_int8_roundings_of_the_circulations(data):
     theta = rng.uniform(-np.pi, np.pi, size=(ny, nx))
     psi = ComplexField(GridSpec(nx, ny), np.exp(1j * theta), rng.random((ny, nx)) >= 0.1)
     w, ok = residues(psi)
-    d = madelung.phase_differences(psi)
-    s = d.dxf[:-1] + d.dyf[:, 1:] + d.dxb[1:] + d.dyb[:, :-1]
+    t = angle(psi.values)
+    dx, dy = mod_wrap(t[:, 1:] - t[:, :-1]), mod_wrap(t[1:] - t[:-1])
+    s = dx[:-1] + dy[:, 1:] - dx[1:] - dy[:, :-1]
     assert w.dtype == np.int8
     assert np.array_equal(w, np.rint(np.where(ok, s, 0.0) / (2 * np.pi)).astype(np.int64))
 
