@@ -271,10 +271,10 @@ def vortex_summary(m) -> dict:
     plaquettes = m.vortex_plaquettes()
     return {
         "plaquettes": [list(t) for t in plaquettes[:50]],
+        "holes": [list(t) for t in m.holes[:50]],
         "count": len(plaquettes),
-        "total_winding": int(sum(w for _, _, w in plaquettes)),
+        "total_winding": int(sum(w for _, _, w in plaquettes + m.holes)),
         "unwrapped": m.I_unwrapped is not None,
-        "tears": [list(t) for t in m.tears[:50]],
     }
 
 
@@ -400,10 +400,10 @@ def _config_echo(args) -> dict:
 
 
 def build_report(args, d: Diagnosis | None = None, **entries) -> dict:
-    """The `madelab-report/1` dict: the header, the diagnosis if there is
+    """The `madelab-report/2` dict: the header, the diagnosis if there is
     one, then `entries` (state, solver output, or the error)."""
     report = {
-        "schema": "madelab-report/1",
+        "schema": "madelab-report/2",
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config": _config_echo(args),
     }

@@ -56,10 +56,11 @@ def probability_current(
     """J = (hbar/m) e^{2S} gradI, its stencil divergence, and defectC.
     `rho` is e^{2S} when the caller already has it."""
     c = p.hbar / p.mass
-    if rho is None:
-        rho = np.exp(2.0 * m.S.values)
-    c_rho = c * rho
-    J = VectorField(m.spec, c_rho * m.gradI.vx, c_rho * m.gradI.vy)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows leave invalid cells
+        if rho is None:
+            rho = np.exp(2.0 * m.S.values)
+        c_rho = c * rho
+        J = VectorField(m.spec, c_rho * m.gradI.vx, c_rho * m.gradI.vy)
     divJ = divergence(J)
     defectC = ScalarField(m.spec, 2.0 * m.cross.values + m.lapI.values)
     return J, divJ, defectC
@@ -118,7 +119,8 @@ def compute_currents(
     E: float | None = None,
 ) -> CurrentFields:
     """Assemble every current diagnostic for one state."""
-    rho = ScalarField(m.spec, np.exp(2.0 * m.S.values))
+    with np.errstate(over="ignore"):  # overflows leave invalid cells
+        rho = ScalarField(m.spec, np.exp(2.0 * m.S.values))
     J, divJ, defectC = probability_current(m, p, rho.values)
     Jt, divJt, defectA = analytic_current(m, p)
     U = quantum_potential(m, p)

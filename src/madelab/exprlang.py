@@ -45,7 +45,7 @@ def _principal(a):
 
 
 def _power(a, b):
-    """Exact for integer exponents, principal exp(b*ln a) otherwise."""
+    """Exact for a constant integer exponent, principal exp(b*ln a) otherwise."""
     n = np.asarray(b)
     if n.ndim == 0 and n.imag == 0 and float(n.real).is_integer():
         return np.power(a, int(n.real))
@@ -262,8 +262,10 @@ def _eval(e: Expr, x, y):
 
 
 def evaluate(e: Expr, x: float, y: float) -> complex:
+    """The value at one point, evaluated as `eval_field` evaluates a 1x1 grid."""
+    x, y = np.full((1, 1), x, complex), np.full((1, 1), y, complex)
     with np.errstate(all="ignore"):
-        return complex(_eval(e, np.complex128(x), np.complex128(y)))
+        return complex(np.ravel(_eval(e, x, y))[0])
 
 
 def eval_field(e: Expr, spec: GridSpec) -> ComplexField:

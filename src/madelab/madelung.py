@@ -6,13 +6,14 @@ All derivatives of S and I come from the complex log-derivative
 grad(psi)/psi and the identity lap(psi)/psi = (gS + i gI)^2 + lapS + i lapI,
 never from differentiating ln|psi| or a wrapped phase.
 
-theta = angle(psi) and one wrapped difference per grid edge are formed
-once (`phase_differences`); a step against an edge's direction is the
-exact negation of its difference. The plaquette residues (circulations of
-these antisymmetric differences, Goldstein, Zebker & Werner, Radio Sci. 23
-(1988) 713), the unwrapping tree and the tear scan all read them. A real
-state, or one real up to a quarter-turn phase, has every difference exact,
-so none of its plaquettes winds and its phase unwraps.
+theta = angle(psi), 0 on invalid cells, and one wrapped difference per
+edge are formed once (`phase_differences`); a step against an edge's
+direction is the exact negation of its difference. Their circulations
+(Goldstein, Zebker & Werner, Radio Sci. 23 (1988) 713) give the windings of
+plaquettes of valid cells (`residues`) and the charges of holes, vortex
+cores hidden in masked cells (`hole_charges`). A real state, or one real up
+to a quarter-turn phase, has every difference exact, so none of its
+plaquettes winds and its phase unwraps.
 
 The unwrapped phase integrates wrapped differences along a spanning tree
 (Itoh, Appl. Opt. 21 (1982) 2470) whose nodes are row runs, the maximal
@@ -22,13 +23,12 @@ component is unwrapped from its own anchor, its cell of largest |psi|. Each
 run is walked when the search reaches it, from its parent's I, so each cell
 of I is computed once. On a full rectangle the tree is the comb that a
 cell-by-cell breadth-first search builds, with the same floats. `decompose`
-unwraps only when no plaquette winds, and keeps any tears (vortex cores
-hidden in masked cells) as data.
+unwraps only when no plaquette winds and no hole is charged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -54,15 +54,15 @@ class DecomposeError(ValueError):
 class VortexError(ValueError):
     """Nonzero phase winding obstructs global unwrapping.
 
-    `plaquettes` lists (j, i, winding) for each offending plaquette, where
-    (j, i) indexes the plaquette's lower-left cell.
+    `plaquettes` lists (j, i, winding) per winding plaquette, (j, i) its
+    lower-left cell, and `holes` (j, i, charge) per charged hole.
     """
 
-    def __init__(self, plaquettes):
-        self.plaquettes = list(plaquettes)
+    def __init__(self, plaquettes, holes=()):
+        self.plaquettes, self.holes = list(plaquettes), list(holes)
         super().__init__(
-            f"phase has {len(self.plaquettes)} plaquette(s) with nonzero winding; "
-            "I is not globally definable"
+            f"phase has {len(self.plaquettes)} plaquette(s) with nonzero winding and "
+            f"{len(self.holes)} charged hole(s); I is not globally definable"
         )
 
 
@@ -78,8 +78,8 @@ class MadelungFields:
     gI2: np.ndarray                # |gradI|^2 (lapS, QHJ residual), NaN where gradI is invalid
     node_mask: np.ndarray          # True = too close to a node of psi
     residues: np.ndarray           # (ny-1, nx-1) winding per plaquette, 0 if uncomputable
+    holes: list[tuple[int, int, int]]  # (j, i, charge) per charged hole, see hole_charges
     I_unwrapped: ScalarField | None = None
-    tears: list[tuple[int, int, int]] = field(default_factory=list)  # (j, i, winding)
 
     @property
     def spec(self):
@@ -106,8 +106,8 @@ class PhaseDifferences(NamedTuple):
     """theta = angle(psi) in (-pi, pi], reading a -0 imaginary part as +0,
     and one wrapped difference per edge: dx[j, i] = wrap(theta[j, i+1] -
     theta[j, i]) and dy[j, i] = wrap(theta[j+1, i] - theta[j, i]). The step
-    the other way is -dx or -dy. Each is NaN where it reads an invalid
-    cell."""
+    the other way is -dx or -dy. theta is 0 on invalid cells, so every
+    difference is finite."""
 
     theta: np.ndarray
     dx: np.ndarray
@@ -117,6 +117,7 @@ class PhaseDifferences(NamedTuple):
 def phase_differences(psi: ComplexField) -> PhaseDifferences:
     v = psi.values
     t = np.arctan2(v.imag + 0.0, v.real)
+    t[~psi.mask] = 0.0
     return PhaseDifferences(t, _wrap(t[:, 1:] - t[:, :-1]), _wrap(t[1:] - t[:-1]))
 
 
@@ -128,13 +129,53 @@ def residues(psi: ComplexField, diffs: PhaseDifferences | None = None
     are reported as indeterminate (mask False) with winding 0. `diffs` is
     `phase_differences(psi)` when the caller already has it.
     """
-    d = phase_differences(psi) if diffs is None else diffs
     m = psi.mask
-    # counterclockwise: (j,i) -> (j,i+1) -> (j+1,i+1) -> (j+1,i) -> (j,i)
-    s = d.dx[:-1] + d.dy[:, 1:] - d.dx[1:] - d.dy[:, :-1]
     ok = m[:-1, :-1] & m[:-1, 1:] & m[1:, 1:] & m[1:, :-1]
-    winding = np.rint(np.where(ok, s, 0.0) / _TWO_PI).astype(np.int8)
+    winding = np.rint(np.where(ok, _circulation(psi, diffs), 0.0) / _TWO_PI).astype(np.int8)
     return winding, ok
+
+
+def _circulation(psi: ComplexField, diffs: PhaseDifferences | None) -> np.ndarray:
+    # counterclockwise: (j,i) -> (j,i+1) -> (j+1,i+1) -> (j+1,i) -> (j,i)
+    _, dx, dy = phase_differences(psi) if diffs is None else diffs
+    return dx[:-1] + dy[:, 1:] - dx[1:] - dy[:, :-1]
+
+
+def hole_charges(psi: ComplexField, diffs: PhaseDifferences | None = None
+                 ) -> list[tuple[int, int, int]]:
+    """(j, i, charge) per charged hole, by its first cell (j, i), row-major.
+    A hole is an 8-connected component of invalid cells off the grid edge;
+    a plaquette's cells are 8-neighbours, so it touches one hole at most.
+    The charge, the winding round a hole, sums those plaquettes' windings."""
+    invalid = ~psi.mask
+    if not invalid[1:-1, 1:-1].any():
+        return []
+    # row runs of invalid cells; they join where (j, i), (j+1, i+d) are invalid
+    first = invalid & ~np.pad(invalid[:, :-1], ((0, 0), (1, 0)))
+    run = np.cumsum(first).reshape(invalid.shape) - 1
+    starts = np.flatnonzero(first)
+    n, nx = starts.size, invalid.shape[1]
+    pairs = []
+    for d in (-1, 0, 1):
+        lo, hi = max(-d, 0), nx - max(d, 0)
+        both = invalid[:-1, lo:hi] & invalid[1:, lo + d:hi + d]
+        pairs.append(run[:-1, lo:hi][both] * n + run[1:, lo + d:hi + d][both])
+    parent = list(range(n))
+
+    def find(r: int) -> int:
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        return r
+
+    for p, q in (divmod(key, n) for key in set(np.concatenate(pairs).tolist())):
+        p, q = sorted((find(p), find(q)))
+        parent[q] = p  # each root is its component's first run
+    label = np.where(invalid, np.array([find(r) + 1 for r in range(n)], np.int32)[run], 0)
+    corner = np.maximum(np.maximum(label[:-1, :-1], label[:-1, 1:]), label[1:, :-1])
+    np.maximum(corner, label[1:, 1:], out=corner)
+    charge = np.bincount(corner.ravel(), np.rint(_circulation(psi, diffs) / _TWO_PI).ravel(), n + 1)
+    charge[np.concatenate([label[0], label[-1], label[:, 0], label[:, -1]])] = 0
+    return [(*divmod(int(starts[r]), nx), int(charge[r + 1])) for r in np.flatnonzero(charge[1:])]
 
 
 def _run_tree(amp: np.ndarray, valid: np.ndarray, diffs: PhaseDifferences) -> np.ndarray:
@@ -219,7 +260,8 @@ def _run_tree(amp: np.ndarray, valid: np.ndarray, diffs: PhaseDifferences) -> np
 
 
 def unwrap_phase(psi: ComplexField, winding: np.ndarray | None = None,
-                 diffs: PhaseDifferences | None = None) -> ScalarField:
+                 diffs: PhaseDifferences | None = None,
+                 holes: list[tuple[int, int, int]] | None = None) -> ScalarField:
     """Unwrap the phase of psi on every valid cell.
 
     Itoh's method on a spanning tree of row runs, the maximal horizontal
@@ -238,37 +280,25 @@ def unwrap_phase(psi: ComplexField, winding: np.ndarray | None = None,
     order of their largest |psi|, so each restart seeds the largest |psi|
     among the runs not reached yet.
 
-    The result is unique up to 2*pi*n per component. `winding` is
-    `residues(psi)[0]` and `diffs` is `phase_differences(psi)`, when the
-    caller already has them; the plaquettes, the tree and the tear scan
-    all read the same differences. Raises VortexError when any computable
-    plaquette has nonzero winding, or when I tears by 2*pi*n across an
-    edge off the tree.
+    The result is unique up to 2*pi*n per component. `winding`, `diffs`
+    and `holes` are `residues(psi)[0]`, `phase_differences(psi)` and
+    `hole_charges(psi)`, when the caller has them. Raises VortexError when a
+    plaquette winds or a hole is charged. Else no off-tree edge jumps: a
+    cycle of valid cells encloses only valid plaquettes and whole holes.
     """
     if diffs is None:
         diffs = phase_differences(psi)
     if winding is None:
         winding, _ = residues(psi, diffs)
-    if np.any(winding != 0):
-        js, iis = np.nonzero(winding != 0)
-        raise VortexError((int(j), int(i), int(winding[j, i])) for j, i in zip(js, iis))
+    if holes is None:
+        holes = hole_charges(psi, diffs)
+    if winding.any() or holes:
+        js, iis = np.nonzero(winding)
+        raise VortexError(zip(js.tolist(), iis.tolist(), winding[js, iis].tolist()), holes)
 
-    valid = psi.mask
-    if not valid.any():
+    if not psi.mask.any():
         raise DecomposeError("no valid cells to unwrap")
-    I = _run_tree(np.abs(psi.values), valid, diffs)
-
-    # A vortex hiding inside a masked hole leaves every computable plaquette
-    # at zero winding but tears I by 2*pi*n across some off-tree edge: check
-    # each cell against its +y, then +x neighbour. I is NaN off the valid
-    # cells, and a NaN jump is no tear.
-    tears = []
-    for jump in (I[1:] - I[:-1] - diffs.dy, I[:, 1:] - I[:, :-1] - diffs.dx):
-        for j, i in zip(*np.nonzero(np.abs(jump) > np.pi)):
-            tears.append((int(j), int(i), int(np.rint(jump[j, i] / _TWO_PI))))
-    if tears:
-        raise VortexError(tears)
-    return ScalarField(psi.spec, I)
+    return ScalarField(psi.spec, _run_tree(np.abs(psi.values), psi.mask, diffs))
 
 
 def decompose(
@@ -279,9 +309,8 @@ def decompose(
 
     Cells with |psi| < node_threshold * max|psi| are flagged as nodes and
     masked out of every derived field (the log-amplitude diverges there).
-    When no plaquette winds, the phase is unwrapped into `I_unwrapped`,
-    unless it tears around a core hidden in masked cells; the tears then go
-    to `tears`. Vortices leave `I_unwrapped` None without raising.
+    When no plaquette winds and no hole is charged (`residues`, `holes`),
+    the phase is unwrapped into `I_unwrapped`; else it stays None.
     """
     if not (0.0 < node_threshold < 1.0):
         raise ValueError("node_threshold must lie in (0, 1)")
@@ -328,12 +357,9 @@ def decompose(
 
     diffs = phase_differences(valid_psi)
     winding, _ = residues(valid_psi, diffs)
-    I_unwrapped, tears = None, []
-    if not winding.any():
-        try:
-            I_unwrapped = unwrap_phase(valid_psi, winding, diffs)
-        except VortexError as err:
-            tears = err.plaquettes
+    holes = hole_charges(valid_psi, diffs)
+    charged = winding.any() or holes
+    I_unwrapped = None if charged else unwrap_phase(valid_psi, winding, diffs, holes)
 
     return MadelungFields(S, gradS, gradI, lapS, lapI, cross, gS2, gI2, node_mask,
-                          winding, I_unwrapped, tears)
+                          winding, holes, I_unwrapped)

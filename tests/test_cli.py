@@ -194,6 +194,15 @@ class TestExitCodes:
         assert capsys.readouterr().err == err
         assert not list(tmp_path.iterdir())
 
+    def test_density_overflow_leaves_div_j_masked_quietly(self, tmp_path):
+        # rho = e^{2S} overflows past x ~ 5 while psi, its gradient and
+        # every norm stay finite: the cells go invalid without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = analyze(tmp_path, "--psi", "exp(x)*1e300*(1+i*y)", "--grid", "16x16",
+                           "--domain", "0,30,0,1")
+        assert code == 0 and load_report(tmp_path)["norms"]["divJ"] == "masked"
+
     # every cell is valid, but none lies two rings in, where the norms are taken
     @pytest.mark.parametrize("grid, cells", [("4x4", 16), ("4x9", 36)])
     def test_no_cell_two_rings_in_exit_one(self, grid, cells, tmp_path, capsys):
@@ -289,7 +298,7 @@ class TestReport:
         analyze(tmp_path, "--builtin", "plane_wave", "--k1", "2", "--k2", "3",
                 "--potential", "0")
         rep = load_report(tmp_path)
-        assert rep["schema"] == "madelab-report/1"
+        assert rep["schema"] == "madelab-report/2"
         for key in ("config", "state", "grid", "tolerance", "norms",
                     "vortices", "properties", "manifest", "generated_at"):
             assert key in rep
@@ -338,22 +347,20 @@ class TestReport:
 
 class TestVortexSummary:
     @staticmethod
-    def by_set_difference(m, psi):
-        """The summary with tears recomputed from `unwrap_phase` on the
-        valid cells: the entries of its error that are not residues."""
-        plaquettes = m.vortex_plaquettes()
-        residues = set(plaquettes)
+    def from_unwrap_error(m, psi):
+        """The summary recomputed from the error `unwrap_phase` raises on
+        the valid cells."""
         try:
             unwrap_phase(ComplexField(m.spec, psi.values, m.S.mask))
-            tears = []
+            plaquettes, holes = [], []
         except VortexError as err:
-            tears = [list(t) for t in err.plaquettes if t not in residues]
+            plaquettes, holes = err.plaquettes, err.holes
         return {
             "plaquettes": [list(t) for t in plaquettes[:50]],
+            "holes": [list(t) for t in holes[:50]],
             "count": len(plaquettes),
-            "total_winding": int(sum(w for _, _, w in plaquettes)),
+            "total_winding": int(sum(w for _, _, w in plaquettes + holes)),
             "unwrapped": m.I_unwrapped is not None,
-            "tears": tears[:50],
         }
 
     def test_noise_phase_summary_is_fast(self):
@@ -365,15 +372,26 @@ class TestVortexSummary:
         start = time.perf_counter()
         got = cli.vortex_summary(m)
         assert time.perf_counter() - start < 1.0
-        assert got == self.by_set_difference(m, psi)
+        assert got == self.from_unwrap_error(m, psi)
 
-    def test_hidden_vortex_reports_tears(self):
+    def test_hidden_vortex_reports_holes(self):
         spec = GridSpec(65, 65, -4.0, -4.0, 0.125, 0.125)
         psi, _ = builtin_state("ho_vortex", {"l": 1}, spec, PhysicalParams())
         m = decompose(psi, node_threshold=0.3)
         got = cli.vortex_summary(m)
-        assert got["count"] == 0 and got["tears"]
-        assert got == self.by_set_difference(m, psi)
+        assert got["count"] == 0 and got["holes"] == [[31, 31, 1]]
+        assert got["total_winding"] == 1 and got["unwrapped"] is False
+        assert got == self.from_unwrap_error(m, psi)
+
+    def test_hidden_core_on_the_cli(self, tmp_path):
+        # the core and its ring fall under the node threshold: no plaquette
+        # winds, and the hole round them carries the charge
+        code = analyze(tmp_path, "--builtin", "ho_vortex", "--l", "1",
+                       "--node-threshold", "0.3", "--domain", "-4,4,-4,4")
+        v = load_report(tmp_path)["vortices"]
+        assert code == 2
+        assert v == {"plaquettes": [], "holes": [[31, 31, 1]], "count": 0,
+                     "total_winding": 1, "unwrapped": False}
 
 
 class TestDumps:
@@ -616,7 +634,8 @@ class TestSolve:
             ])
             assert code == 2
             reports.append(load_report(out))
-        assert len(reports[0]["vortices"]["tears"]) == 16
+        assert reports[0]["vortices"]["holes"] == [[16, 16, -1]]
+        assert reports[0]["vortices"]["total_winding"] == -1
         for key in ("energies", "vortices"):
             assert reports[1][key] == reports[0][key]
         assert reports[1]["state"]["energy"] == reports[0]["state"]["energy"]

@@ -268,6 +268,22 @@ def test_vortex_state_jtilde_none_defectA_present():
     assert abs(np.median(c.defectA.values[sel]) + 2.0) < 0.1
 
 
+def test_density_overflow_is_quiet():
+    # |psi| = e^x 1e300 |1 + iy| passes 1e154 on every cell, so e^{2S}
+    # overflows on all of them (psi itself past x ~ 18): rho, J and div J
+    # are invalid everywhere, with no warning, also where gradI is 0
+    spec = GridSpec(16, 16, 30 / 17, 1 / 17, 30 / 17, 1 / 17)
+    X, Y = spec.meshgrid()
+    with np.errstate(over="ignore"):
+        m = decompose(ComplexField(spec, np.exp(X) * 1e300 * (1 + 1j * Y)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = compute_currents(m, P)
+        J, divJ, _ = probability_current(m, P)
+    assert m.S.mask.sum() == 160 and (m.gradI.vx[m.gradI.mask] == 0).any()
+    assert not (c.rho.mask.any() or c.J.mask.any() or J.mask.any() or divJ.mask.any())
+
+
 # --- |gradS|^2 and |gradI|^2, formed once in decompose ---------------------
 
 def old_quantum_potential(m, p):

@@ -27,6 +27,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 REPORT_CASES = {
     "analyze_smooth": (["analyze", "--psi", "exp(x+i*y)*exp(-0.1*(x^2+y^2))"], 0),
     "analyze_vortex_csv": (["analyze", "--builtin", "ho_vortex", "--dump", "csv"], 2),
+    # a vortex pair whose cores hide in masked holes: no plaquette winds,
+    # and the holes carry charges +1 and -1
+    "analyze_hidden_pair": (["analyze", "--psi", "(x+i*y)*(x-1-i*y)*exp(-(x^2+y^2))",
+                             "--node-threshold", "0.05"], 2),
     "solve_combine": (["solve", "--potential", "(x^2+y^2)/2", "--count", "3",
                        "--combine", "1,2:1,i", "--seed", "7"], 2),
     # the (1,2)/(2,1) box mode is real with a nodal line: no plaquette

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from madelab import madelung
 from madelab.analytic import analyze, norm_table
@@ -14,9 +15,11 @@ from madelab.currents import PhysicalParams, compute_currents
 from madelab.grid import ComplexField, GridSpec, ScalarField, interior_mask
 from madelab.madelung import (
     DecomposeError,
+    PhaseDifferences,
     VortexError,
     _wrap,
     decompose,
+    hole_charges,
     residues,
     unwrap_phase,
 )
@@ -60,7 +63,10 @@ def loop_winding(psi, j0, j1, i0, i1):
 
 def bfs_unwrap(psi):
     """Reference for unwrap_phase on a fully valid rectangle: the
-    cell-by-cell FIFO flood fill, whose tree there is the run tree's comb."""
+    cell-by-cell FIFO flood fill, whose tree there is the run tree's comb.
+    Like `run_tree_unwrap`, it raises VortexError with the winding
+    plaquettes, or with no plaquettes and the tears (edges off the tree
+    where I jumps by 2 pi n) in place of holes."""
     winding, ok = residues(psi)
     if np.any(winding != 0):
         js, iis = np.nonzero(winding != 0)
@@ -99,13 +105,13 @@ def bfs_unwrap(psi):
         for j, i in zip(*np.nonzero(bad)):
             tears.append((int(j), int(i), int(np.rint(jump[j, i] / (2 * np.pi)))))
     if tears:
-        raise VortexError(tears)
+        raise VortexError([], tears)
     return ScalarField(psi.spec, I, done)
 
 
 def run_tree_unwrap(psi):
     """Reference for unwrap_phase on any mask: the run tree, built and
-    walked one cell at a time."""
+    walked one cell at a time, then a scan of every edge for tears."""
     winding, _ = residues(psi)
     if np.any(winding != 0):
         js, iis = np.nonzero(winding != 0)
@@ -173,7 +179,7 @@ def run_tree_unwrap(psi):
                     if abs(jump) > np.pi:
                         tears.append((j, i, int(np.rint(jump / (2 * np.pi)))))
     if tears:
-        raise VortexError(tears)
+        raise VortexError([], tears)
     return ScalarField(psi.spec, I)
 
 
@@ -446,8 +452,9 @@ class TestUnwrap:
         psi.mask[20, 20] = False
         w, _ = residues(psi)
         assert not w.any()
-        with pytest.raises(VortexError):
+        with pytest.raises(VortexError) as err:
             unwrap_phase(psi)
+        assert err.value.plaquettes == [] and err.value.holes == [(20, 20, 1)]
 
     def test_matches_phase_modulo_two_pi(self):
         spec = grid(33)
@@ -467,26 +474,39 @@ def test_decompose_records_vortex_without_raising():
 
 
 class TestDecomposeTears:
+    """Vortices whose core hides in masked cells, where I would tear."""
+
     def test_winding_phase_is_never_unwrapped(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("unwrap_phase called on a winding phase")
 
         monkeypatch.setattr(madelung, "unwrap_phase", fail)
         m = decompose(vortex(GridSpec(40, 40, -3.9, -3.9, 0.2, 0.2)))
-        assert m.I_unwrapped is None and m.tears == []
+        assert m.I_unwrapped is None and m.holes == []
         assert m.vortex_plaquettes() == [(19, 19, 1)]
 
-    def test_hidden_core_tears_are_the_unwrap_error(self):
+    def test_charged_hole_is_never_unwrapped(self, monkeypatch):
+        # the core sits on a grid point, which the default threshold masks:
+        # a one-cell hole of charge 1, found before any unwrap
+        def fail(*args, **kwargs):
+            raise AssertionError("unwrap_phase called on a charged hole")
+
+        monkeypatch.setattr(madelung, "unwrap_phase", fail)
+        m = decompose(vortex(GridSpec(41, 41, -4.0, -4.0, 0.2, 0.2)))
+        assert m.I_unwrapped is None and m.vortex_plaquettes() == []
+        assert m.holes == [(20, 20, 1)]
+
+    def test_hidden_core_holes_are_the_unwrap_error(self):
         # the core cell and its ring fall under the node threshold, so no
-        # plaquette winds and only the tear scan sees the vortex
+        # plaquette winds and only the hole round them carries the charge
         spec = GridSpec(65, 65, -4.0, -4.0, 0.125, 0.125)
         psi, _ = builtin_state("ho_vortex", {"l": 1}, spec, PhysicalParams())
         m = decompose(psi, node_threshold=0.3)
         with pytest.raises(VortexError) as err:
             unwrap_phase(ComplexField(spec, psi.values, psi.mask & ~m.node_mask))
-        assert m.vortex_plaquettes() == []
+        assert m.vortex_plaquettes() == [] == err.value.plaquettes
         assert m.I_unwrapped is None
-        assert m.tears == err.value.plaquettes != []
+        assert m.holes == err.value.holes == [(31, 31, 1)]
 
     def test_decompose_holds_only_its_fields(self):
         # the fields decompose returns for a 256^2 state take ~5 MB; an
@@ -560,9 +580,14 @@ def outcome(unwrap, psi):
 
 
 def assert_same_outcome(got, want):
+    # the oracles scan for tears only when no plaquette winds, and their
+    # tears depend on the tree; unwrap_phase finds a hidden core by its
+    # hole's charge, before any tree
     assert type(got) is type(want)
     if isinstance(want, VortexError):
         assert got.plaquettes == want.plaquettes
+        if not want.plaquettes:
+            assert bool(got.holes) == bool(want.holes)
     else:
         assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
         assert np.array_equal(got.mask, want.mask)
@@ -629,6 +654,74 @@ def test_residue_additivity_on_random_rectangles(data):
     w, ok = residues(psi)
     assert ok.all()
     assert loop_winding(psi, j0, j1, i0, i1) == int(w[j0:j1, i0:i1].sum())
+
+
+@given(st.data())
+def test_holes_are_the_8_connected_components_off_the_grid_edge(data):
+    # with dx = -2 pi j and dy = 0 every plaquette circulates by exactly
+    # 2 pi, so each hole's charge is the number of plaquettes touching it,
+    # never 0: the list names every hole, by its first cell
+    ny, nx = data.draw(st.integers(3, 40)), data.draw(st.integers(3, 40))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    valid = rng.random((ny, nx)) >= data.draw(st.floats(0.05, 0.7))
+    psi = ComplexField(GridSpec(nx, ny), np.ones((ny, nx), dtype=complex), valid)
+    dx = np.repeat(-2 * np.pi * np.arange(ny, dtype=float)[:, None], nx - 1, axis=1)
+    diffs = PhaseDifferences(np.zeros((ny, nx)), dx, np.zeros((ny - 1, nx)))
+    label, count = ndimage.label(~valid, np.ones((3, 3)))
+    edge = set(np.concatenate([label[0], label[-1], label[:, 0], label[:, -1]]).tolist())
+    corner = np.maximum.reduce([label[:-1, :-1], label[:-1, 1:], label[1:, :-1], label[1:, 1:]])
+    want = []
+    for k in range(1, count + 1):
+        if k not in edge:
+            j, i = np.argwhere(label == k)[0]
+            want.append((int(j), int(i), int((corner == k).sum())))
+    assert hole_charges(psi, diffs) == sorted(want)
+
+
+@st.composite
+def bordered_phases(draw):
+    """Fields of 3x3 to 40x40 cells whose border ring is valid, with a few
+    vortices and phase noise; up to 60% of the other cells are masked."""
+    ny, nx = draw(st.integers(3, 40)), draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = GridSpec(nx, ny, -1.0, -1.0, 2.0 / (nx - 1), 2.0 / (ny - 1))
+    X, Y = spec.meshgrid()
+    theta = rng.normal(scale=draw(st.sampled_from([0.0, 0.5, 2.0])), size=spec.shape)
+    for _ in range(draw(st.integers(0, 4))):
+        x0, y0 = rng.uniform(-1, 1, 2)
+        theta += rng.choice([-2, -1, 1, 2]) * np.arctan2(Y - y0, X - x0)
+    valid = rng.random(spec.shape) >= draw(st.sampled_from([0.0, 0.1, 0.3, 0.6]))
+    valid[[0, -1]] = valid[:, [0, -1]] = True
+    return ComplexField(spec, np.exp(1j * theta), valid)
+
+
+@given(bordered_phases())
+def test_plaquettes_and_holes_carry_the_border_winding(psi):
+    # by residue additivity every charge inside a valid border ring is a
+    # winding plaquette or a charged hole, counted once
+    w, _ = residues(psi)
+    total = int(w.sum()) + sum(q for _, _, q in hole_charges(psi))
+    ny, nx = psi.spec.shape
+    assert total == loop_winding(psi, 0, ny - 1, 0, nx - 1)
+
+
+@pytest.mark.parametrize("n", [65, 64, 96])
+@pytest.mark.parametrize("l", [1, 2, 3])
+@pytest.mark.parametrize("threshold", [1e-8, 0.3, 0.5])
+def test_masked_vortex_core_is_one_hole_of_charge_l(n, l, threshold):
+    # the oscillator vortex on the CLI's grid over [-4, 4]^2: on 65^2 a cell
+    # sits on the core, which every threshold masks; on 64^2 and 96^2 the
+    # default threshold masks nothing and the core lies inside a plaquette
+    h = 8 / (n + 1)
+    spec = GridSpec(n, n, -4 + h, -4 + h, h, h)
+    psi, _ = builtin_state("ho_vortex", {"l": l}, spec, PhysicalParams())
+    m = decompose(psi, threshold)
+    plaquettes = m.vortex_plaquettes()
+    if n == 65 or threshold > 1e-8:
+        assert plaquettes == [] and len(m.holes) == 1 and m.holes[0][2] == l
+    else:
+        assert m.holes == [] and sum(w for _, _, w in plaquettes) == l
+    assert m.I_unwrapped is None
 
 
 @given(st.data())
