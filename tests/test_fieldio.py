@@ -1,8 +1,11 @@
 import hashlib
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from madelab.fieldio import (
     MAGIC,
@@ -14,6 +17,7 @@ from madelab.fieldio import (
     write_complex,
     write_csv,
     write_gnuplot,
+    _csv_lines,
 )
 from madelab.grid import ComplexField, GridSpec, ScalarField
 
@@ -71,6 +75,19 @@ class TestCsv:
         with pytest.raises(FieldFormatError):
             read_csv(p)
 
+    @pytest.mark.parametrize("text", [
+        "# 3 3 0.0 0.0 1.0 1.0\n1,2,3\n4,5\n7,8,9\n",      # ragged row
+        "# 3 3 0.0 0.0 1.0 1.0\n1,2,3\n4,,6\n7,8,9\n",     # empty token
+        "# 3 3 0.0 0.0 1.0 1.0\n1,2,3\n4,x,6\n7,8,9\n",    # non-numeric token
+        "# 3.5 3 0.0 0.0 1.0 1.0\n1,2,3\n4,5,6\n7,8,9\n",  # non-integer count
+        "# 3 3 0.0 0.0 0.0 1.0\n1,2,3\n4,5,6\n7,8,9\n",    # zero spacing
+    ], ids=["ragged", "empty", "non-numeric", "count", "spacing"])
+    def test_malformed_file_names_its_path(self, text, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_text(text)
+        with pytest.raises(FieldFormatError, match=re.escape(str(p))):
+            read_csv(p)
+
 
 class TestBinary:
     def test_round_trip_bit_exact(self, field, tmp_path):
@@ -108,6 +125,20 @@ class TestBinary:
         write_binary(field, p)
         p.write_bytes(p.read_bytes()[:-8])
         with pytest.raises(FieldFormatError):
+            read_binary(p)
+
+    @pytest.mark.parametrize("cut", [5, 6, 20, 52])
+    def test_truncated_header_names_its_path(self, field, tmp_path, cut):
+        p = tmp_path / "f.bin"
+        write_binary(field, p)
+        p.write_bytes(p.read_bytes()[:cut])
+        with pytest.raises(FieldFormatError, match=re.escape(str(p))):
+            read_binary(p)
+
+    def test_invalid_header_values_name_their_path(self, tmp_path):
+        p = tmp_path / "f.bin"
+        p.write_bytes(MAGIC + struct.pack("<QQdddd", 2, 3, 0.0, 0.0, 1.0, 1.0) + bytes(48))
+        with pytest.raises(FieldFormatError, match=re.escape(str(p))):
             read_binary(p)
 
 
@@ -227,3 +258,39 @@ def test_writers_return_the_digest_of_the_bytes_written(writer, tmp_path):
         blobs.append(path.read_bytes())
         assert digest == hashlib.sha256(blobs[-1]).hexdigest()
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+# --- the text formatter against `repr` --------------------------------------
+
+def repr_lines(block):
+    return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist()).encode()
+
+
+@given(st.lists(st.one_of(st.integers(0, 2**64 - 1).map(lambda b: np.uint64(b).view(np.float64)),
+                          st.floats()),
+                min_size=1, max_size=300),
+       st.integers(1, 3))
+def test_csv_lines_match_repr(values, rows):
+    block = np.array(values * rows, dtype=np.float64).reshape(rows, len(values))
+    assert _csv_lines(block) == repr_lines(block)
+
+
+def sweep_values():
+    """Powers of 2 and of 10 over the whole double range with both float
+    neighbours, small multiples of the least subnormal, integers up to
+    2**53, and values either side of where `repr` switches to exponents."""
+    edges = np.concatenate([2.0 ** np.arange(-1074, 1024),
+                            [float(f"1e{k}") for k in range(-323, 309)],
+                            [1e-5, 1e-4, 1e15, 1e16, 2.0 ** 53]])
+    edges = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+    rng = np.random.default_rng(0)
+    ints = np.concatenate([np.arange(1, 2000), rng.integers(1, 2**53, 4000), 2**53 - np.arange(2000)])
+    straddle = np.concatenate([np.linspace(0.9e-5, 1.1e-4, 3000), np.linspace(0.9e15, 1.1e16, 3000)])
+    values = np.concatenate([edges, np.arange(1, 1001) * 5e-324, ints.astype(float), straddle])
+    return np.concatenate([values, -values, [0.0, -0.0, np.inf, -np.inf, np.nan]])
+
+
+def test_csv_lines_match_repr_on_the_sweep():
+    values = sweep_values()
+    block = np.resize(values, (-(-values.size // 256), 256))
+    assert _csv_lines(block) == repr_lines(block)
