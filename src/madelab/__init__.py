@@ -25,9 +25,6 @@ from .grid import (
     ScalarField,
     VectorField,
     divergence,
-    dot,
-    gradient,
-    laplacian,
 )
 from .madelung import (
     MadelungFields,

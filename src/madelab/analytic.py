@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .currents import CurrentFields
-from .grid import ScalarField, interior_mask, max_norm, rms_norm
+from .grid import ScalarField, interior_norms, max_norm
 from .madelung import MadelungFields
 
 HOLDS = "holds"
@@ -60,7 +60,6 @@ PROPERTIES = {
     "P5": _Property(("gradS",), "hypothesis |gradS| ~ 0 not met", ("gradS",), "both",
                     ("defectA", "orth"), ("gradS", "defectA", "orth")),
 }
-PROPERTY_NAMES = tuple(PROPERTIES)
 
 
 def _norm_entry(name: str, f: ScalarField | None) -> dict | str:
@@ -68,14 +67,13 @@ def _norm_entry(name: str, f: ScalarField | None) -> dict | str:
     None. A norm that overflows is refused: the report is strict JSON."""
     if f is None:
         return "n/a"
-    v = f.values[interior_mask(f.mask)]  # one gather serves both norms
-    if not v.size:
+    norms = interior_norms(f.values, f.mask)
+    if norms is None:
         return "masked"
-    with np.errstate(over="ignore"):
-        rms = float(np.sqrt(np.mean(v * v)))
+    top, rms = norms
     if rms == np.inf:
         raise ValueError(f"the interior rms norm of {name} overflows")
-    return {"max": float(np.max(np.abs(v))), "rms": rms}
+    return {"max": top, "rms": rms}
 
 
 @dataclass
@@ -114,9 +112,8 @@ def default_tolerance(m: MadelungFields) -> float:
     h = max(m.spec.dx, m.spec.dy)
     with np.errstate(over="ignore"):  # an infinite tol is refused by `verdicts`
         g = np.sqrt(m.gS2 + m.gradI.vx**2 + m.gradI.vy**2)
-    scale = rms_norm(g, m.gradS.mask & m.gradI.mask)
-    scale = max(1.0, scale if scale is not None else 1.0)
-    return max(10.0 * h * h, 1e-8) * scale
+    norms = interior_norms(g, m.gradS.mask & m.gradI.mask)
+    return max(10.0 * h * h, 1e-8) * max(1.0, norms[1] if norms is not None else 1.0)
 
 
 def gradS_max(m: MadelungFields) -> float | None:

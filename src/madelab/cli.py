@@ -36,16 +36,12 @@ _DUMP = {
 }
 
 
-class CliError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; 2 is reserved for the vortex
     # outcome, so route usage errors to the hard-failure code instead
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _fold_dash_values(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
@@ -162,18 +158,19 @@ def _parse_grid(args) -> GridSpec:
             nx, ny, x0, y0, dx, dy = args.grid_raw.split(",")
             raw = int(nx), int(ny), float(x0), float(y0), float(dx), float(dy)
         except ValueError as err:
-            raise CliError(f"bad --grid-raw {args.grid_raw!r}: expected NX,NY,X0,Y0,DX,DY") from err
+            raise ValueError(
+                f"bad --grid-raw {args.grid_raw!r}: expected NX,NY,X0,Y0,DX,DY") from err
         return GridSpec(*raw)
     try:
         nx, ny = (int(t) for t in args.grid.lower().split("x"))
     except ValueError as err:
-        raise CliError(f"bad --grid {args.grid!r}: expected NXxNY") from err
+        raise ValueError(f"bad --grid {args.grid!r}: expected NXxNY") from err
     try:
         x0, x1, y0, y1 = (float(t) for t in args.domain.split(","))
     except ValueError as err:
-        raise CliError(f"bad --domain {args.domain!r}") from err
+        raise ValueError(f"bad --domain {args.domain!r}") from err
     if not (x1 > x0 and y1 > y0):
-        raise CliError("--domain needs x1 > x0 and y1 > y0")
+        raise ValueError("--domain needs x1 > x0 and y1 > y0")
     dx = (x1 - x0) / (nx + 1)
     dy = (y1 - y0) / (ny + 1)
     return GridSpec(nx, ny, x0 + dx, y0 + dy, dx, dy)
@@ -198,7 +195,7 @@ def _builtin_params(args) -> dict:
 def _state_from_args(args, spec: GridSpec, p: PhysicalParams):
     """Returns (psi, energy-or-None, provenance dict)."""
     if args.energy is not None and not np.isfinite(args.energy):
-        raise CliError("--energy must be finite")
+        raise ValueError("--energy must be finite")
     if args.psi is not None:
         expr = exprlang.parse(args.psi)
         psi = exprlang.eval_field(expr, spec)
@@ -218,7 +215,7 @@ def _potential_field(args, spec: GridSpec) -> ScalarField | None:
     vf = exprlang.eval_field(expr, spec)
     V = ScalarField(spec, vf.values.real)
     if not V.mask.any():
-        raise CliError("potential is non-finite at every cell")
+        raise ValueError("potential is non-finite at every cell")
     return V
 
 
@@ -229,9 +226,9 @@ def _parse_combine(text: str) -> tuple[list[int], list[complex]]:
         coeffs = [exprlang.evaluate(exprlang.parse(t), 0.0, 0.0)
                   for t in coeff_part.split(",")]
     except (ValueError, exprlang.ParseError) as err:
-        raise CliError(f"bad --combine {text!r}: {err}") from err
+        raise ValueError(f"bad --combine {text!r}: {err}") from err
     if len(indices) != len(coeffs):
-        raise CliError("--combine needs as many coefficients as indices")
+        raise ValueError("--combine needs as many coefficients as indices")
     return indices, coeffs
 
 
@@ -337,7 +334,9 @@ def _run_split(jobs: list, workers: int) -> list[str]:
 
     Each child sends its digests, or `"<ExcType>: <message>"` on failure,
     back through a pipe. Every child is reaped before this returns or
-    raises; a child's failure is raised here as `OSError`."""
+    raises; a child's failure is raised here as `OSError`. Processes, not
+    threads: threads share one GIL, which the text formatter's short numpy
+    calls pass back and forth."""
     children = []
     try:
         for k in range(1, workers):
@@ -437,7 +436,7 @@ def _finish(args, out_dir: Path, d: Diagnosis, **entries) -> int:
 
 def _check_index(flag: str, idx: int, count: int) -> None:
     if not 0 <= idx < count:
-        raise CliError(f"{flag} {idx} out of range 0..{count - 1}")
+        raise ValueError(f"{flag} {idx} out of range 0..{count - 1}")
 
 
 # --- subcommands -------------------------------------------------------------
@@ -460,7 +459,7 @@ def cmd_solve(args) -> int:
     p = _params(args)
     out_dir = _out_dir(args)
     if args.potential is None:
-        raise CliError("solve requires --potential")
+        raise ValueError("solve requires --potential")
     V = _potential_field(args, spec)
     H = spectral.assemble(V, p)
     try:
@@ -501,7 +500,7 @@ def cmd_convergence(args) -> int:
     base = _parse_grid(args)
     p = _params(args)
     if args.levels < 2:
-        raise CliError("--levels needs at least 2 refinements")
+        raise ValueError("--levels needs at least 2 refinements")
     rows = []
     for k in range(args.levels):
         factor = 2**k
@@ -540,16 +539,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
+    handlers = {"analyze": cmd_analyze, "solve": cmd_solve,
+                "convergence": cmd_convergence}
     try:
         args = parser.parse_args(_fold_dash_values(list(argv), parser))
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FAILURE
-    handler = {"analyze": cmd_analyze, "solve": cmd_solve,
-               "convergence": cmd_convergence}[args.command]
-    try:
-        return handler(args)
-    except (CliError, ValueError) as err:
+        return handlers[args.command](args)
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILURE
     except MemoryError as err:

@@ -1,5 +1,5 @@
-"""Uniform 2D Cartesian grids, masked field containers, and second-order
-finite-difference operators (gradient, Laplacian, divergence, dot).
+"""Uniform 2D Cartesian grids, masked field containers, second-order
+finite-difference stencils, and interior norms.
 
 Arrays are stored row-major with shape (ny, nx); element [j, i] sits at
 (x0 + i*dx, y0 + j*dy). A cell is valid when its value is finite (for a
@@ -113,9 +113,8 @@ class ComplexField:
 
 
 # ---------------------------------------------------------------------------
-# Stencils. Helpers work on raw (possibly complex) arrays so that the
-# Madelung module can differentiate psi directly; the public field-level
-# operators wrap them.
+# Stencils. They work on raw (possibly complex) arrays so that the Madelung
+# module can differentiate psi directly; `divergence` alone takes a field.
 # ---------------------------------------------------------------------------
 
 def deriv1(values: np.ndarray, d: float, axis: int) -> np.ndarray:
@@ -164,26 +163,11 @@ def raw_laplacian(values: np.ndarray, spec: GridSpec) -> np.ndarray:
     return lap
 
 
-def gradient(f: ScalarField) -> VectorField:
-    return VectorField(f.spec, *raw_gradient(f.values, f.spec))
-
-
-def laplacian(f: ScalarField) -> ScalarField:
-    return ScalarField(f.spec, raw_laplacian(f.values, f.spec))
-
-
 def divergence(w: VectorField) -> ScalarField:
     with np.errstate(over="ignore"):  # the caller refuses an infinite norm
         div = deriv1(w.vx, w.spec.dx, 1)
         div += deriv1(w.vy, w.spec.dy, 0)
     return ScalarField(w.spec, div)
-
-
-def dot(a: VectorField, b: VectorField) -> ScalarField:
-    if a.spec != b.spec:
-        raise GridMismatchError("dot() needs both fields on one grid")
-    with np.errstate(over="ignore"):  # the caller refuses an infinite norm
-        return ScalarField(a.spec, a.vx * b.vx + a.vy * b.vy)
 
 
 def interior_mask(mask: np.ndarray) -> np.ndarray:
@@ -198,18 +182,17 @@ def interior_mask(mask: np.ndarray) -> np.ndarray:
     return m
 
 
+def interior_norms(values: np.ndarray, mask: np.ndarray) -> tuple[float, float] | None:
+    """(max |value|, rms) over interior valid cells, both from one gather;
+    None if the region is empty. The rms is inf where the squares overflow."""
+    v = values[interior_mask(mask)]
+    if not v.size:
+        return None
+    with np.errstate(over="ignore"):  # the callers refuse an infinite rms
+        return float(np.max(np.abs(v))), float(np.sqrt(np.mean(v * v)))
+
+
 def max_norm(values: np.ndarray, mask: np.ndarray) -> float | None:
     """Max |value| over interior valid cells; None if the region is empty."""
-    m = interior_mask(mask)
-    if not m.any():
-        return None
-    return float(np.max(np.abs(values[m])))
-
-
-def rms_norm(values: np.ndarray, mask: np.ndarray) -> float | None:
-    m = interior_mask(mask)
-    if not m.any():
-        return None
-    v = values[m]
-    with np.errstate(over="ignore"):  # the caller refuses an infinite norm
-        return float(np.sqrt(np.mean(v * v)))
+    norms = interior_norms(values, mask)
+    return None if norms is None else norms[0]

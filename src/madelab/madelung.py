@@ -86,8 +86,13 @@ class MadelungFields:
         return self.S.spec
 
     def vortex_plaquettes(self) -> list[tuple[int, int, int]]:
-        js, iis = np.nonzero(self.residues)
-        return [(int(j), int(i), int(self.residues[j, i])) for j, i in zip(js, iis)]
+        return _winding_plaquettes(self.residues)
+
+
+def _winding_plaquettes(winding: np.ndarray) -> list[tuple[int, int, int]]:
+    """(j, i, winding) per winding plaquette, row-major."""
+    js, iis = np.nonzero(winding)
+    return list(zip(js.tolist(), iis.tolist(), winding[js, iis].tolist()))
 
 
 def _wrap(d: np.ndarray) -> np.ndarray:
@@ -293,8 +298,7 @@ def unwrap_phase(psi: ComplexField, winding: np.ndarray | None = None,
     if holes is None:
         holes = hole_charges(psi, diffs)
     if winding.any() or holes:
-        js, iis = np.nonzero(winding)
-        raise VortexError(zip(js.tolist(), iis.tolist(), winding[js, iis].tolist()), holes)
+        raise VortexError(_winding_plaquettes(winding), holes)
 
     if not psi.mask.any():
         raise DecomposeError("no valid cells to unwrap")

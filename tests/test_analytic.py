@@ -7,7 +7,7 @@ from madelab.analytic import (
     FAILS,
     HOLDS,
     PRECONDITION_NOT_MET,
-    PROPERTY_NAMES,
+    PROPERTIES,
     PropertyVerdict,
     analyze,
     check_properties,
@@ -223,7 +223,7 @@ class TestVerdicts:
     def test_exp_z_verdicts(self):
         # gradS = 1 everywhere, so P2/P5 hypotheses are simply not met
         _, _, _, v = full_run(lambda X, Y: np.exp(X + 1j * Y), grid())
-        assert set(v) == set(PROPERTY_NAMES)
+        assert set(v) == set(PROPERTIES)
         for name in ("P1", "P3", "P4"):
             assert v[name].status == HOLDS, (name, v[name])
         for name in ("P2", "P5"):
@@ -231,7 +231,7 @@ class TestVerdicts:
 
     def test_plane_wave_all_hold(self):
         _, _, _, v = full_run(lambda X, Y: np.exp(1j * (2 * X + 3 * Y)), grid())
-        for name in PROPERTY_NAMES:
+        for name in PROPERTIES:
             assert v[name].status == HOLDS, (name, v[name])
 
     def test_gaussian_preconditions(self):
@@ -316,7 +316,7 @@ def test_table_verdicts_match_reference(gradS_factor):
     for combo in itertools.product(entries, repeat=len(TABLE_NORMS)):
         norms = dict(zip(TABLE_NORMS, combo))
         got, want = verdicts(norms, n_gradS, tol), reference_verdicts(norms, n_gradS, tol)
-        assert list(got) == list(want) == list(PROPERTY_NAMES)
+        assert list(got) == list(want) == list(PROPERTIES)
         for name, w in want.items():
             assert got[name] == w, (name, norms, n_gradS)
             assert list(got[name].residuals) == list(w.residuals), (name, norms, n_gradS)

@@ -20,9 +20,7 @@ from madelab.grid import (
     GridMismatchError,
     GridSpec,
     ScalarField,
-    dot,
     interior_mask,
-    rms_norm,
 )
 from madelab.madelung import DecomposeError, decompose
 
@@ -286,23 +284,27 @@ def test_density_overflow_is_quiet():
 
 # --- |gradS|^2 and |gradI|^2, formed once in decompose ---------------------
 
+# The squares as dot products, a.vx * b.vx + a.vy * b.vy; where they
+# overflow, the results below are non-finite, so invalid, either way.
+
 def old_quantum_potential(m, p):
-    gS2 = dot(m.gradS, m.gradS)
+    gS2 = m.gradS.vx * m.gradS.vx + m.gradS.vy * m.gradS.vy
     c = p.hbar * p.hbar / (2.0 * p.mass)
-    return ScalarField(m.spec, -c * (gS2.values + m.lapS.values))
+    return ScalarField(m.spec, -c * (gS2 + m.lapS.values))
 
 
 def old_qhj_residual(m, V, E, p):
     U = old_quantum_potential(m, p)
-    gI2 = dot(m.gradI, m.gradI)
+    gI2 = m.gradI.vx * m.gradI.vx + m.gradI.vy * m.gradI.vy
     c = p.hbar * p.hbar / (2.0 * p.mass)
-    return ScalarField(m.spec, c * gI2.values + V.values + U.values - E)
+    return ScalarField(m.spec, c * gI2 + V.values + U.values - E)
 
 
 def old_default_tolerance(m):
     h = max(m.spec.dx, m.spec.dy)
     g = np.sqrt(m.gradS.vx**2 + m.gradS.vy**2 + m.gradI.vx**2 + m.gradI.vy**2)
-    scale = rms_norm(g, m.gradS.mask & m.gradI.mask)
+    v = g[interior_mask(m.gradS.mask & m.gradI.mask)]
+    scale = float(np.sqrt(np.mean(v * v))) if v.size else None
     scale = max(1.0, scale if scale is not None else 1.0)
     return max(10.0 * h * h, 1e-8) * scale
 

@@ -1,18 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from madelab.grid import (
     ComplexField,
-    GridMismatchError,
     GridSpec,
     ScalarField,
     VectorField,
     divergence,
-    dot,
-    gradient,
     interior_mask,
-    laplacian,
+    interior_norms,
+    max_norm,
     raw_gradient,
     raw_laplacian,
 )
@@ -22,10 +22,6 @@ def make_field(fn, nx=33, ny=33, x0=-1.6, y0=-1.6, h=0.1):
     spec = GridSpec(nx, ny, x0, y0, h, h)
     X, Y = spec.meshgrid()
     return ScalarField(spec, fn(X, Y))
-
-
-def interior(values, mask):
-    return values[interior_mask(mask)]
 
 
 class TestGridSpec:
@@ -116,37 +112,37 @@ class TestFieldMasks:
 class TestGradient:
     def test_linear_exact(self):
         f = make_field(lambda x, y: x)
-        g = gradient(f)
-        assert np.allclose(g.vx, 1.0, atol=1e-13)
-        assert np.allclose(g.vy, 0.0, atol=1e-13)
-        assert g.mask.all()
+        gx, gy = raw_gradient(f.values, f.spec)
+        assert np.allclose(gx, 1.0, atol=1e-13)
+        assert np.allclose(gy, 0.0, atol=1e-13)
+        assert np.isfinite(gx).all() and np.isfinite(gy).all()
 
     def test_constant(self):
         f = make_field(lambda x, y: 0 * x + 3.7)
-        g = gradient(f)
-        assert np.allclose(g.vx, 0.0, atol=1e-13)
-        assert np.allclose(g.vy, 0.0, atol=1e-13)
+        gx, gy = raw_gradient(f.values, f.spec)
+        assert np.allclose(gx, 0.0, atol=1e-13)
+        assert np.allclose(gy, 0.0, atol=1e-13)
 
     def test_quadratic_exact(self):
         # central differences are exact on quadratics
         f = make_field(lambda x, y: x**2 + y**2, h=0.1)
-        g = gradient(f)
+        gx, gy = raw_gradient(f.values, f.spec)
         X, Y = f.spec.meshgrid()
-        m = interior_mask(g.mask)
-        assert np.allclose(g.vx[m], 2 * X[m], atol=1e-12)
-        assert np.allclose(g.vy[m], 2 * Y[m], atol=1e-12)
+        m = interior_mask(np.isfinite(gx) & np.isfinite(gy))
+        assert np.allclose(gx[m], 2 * X[m], atol=1e-12)
+        assert np.allclose(gy[m], 2 * Y[m], atol=1e-12)
 
 
 class TestLaplacian:
     def test_quadratic(self):
         f = make_field(lambda x, y: x**2 + y**2)
-        lap = laplacian(f)
-        assert np.allclose(lap.values, 4.0, atol=1e-10)
+        lap = raw_laplacian(f.values, f.spec)
+        assert np.allclose(lap, 4.0, atol=1e-10)
 
     def test_linear(self):
         f = make_field(lambda x, y: x)
-        lap = laplacian(f)
-        assert np.allclose(lap.values, 0.0, atol=1e-10)
+        lap = raw_laplacian(f.values, f.spec)
+        assert np.allclose(lap, 0.0, atol=1e-10)
 
     def test_harmonic_log_converges_at_order_two(self):
         # ln(r) is harmonic away from the origin; grid placed to avoid it.
@@ -158,9 +154,9 @@ class TestLaplacian:
             spec = GridSpec(n, n, 1.0, 1.0, 2.0 / (n - 1), 2.0 / (n - 1))
             X, Y = spec.meshgrid()
             f = ScalarField(spec, 0.5 * np.log(X**2 + Y**2))
-            lap = laplacian(f)
-            m = interior_mask(lap.mask) & (X > 1.3) & (X < 2.7) & (Y > 1.3) & (Y < 2.7)
-            errs.append(np.max(np.abs(lap.values[m])))
+            lap = raw_laplacian(f.values, spec)
+            m = interior_mask(np.isfinite(lap)) & (X > 1.3) & (X < 2.7) & (Y > 1.3) & (Y < 2.7)
+            errs.append(np.max(np.abs(lap[m])))
             hs.append(spec.dx)
         order = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert 1.8 <= order <= 2.2
@@ -188,33 +184,6 @@ class TestDivergence:
         assert np.allclose(d.values[m], 2 * X[m], atol=1e-12)
 
 
-class TestDot:
-    def test_orthogonal(self):
-        spec = GridSpec(11, 11)
-        one = np.ones(spec.shape)
-        zero = np.zeros(spec.shape)
-        d = dot(VectorField(spec, one, zero), VectorField(spec, zero, one))
-        assert np.allclose(d.values, 0.0)
-
-    def test_self_dot(self):
-        spec = GridSpec(11, 11)
-        X, Y = spec.meshgrid()
-        d = dot(VectorField(spec, X, Y), VectorField(spec, X, Y))
-        assert np.allclose(d.values, X**2 + Y**2)
-
-    def test_gradients_of_separable_squares(self):
-        f = make_field(lambda x, y: x**2)
-        g = make_field(lambda x, y: y**2)
-        d = dot(gradient(f), gradient(g))
-        assert np.allclose(d.values, 0.0, atol=1e-12)
-
-    def test_spec_mismatch(self):
-        a = VectorField(GridSpec(5, 5), np.zeros((5, 5)), np.zeros((5, 5)))
-        b = VectorField(GridSpec(6, 6), np.zeros((6, 6)), np.zeros((6, 6)))
-        with pytest.raises(GridMismatchError):
-            dot(a, b)
-
-
 class TestConvergenceOrder:
     @pytest.mark.parametrize("fn,dfx,dfy,lap", [
         (lambda x, y: np.sin(x) * np.sin(y),
@@ -233,16 +202,17 @@ class TestConvergenceOrder:
             spec = GridSpec(n, n, -1, -1, h, h)
             X, Y = spec.meshgrid()
             f = ScalarField(spec, fn(X, Y))
-            g = gradient(f)
-            L = laplacian(f)
+            gx, gy = raw_gradient(f.values, spec)
+            L = raw_laplacian(f.values, spec)
             # fixed window: the interior margin shrinks with h and would
             # otherwise drift the location of the max error
-            m = interior_mask(g.mask) & (np.abs(X) < 0.7) & (np.abs(Y) < 0.7)
+            m = interior_mask(np.isfinite(gx) & np.isfinite(gy))
+            m &= (np.abs(X) < 0.7) & (np.abs(Y) < 0.7)
             errs_g.append(max(
-                np.max(np.abs(g.vx[m] - dfx(X, Y)[m])),
-                np.max(np.abs(g.vy[m] - dfy(X, Y)[m])),
+                np.max(np.abs(gx[m] - dfx(X, Y)[m])),
+                np.max(np.abs(gy[m] - dfy(X, Y)[m])),
             ))
-            errs_l.append(np.max(np.abs(L.values[m] - lap(X, Y)[m])))
+            errs_l.append(np.max(np.abs(L[m] - lap(X, Y)[m])))
             hs.append(h)
         for errs in (errs_g, errs_l):
             order = np.polyfit(np.log(hs), np.log(errs), 1)[0]
@@ -255,32 +225,34 @@ class TestMasks:
         spec = GridSpec(20, 20, 0, 0, 0.1, 0.1)
         mask = rng.random(spec.shape) > 0.2
         f = ScalarField(spec, rng.standard_normal(spec.shape), mask)
-        for out in (gradient(f).mask, laplacian(f).mask):
+        gx, gy = raw_gradient(f.values, spec)
+        for out in (np.isfinite(gx) & np.isfinite(gy), np.isfinite(raw_laplacian(f.values, spec))):
             assert not np.any(out & ~f.mask)
 
     def test_masked_region_erodes_neighbors(self):
         spec = GridSpec(11, 11, 0, 0, 0.1, 0.1)
         mask = np.ones(spec.shape, dtype=bool)
         mask[5, 5] = False
-        g = gradient(ScalarField(spec, np.ones(spec.shape), mask))
-        assert not g.mask[5, 5]
-        assert not g.mask[5, 4] and not g.mask[5, 6]
-        assert not g.mask[4, 5] and not g.mask[6, 5]
-        assert g.mask[3, 3]
+        gx, gy = raw_gradient(ScalarField(spec, np.ones(spec.shape), mask).values, spec)
+        valid = np.isfinite(gx) & np.isfinite(gy)
+        assert not valid[5, 5]
+        assert not valid[5, 4] and not valid[5, 6]
+        assert not valid[4, 5] and not valid[6, 5]
+        assert valid[3, 3]
 
     @pytest.mark.parametrize("nx, ny", [(3, 3), (3, 8), (8, 3)])
     def test_three_cell_axis_masks_one_sided_rows(self, nx, ny):
         # the one-sided second-derivative stencil needs 4 cells; on a
         # 3-cell axis only the centre row along that axis is defined
         f = make_field(lambda x, y: x**2 + 3 * y**2, nx=nx, ny=ny)
-        lap = laplacian(f)
+        lap = raw_laplacian(f.values, f.spec)
         want = np.ones(f.spec.shape, dtype=bool)
         if nx == 3:
             want[:, [0, 2]] = False
         if ny == 3:
             want[[0, 2], :] = False
-        assert np.array_equal(lap.mask, want)
-        assert np.allclose(lap.values[want], 8.0, atol=1e-9)
+        assert np.array_equal(np.isfinite(lap), want)
+        assert np.allclose(lap[want], 8.0, atol=1e-9)
 
 
 def test_gradient_linearity():
@@ -289,10 +261,63 @@ def test_gradient_linearity():
     f = ScalarField(spec, rng.standard_normal(spec.shape))
     g = ScalarField(spec, rng.standard_normal(spec.shape))
     a, b = 1.7, -0.4
-    combo = gradient(ScalarField(spec, a * f.values + b * g.values))
-    gf, gg = gradient(f), gradient(g)
-    assert np.allclose(combo.vx, a * gf.vx + b * gg.vx, atol=1e-12)
-    assert np.allclose(combo.vy, a * gf.vy + b * gg.vy, atol=1e-12)
+    combo = raw_gradient(a * f.values + b * g.values, spec)
+    gf, gg = raw_gradient(f.values, spec), raw_gradient(g.values, spec)
+    for c, df, dg in zip(combo, gf, gg):
+        assert np.allclose(c, a * df + b * dg, atol=1e-12)
+
+
+# --- reference: the two interior gathers that `interior_norms` replaced
+
+def _old_max_norm(values, mask):
+    m = interior_mask(mask)
+    if not m.any():
+        return None
+    return float(np.max(np.abs(values[m])))
+
+
+def _old_rms_norm(values, mask):
+    m = interior_mask(mask)
+    if not m.any():
+        return None
+    v = values[m]
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.mean(v * v)))
+
+
+def _bits(x):
+    return None if x is None else np.float64(x).view(np.uint64)
+
+
+@given(st.integers(3, 40), st.integers(3, 40), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 1.0), st.sampled_from([0.0, 100.0, 300.0]))
+def test_interior_norms_match_the_two_gathers(nx, ny, seed, keep, decades):
+    """Bit for bit the old max and rms norms, masked cells holding NaN as a
+    field's do; with 300 decades the squares overflow and the rms is inf."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((ny, nx)) * 10.0 ** rng.uniform(-decades, decades, (ny, nx))
+    mask = rng.random((ny, nx)) < keep
+    values[~mask] = np.nan
+    want = _old_max_norm(values, mask), _old_rms_norm(values, mask)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, top = interior_norms(values, mask), max_norm(values, mask)
+    if want[0] is None:
+        assert got is None and top is None
+    else:
+        assert [_bits(x) for x in (*got, top)] == [_bits(x) for x in (*want, want[0])]
+
+
+def test_interior_norms_edges():
+    ones = np.ones((8, 8), dtype=bool)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # no interior: too few cells, or every interior cell masked
+        assert interior_norms(np.ones((4, 40)), np.ones((4, 40), dtype=bool)) is None
+        assert interior_norms(np.ones((8, 8)), ~ones) is None
+        assert max_norm(np.ones((8, 8)), ~ones) is None
+        # squares that overflow: an infinite rms beside a finite max
+        assert interior_norms(np.full((8, 8), -1e200), ones) == (1e200, np.inf)
 
 
 # --- reference: the erosion masks the stencils kept before validity became
@@ -346,11 +371,10 @@ def _awkward(rng, shape):
     return values, rng.random(shape) > 0.2
 
 
-def _assert_same(field_mask, field_values, want_mask, want_values):
-    assert np.array_equal(field_mask, want_mask)
-    for got, want in zip(field_values, want_values):
-        assert np.array_equal(got.view(np.uint64)[want_mask], want.view(np.uint64)[want_mask])
-        assert np.isnan(got[~want_mask]).all()
+def _assert_same(got, want_mask, want):
+    """`got` is finite exactly on `want_mask`, and there has `want`'s bits."""
+    assert np.array_equal(np.isfinite(got), want_mask)
+    assert np.array_equal(got.view(np.uint64)[want_mask], want.view(np.uint64)[want_mask])
 
 
 @given(st.integers(3, 40), st.integers(3, 40), st.integers(0, 2**32 - 1),
@@ -358,24 +382,23 @@ def _assert_same(field_mask, field_values, want_mask, want_values):
 def test_stencil_masks_match_erosion_oracle(nx, ny, seed, dx, dy):
     rng = np.random.default_rng(seed)
     spec = GridSpec(nx, ny, -1.0, -1.0, dx, dy)
-    (a, ma), (b, mb), (c, mc) = (_awkward(rng, spec.shape) for _ in range(3))
+    (a, ma), (b, mb), (c, _) = (_awkward(rng, spec.shape) for _ in range(3))
     with np.errstate(all="ignore"):
         f = ScalarField(spec, a, ma)
         v = VectorField(spec, b, c, mb)
-        w = VectorField(spec, c, a, mc)
-        grad, lap, div, vw = gradient(f), laplacian(f), divergence(v), dot(v, w)
+        (gx, gy), lap = raw_gradient(f.values, spec), raw_laplacian(f.values, spec)
+        div = divergence(v)
 
-        fm, vm, wm = ma & np.isfinite(a), mb & np.isfinite(b) & np.isfinite(c), \
-            mc & np.isfinite(c) & np.isfinite(a)
-        gx, gy = _old_deriv1(a, dx, 1), _old_deriv1(a, dy, 0)
+        fm, vm = ma & np.isfinite(a), mb & np.isfinite(b) & np.isfinite(c)
+        old_gx, old_gy = _old_deriv1(a, dx, 1), _old_deriv1(a, dy, 0)
         old_lap = _old_deriv2(a, dx, 1) + _old_deriv2(a, dy, 0)
         old_div = _old_deriv1(b, dx, 1) + _old_deriv1(c, dy, 0)
-        old_dot = b * c + c * a
-    _assert_same(grad.mask, (grad.vx, grad.vy),
-                 _eroded(fm, 3) & np.isfinite(gx) & np.isfinite(gy), (gx, gy))
-    _assert_same(lap.mask, (lap.values,), _eroded(fm, 4) & np.isfinite(old_lap), (old_lap,))
-    _assert_same(div.mask, (div.values,), _eroded(vm, 3) & np.isfinite(old_div), (old_div,))
-    _assert_same(vw.mask, (vw.values,), vm & wm & np.isfinite(old_dot), (old_dot,))
+    # each component of the gradient erodes along its own axis only
+    _assert_same(gx, _erode(fm, 1, 3) & np.isfinite(old_gx), old_gx)
+    _assert_same(gy, _erode(fm, 0, 3) & np.isfinite(old_gy), old_gy)
+    _assert_same(lap, _eroded(fm, 4) & np.isfinite(old_lap), old_lap)
+    _assert_same(div.values, _eroded(vm, 3) & np.isfinite(old_div), old_div)
+    assert np.isnan(div.values[~div.mask]).all()
 
 
 @given(st.integers(3, 40), st.integers(3, 40), st.integers(0, 2**32 - 1),
