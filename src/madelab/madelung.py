@@ -11,19 +11,18 @@ edge are formed once (`phase_differences`); a step against an edge's
 direction is the exact negation of its difference. Their circulations
 (Goldstein, Zebker & Werner, Radio Sci. 23 (1988) 713) give the windings of
 plaquettes of valid cells (`residues`) and the charges of holes, vortex
-cores hidden in masked cells (`hole_charges`). A real state, or one real up
-to a quarter-turn phase, has every difference exact, so none of its
-plaquettes winds and its phase unwraps.
+cores hidden in masked cells (`hole_charges`). A real state times any
+global phase steps by pi within the band of `_wrap` across its nodal lines,
+so none of its plaquettes winds and its phase unwraps.
 
 The unwrapped phase integrates wrapped differences along a spanning tree
 (Itoh, Appl. Opt. 21 (1982) 2470) whose nodes are row runs, the maximal
 horizontal segments of valid cells, as in the region-based trees of Ghiglia
-& Pritt, Two-Dimensional Phase Unwrapping (Wiley 1998). Every valid
-component is unwrapped from its own anchor, its cell of largest |psi|. Each
-run is walked when the search reaches it, from its parent's I, so each cell
-of I is computed once. On a full rectangle the tree is the comb that a
-cell-by-cell breadth-first search builds, with the same floats. `decompose`
-unwraps only when no plaquette winds and no hole is charged.
+& Pritt, Two-Dimensional Phase Unwrapping (Wiley 1998). One table of row
+runs and the runs they touch (`_row_runs`) serves this tree and the holes.
+Every valid component is unwrapped from its own anchor, its cell of largest
+|psi| (see `unwrap_phase`). `decompose` unwraps only when no plaquette winds
+and no hole is charged.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ from .grid import (
 DEFAULT_NODE_THRESHOLD = 1e-8
 
 _TWO_PI = 2.0 * np.pi
+_BAND = 2.0 * np.spacing(np.pi)  # rounding of a step next to +-pi, see _wrap
 
 
 class DecomposeError(ValueError):
@@ -96,14 +96,15 @@ def _winding_plaquettes(winding: np.ndarray) -> list[tuple[int, int, int]]:
 
 
 def _wrap(d: np.ndarray) -> np.ndarray:
-    """Wrap phase differences into [-pi, pi], given |d| <= 2 pi, as for a
-    difference of two angles. pi - d then lies in [-pi, 3 pi], where one
-    shift by 2 pi or none wraps it. The result is pi - mod(pi - d, 2 pi)
-    bit for bit, without its division, except where pi - d is exactly 2 pi:
-    there it is -pi, not +pi, so _wrap(-pi) = -_wrap(pi) and exact +-pi
-    steps keep their sign."""
+    """Wrap phase differences, |d| <= 2 pi as for two angles, into
+    [-pi - b, pi + b], b = _BAND: x = pi - d, in [-pi, 3 pi], is shifted by
+    2 pi only where it lies more than b outside [0, 2 pi]. Outside the band
+    this is pi - mod(pi - d, 2 pi) bit for bit, but -pi where x is exactly
+    2 pi, so _wrap stays odd at +-pi. The limit: a step within b of +-pi,
+    which the grid resolves neither way, is decided as the raw difference d,
+    so rounded pi steps, as on the nodal lines of a real state, cancel."""
     x = np.pi - d
-    x -= _TWO_PI * ((x > _TWO_PI).astype(float) - (x < 0.0))
+    x -= _TWO_PI * ((x > _TWO_PI + _BAND).astype(float) - (x < -_BAND))
     return np.pi - x
 
 
@@ -146,6 +147,25 @@ def _circulation(psi: ComplexField, diffs: PhaseDifferences | None) -> np.ndarra
     return dx[:-1] + dy[:, 1:] - dx[1:] - dy[:, :-1]
 
 
+def _row_runs(mask: np.ndarray, reach: int) -> tuple[np.ndarray, ...]:
+    """Row runs of mask, its maximal horizontal segments of True cells, as
+    arrays row, lo, hi (first and last column), row-major; and the pairs
+    (p, q) of runs in adjacent rows, p below q, whose columns overlap once q
+    is widened by `reach` cells: 0 for a shared vertical edge, 1 for
+    8-neighbours. Two intervals overlap in one interval or none, so touching
+    runs give one pair however many cells they share; the runs touching p are
+    consecutive, so two searches over the run intervals find them. Pairs go
+    by p, then q: for reach 0, by lower row, then first shared column."""
+    j, c = np.nonzero(np.diff(mask, axis=1, prepend=False, append=False))
+    row, lo, hi = j[::2], c[::2], c[1::2] - 1
+    w = mask.shape[1] + 1  # keys row * w + column: a widened column stays in its row
+    first = np.searchsorted(row * w + hi, (row + 1) * w + lo - reach)
+    end = np.searchsorted(row * w + lo, (row + 1) * w + hi + reach, side="right")
+    count = np.maximum(end - first, 0)
+    p = np.repeat(np.arange(row.size), count)
+    return row, lo, hi, p, np.arange(p.size) + np.repeat(first - np.cumsum(count) + count, count)
+
+
 def hole_charges(psi: ComplexField, diffs: PhaseDifferences | None = None
                  ) -> list[tuple[int, int, int]]:
     """(j, i, charge) per charged hole, by its first cell (j, i), row-major.
@@ -155,45 +175,31 @@ def hole_charges(psi: ComplexField, diffs: PhaseDifferences | None = None
     invalid = ~psi.mask
     if not invalid[1:-1, 1:-1].any():
         return []
-    # row runs of invalid cells; they join where (j, i), (j+1, i+d) are invalid
-    first = invalid & ~np.pad(invalid[:, :-1], ((0, 0), (1, 0)))
-    run = np.cumsum(first).reshape(invalid.shape) - 1
-    starts = np.flatnonzero(first)
-    n, nx = starts.size, invalid.shape[1]
-    pairs = []
-    for d in (-1, 0, 1):
-        lo, hi = max(-d, 0), nx - max(d, 0)
-        both = invalid[:-1, lo:hi] & invalid[1:, lo + d:hi + d]
-        pairs.append(run[:-1, lo:hi][both] * n + run[1:, lo + d:hi + d][both])
-    parent = list(range(n))
+    row, lo, hi, lower, upper = _row_runs(invalid, 1)  # 8-neighbours join
+    parent = list(range(row.size))
 
     def find(r: int) -> int:
         while parent[r] != r:
             parent[r] = r = parent[parent[r]]
         return r
 
-    for p, q in (divmod(key, n) for key in set(np.concatenate(pairs).tolist())):
+    for p, q in zip(lower.tolist(), upper.tolist()):
         p, q = sorted((find(p), find(q)))
         parent[q] = p  # each root is its component's first run
-    label = np.where(invalid, np.array([find(r) + 1 for r in range(n)], np.int32)[run], 0)
+    label = np.zeros(invalid.shape, np.int32)
+    label[invalid] = np.repeat([find(r) + 1 for r in range(row.size)], hi - lo + 1)
     corner = np.maximum(np.maximum(label[:-1, :-1], label[:-1, 1:]), label[1:, :-1])
     np.maximum(corner, label[1:, 1:], out=corner)
-    charge = np.bincount(corner.ravel(), np.rint(_circulation(psi, diffs) / _TWO_PI).ravel(), n + 1)
+    charge = np.bincount(corner.ravel(), np.rint(_circulation(psi, diffs) / _TWO_PI).ravel())
     charge[np.concatenate([label[0], label[-1], label[:, 0], label[:, -1]])] = 0
-    return [(*divmod(int(starts[r]), nx), int(charge[r + 1])) for r in np.flatnonzero(charge[1:])]
+    return [(int(row[r]), int(lo[r]), int(charge[r + 1])) for r in np.flatnonzero(charge[1:])]
 
 
 def _run_tree(amp: np.ndarray, valid: np.ndarray, diffs: PhaseDifferences) -> np.ndarray:
     """I on every valid cell, integrated along the run tree of each valid
     component from that component's largest |psi| (see unwrap_phase)."""
     theta, dx, dy = diffs
-    nx = valid.shape[1]
-    first = valid.copy()
-    first[:, 1:] &= ~valid[:, :-1]
-    last = valid.copy()
-    last[:, :-1] &= ~valid[:, 1:]
-    starts = np.flatnonzero(first)
-    row, lo, hi = starts // nx, starts % nx, np.flatnonzero(last) % nx
+    row, lo, hi, lower, upper = _row_runs(valid, 0)
 
     # Each run's largest |psi| and its first cell holding it: runs are
     # contiguous among the row-major valid cells.
@@ -209,15 +215,10 @@ def _run_tree(amp: np.ndarray, valid: np.ndarray, diffs: PhaseDifferences) -> np
     # under the run they leave: into the upper run from below, ranked k, and
     # into the lower run from above, ranked n + k. On a tie the lower rank
     # wins: from below first, then from the left.
-    both = valid[:-1] & valid[1:]
-    opens = np.flatnonzero(both & (first[:-1] | first[1:]))
-    closes = np.flatnonzero(both & (last[:-1] | last[1:]))
-    lower = np.searchsorted(starts, opens, side="right") - 1
-    upper = np.searchsorted(starts, opens + nx, side="right") - 1
-    n = opens.size
+    a, b = np.maximum(lo[lower], lo[upper]), np.minimum(hi[lower], hi[upper])
+    n = lower.size
     ways = [[] for _ in range(row.size)]
-    for k, (p, q, a, b) in enumerate(zip(lower.tolist(), upper.tolist(),
-                                         (opens % nx).tolist(), (closes % nx).tolist())):
+    for k, (p, q, a, b) in enumerate(zip(lower.tolist(), upper.tolist(), a.tolist(), b.tolist())):
         ways[p].append((k, q, a, b))
         ways[q].append((n + k, p, a, b))
 
@@ -270,20 +271,19 @@ def unwrap_phase(psi: ComplexField, winding: np.ndarray | None = None,
     """Unwrap the phase of psi on every valid cell.
 
     Itoh's method on a spanning tree of row runs, the maximal horizontal
-    segments of valid cells. Each valid component is unwrapped from its
-    own anchor, the cell of largest |psi| in it, which keeps its principal
-    phase. The search goes one level of runs at a time: it enters each new
-    run through one vertical edge from a run of the level before, at the
-    overlap column nearest the anchor's column (on a tie, from the run
-    below, then the leftmost column), and walks the run at once: I at the
-    entry cell is the parent cell's I, already set, plus the wrapped
+    segments of valid cells. Each valid component is unwrapped from its own
+    anchor, its cell of largest |psi|, which keeps its principal phase;
+    components go by largest |psi|, so each restart seeds the largest |psi|
+    among the runs not reached yet. The search goes one level of runs at a
+    time. It enters each new run through one vertical edge from a run of the
+    level before, at the shared column nearest the anchor's column (on a
+    tie, from the run below, then the leftmost column), and walks the run at
+    once: I at the entry cell is the parent cell's I plus the wrapped
     difference along that edge, and the walk adds the wrapped differences
-    outward from there, to the right and to the left in turn. So each cell
-    of I is computed once. On a full rectangle this is the comb of a
-    cell-by-cell breadth-first search: the anchor's column first, then each
-    row outward from it, with the same floats. Components are taken in
-    order of their largest |psi|, so each restart seeds the largest |psi|
-    among the runs not reached yet.
+    outward, to the right and then to the left. So each cell of I is
+    computed once. On a full rectangle this is the comb of a cell-by-cell
+    breadth-first search (the anchor's column, then each row outward from
+    it), with the same floats.
 
     The result is unique up to 2*pi*n per component. `winding`, `diffs`
     and `holes` are `residues(psi)[0]`, `phase_differences(psi)` and

@@ -17,6 +17,7 @@ from madelab.madelung import (
     DecomposeError,
     PhaseDifferences,
     VortexError,
+    _row_runs,
     _wrap,
     decompose,
     hole_charges,
@@ -403,10 +404,11 @@ class TestResidues:
 
 
 def test_wrap_step_is_wrap_on_angle_differences():
-    # _wrap's one shift by 2 pi is the np.mod form bit for bit on |d| <= 2 pi,
-    # apart from -pi where pi - d is exactly 2 pi (mod_wrap's own rule), on
-    # every pair of edge-case angles, and random angles as np.angle returns
-    # them, including differences of exactly +-pi and +-2 pi
+    # _wrap's one shift by 2 pi is the np.mod form bit for bit on |d| <= 2 pi
+    # outside its band at +-pi, apart from -pi where pi - d is exactly 2 pi
+    # (mod_wrap's own rule), on every pair of edge-case angles, and random
+    # angles as np.angle returns them, including differences of exactly +-pi
+    # and +-2 pi
     edge = np.array([np.pi, -np.pi, 0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300,
                      np.nextafter(np.pi, 0), np.nextafter(-np.pi, 0), np.pi / 2, -np.pi / 2])
     rng = np.random.default_rng(0)
@@ -419,6 +421,11 @@ def test_wrap_step_is_wrap_on_angle_differences():
     d = np.array([np.pi, -np.pi])
     assert np.array_equal(_wrap(-d).view(np.uint64), (-_wrap(d)).view(np.uint64))
     assert np.array_equal(_wrap(d), d)
+    # a step within the band, 2 ulp of +-pi, keeps its sign; one beyond wraps
+    near = np.pi + np.spacing(np.pi) * np.arange(-4, 5)
+    for d in (near, -near):
+        kept = np.sign(_wrap(d)) == np.sign(d)
+        assert np.array_equal(kept, np.abs(d) <= np.pi + 2 * np.spacing(np.pi))
 
 
 class TestUnwrap:
@@ -620,24 +627,26 @@ def test_unwrapped_phase_congruent_to_angle(psi):
 
 
 @given(st.data())
-def test_real_fields_up_to_a_quarter_turn_never_wind(data):
-    # random signs and +-0 imaginary parts put +-pi steps on nodal lines;
-    # every phase is a multiple of pi/2, so every difference is exact
+def test_real_fields_times_a_global_phase_never_wind(data):
+    # random signs and +-0 imaginary parts put +-pi steps on nodal lines; a
+    # quarter turn keeps every difference exact, a random phase leaves them
+    # within rounding of +-pi, inside _wrap's band
     ny, nx = data.draw(st.integers(3, 30)), data.draw(st.integers(3, 30))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    values = np.empty((ny, nx), dtype=complex)
-    values.real = rng.choice([-1.0, 1.0], (ny, nx)) * rng.uniform(0.1, 1.0, (ny, nx))
-    values.imag = rng.choice([-0.0, 0.0], (ny, nx))
-    values *= data.draw(st.sampled_from([1, 1j, -1, -1j]))
+    real = np.empty((ny, nx), dtype=complex)
+    real.real = rng.choice([-1.0, 1.0], (ny, nx)) * rng.uniform(0.1, 1.0, (ny, nx))
+    real.imag = rng.choice([-0.0, 0.0], (ny, nx))
     mask = rng.random((ny, nx)) >= data.draw(st.sampled_from([0.0, 0.1, 0.3]))
     mask[0, 0] = True
-    psi = ComplexField(GridSpec(nx, ny), values, mask)
-    w, _ = residues(psi)
-    assert not w.any()
-    I = unwrap_phase(psi)
-    assert np.array_equal(np.isfinite(I.values), psi.mask)
-    d = mod_wrap(I.values - angle(psi.values))
-    assert np.max(np.abs(d[I.mask])) < 1e-9
+    quarter = data.draw(st.sampled_from([1, 1j, -1, -1j]))
+    for phase in (quarter, np.exp(1j * rng.uniform(-np.pi, np.pi))):
+        psi = ComplexField(GridSpec(nx, ny), real * phase, mask)
+        w, _ = residues(psi)
+        assert not w.any()
+        I = unwrap_phase(psi)
+        assert np.array_equal(np.isfinite(I.values), psi.mask)
+        d = mod_wrap(I.values - angle(psi.values))
+        assert np.max(np.abs(d[I.mask])) < 1e-9
 
 
 @given(st.data())
@@ -676,6 +685,50 @@ def test_holes_are_the_8_connected_components_off_the_grid_edge(data):
             j, i = np.argwhere(label == k)[0]
             want.append((int(j), int(i), int((corner == k).sum())))
     assert hole_charges(psi, diffs) == sorted(want)
+
+
+@st.composite
+def masks(draw):
+    """Masks of 3x3 to 40x40 cells: random, all True, all False or one cell."""
+    ny, nx = draw(st.integers(3, 40)), draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "full", "empty", "single"]))
+    if kind == "random":
+        return rng.random((ny, nx)) >= draw(st.floats(0.0, 1.0))
+    mask = np.full((ny, nx), kind == "full")
+    if kind == "single":
+        mask[rng.integers(ny), rng.integers(nx)] = True
+    return mask
+
+
+@given(masks(), st.sampled_from([0, 1]))
+def test_row_runs_match_a_cell_by_cell_scan(mask, reach):
+    ny, nx = mask.shape
+    runs, run_of = [], {}
+    for j in range(ny):
+        for i in range(nx):
+            if mask[j, i]:
+                if not (i and mask[j, i - 1]):
+                    runs.append([j, i, i])
+                runs[-1][2] = i
+                run_of[j, i] = len(runs) - 1
+    # reach 0: 4-adjacent across rows, reach 1: 8-adjacent
+    touching = {(r, run_of[j + 1, i + d]) for (j, i), r in run_of.items()
+                for d in range(-reach, reach + 1) if (j + 1, i + d) in run_of}
+    got = _row_runs(mask, reach)
+    assert list(zip(*(a.tolist() for a in got[:3]))) == [tuple(r) for r in runs]
+    pairs = list(zip(got[3].tolist(), got[4].tolist()))
+    assert pairs == sorted(touching)  # once each, by p, then q
+    if reach == 0:
+        # the same order as a scan, row-major, of the cells of the lower row
+        # that open a span of columns shared with the row above
+        first = mask.copy()
+        first[:, 1:] &= ~mask[:, :-1]
+        starts = np.flatnonzero(first)
+        opens = np.flatnonzero(mask[:-1] & mask[1:] & (first[:-1] | first[1:]))
+        lower = np.searchsorted(starts, opens, side="right") - 1
+        upper = np.searchsorted(starts, opens + nx, side="right") - 1
+        assert pairs == list(zip(lower.tolist(), upper.tolist()))
 
 
 @st.composite
