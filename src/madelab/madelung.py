@@ -6,23 +6,24 @@ All derivatives of S and I come from the complex log-derivative
 grad(psi)/psi and the identity lap(psi)/psi = (gS + i gI)^2 + lapS + i lapI,
 never from differentiating ln|psi| or a wrapped phase.
 
-theta = angle(psi), 0 on invalid cells, and one wrapped difference per
-edge are formed once (`phase_differences`); a step against an edge's
-direction is the exact negation of its difference. Their circulations
-(Goldstein, Zebker & Werner, Radio Sci. 23 (1988) 713) give the windings of
-plaquettes of valid cells (`residues`) and the charges of holes, vortex
-cores hidden in masked cells (`hole_charges`). A real state times any
-global phase steps by pi within the band of `_wrap` across its nodal lines,
-so none of its plaquettes winds and its phase unwraps.
+The phase layer works in whole turns. theta = angle(psi), 0 on invalid
+cells, and one turn count s per edge are formed once (`phase_differences`):
+the wrapped step along an edge is theta_b - theta_a + 2 pi s, and -s turns
+the other way. The angles cancel round a plaquette, so its circulation
+(Goldstein, Zebker & Werner, Radio Sci. 23 (1988) 713) is the integer sum
+of its four counts. These give the windings of plaquettes of valid cells
+(`residues`) and the charges of holes, vortex cores hidden in masked cells
+(`hole_charges`). A real state times any global phase steps by pi within
+the band of `_turns` across its nodal lines, so it winds nowhere.
 
-The unwrapped phase integrates wrapped differences along a spanning tree
-(Itoh, Appl. Opt. 21 (1982) 2470) whose nodes are row runs, the maximal
-horizontal segments of valid cells, as in the region-based trees of Ghiglia
-& Pritt, Two-Dimensional Phase Unwrapping (Wiley 1998). One table of row
-runs and the runs they touch (`_row_runs`) serves this tree and the holes.
-Every valid component is unwrapped from its own anchor, its cell of largest
-|psi| (see `unwrap_phase`). `decompose` unwraps only when no plaquette winds
-and no hole is charged.
+`decompose` unwraps only when no plaquette winds and no hole is charged.
+Then the counts sum to zero round every cycle of valid cells, and I = theta
++ 2 pi n with n exact integers: Itoh's method (Appl. Opt. 21 (1982) 2470)
+in whole turns, on a spanning tree of row runs, the maximal horizontal
+segments of valid cells, as in the region-based trees of Ghiglia & Pritt,
+Two-Dimensional Phase Unwrapping (Wiley 1998). One table of row runs
+(`_row_runs`) serves this tree and the holes. n = 0 at the anchor of each
+valid component, its cell of largest |psi|.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .grid import (
 DEFAULT_NODE_THRESHOLD = 1e-8
 
 _TWO_PI = 2.0 * np.pi
-_BAND = 2.0 * np.spacing(np.pi)  # rounding of a step next to +-pi, see _wrap
+_BAND = 2.0 * np.spacing(np.pi)  # a step this close to +-pi counts no turn, see _turns
 
 
 class DecomposeError(ValueError):
@@ -95,36 +96,36 @@ def _winding_plaquettes(winding: np.ndarray) -> list[tuple[int, int, int]]:
     return list(zip(js.tolist(), iis.tolist(), winding[js, iis].tolist()))
 
 
-def _wrap(d: np.ndarray) -> np.ndarray:
-    """Wrap phase differences, |d| <= 2 pi as for two angles, into
-    [-pi - b, pi + b], b = _BAND: x = pi - d, in [-pi, 3 pi], is shifted by
-    2 pi only where it lies more than b outside [0, 2 pi]. Outside the band
-    this is pi - mod(pi - d, 2 pi) bit for bit, but -pi where x is exactly
-    2 pi, so _wrap stays odd at +-pi. The limit: a step within b of +-pi,
-    which the grid resolves neither way, is decided as the raw difference d,
-    so rounded pi steps, as on the nodal lines of a real state, cancel."""
+def _turns(d: np.ndarray) -> np.ndarray:
+    """Whole turns s, as int8, that wrap phase differences d, |d| <= 2 pi as
+    for two angles, to d + 2 pi s in [-pi - b, pi + b], b = _BAND: x = pi - d,
+    in [-pi, 3 pi], counts a turn only where it lies more than b outside
+    [0, 2 pi]. Outside the band s is the turn of pi - mod(pi - d, 2 pi); a
+    step of exactly +-pi counts 0, so _turns stays odd at +-pi. The limit: a
+    step within b of +-pi, which the grid resolves neither way, counts 0
+    turns, so rounded pi steps, as on the nodal lines of a real state,
+    cancel."""
     x = np.pi - d
-    x -= _TWO_PI * ((x > _TWO_PI + _BAND).astype(float) - (x < -_BAND))
-    return np.pi - x
+    return (x > _TWO_PI + _BAND).astype(np.int8) - (x < -_BAND)
 
 
 class PhaseDifferences(NamedTuple):
     """theta = angle(psi) in (-pi, pi], reading a -0 imaginary part as +0,
-    and one wrapped difference per edge: dx[j, i] = wrap(theta[j, i+1] -
-    theta[j, i]) and dy[j, i] = wrap(theta[j+1, i] - theta[j, i]). The step
-    the other way is -dx or -dy. theta is 0 on invalid cells, so every
-    difference is finite."""
+    and one turn count per edge: the wrapped steps are theta[j, i+1] -
+    theta[j, i] + 2 pi sx[j, i] and theta[j+1, i] - theta[j, i] + 2 pi
+    sy[j, i]. The step the other way counts -sx or -sy turns. theta is 0 on
+    invalid cells, so every edge has a count."""
 
     theta: np.ndarray
-    dx: np.ndarray
-    dy: np.ndarray
+    sx: np.ndarray
+    sy: np.ndarray
 
 
 def phase_differences(psi: ComplexField) -> PhaseDifferences:
     v = psi.values
     t = np.arctan2(v.imag + 0.0, v.real)
     t[~psi.mask] = 0.0
-    return PhaseDifferences(t, _wrap(t[:, 1:] - t[:, :-1]), _wrap(t[1:] - t[:-1]))
+    return PhaseDifferences(t, _turns(t[:, 1:] - t[:, :-1]), _turns(t[1:] - t[:-1]))
 
 
 def residues(psi: ComplexField, diffs: PhaseDifferences | None = None
@@ -137,14 +138,13 @@ def residues(psi: ComplexField, diffs: PhaseDifferences | None = None
     """
     m = psi.mask
     ok = m[:-1, :-1] & m[:-1, 1:] & m[1:, 1:] & m[1:, :-1]
-    winding = np.rint(np.where(ok, _circulation(psi, diffs), 0.0) / _TWO_PI).astype(np.int8)
-    return winding, ok
+    return np.where(ok, _circulation(psi, diffs), 0), ok
 
 
 def _circulation(psi: ComplexField, diffs: PhaseDifferences | None) -> np.ndarray:
-    # counterclockwise: (j,i) -> (j,i+1) -> (j+1,i+1) -> (j+1,i) -> (j,i)
-    _, dx, dy = phase_differences(psi) if diffs is None else diffs
-    return dx[:-1] + dy[:, 1:] - dx[1:] - dy[:, :-1]
+    # turns counterclockwise: (j,i) -> (j,i+1) -> (j+1,i+1) -> (j+1,i) -> (j,i)
+    _, sx, sy = phase_differences(psi) if diffs is None else diffs
+    return sx[:-1] + sy[:, 1:] - sx[1:] - sy[:, :-1]
 
 
 def _row_runs(mask: np.ndarray, reach: int) -> tuple[np.ndarray, ...]:
@@ -171,7 +171,8 @@ def hole_charges(psi: ComplexField, diffs: PhaseDifferences | None = None
     """(j, i, charge) per charged hole, by its first cell (j, i), row-major.
     A hole is an 8-connected component of invalid cells off the grid edge;
     a plaquette's cells are 8-neighbours, so it touches one hole at most.
-    The charge, the winding round a hole, sums those plaquettes' windings."""
+    The charge, the winding round a hole, sums those plaquettes'
+    circulations, in turns."""
     invalid = ~psi.mask
     if not invalid[1:-1, 1:-1].any():
         return []
@@ -190,15 +191,15 @@ def hole_charges(psi: ComplexField, diffs: PhaseDifferences | None = None
     label[invalid] = np.repeat([find(r) + 1 for r in range(row.size)], hi - lo + 1)
     corner = np.maximum(np.maximum(label[:-1, :-1], label[:-1, 1:]), label[1:, :-1])
     np.maximum(corner, label[1:, 1:], out=corner)
-    charge = np.bincount(corner.ravel(), np.rint(_circulation(psi, diffs) / _TWO_PI).ravel())
+    charge = np.bincount(corner.ravel(), _circulation(psi, diffs).ravel())
     charge[np.concatenate([label[0], label[-1], label[:, 0], label[:, -1]])] = 0
     return [(int(row[r]), int(lo[r]), int(charge[r + 1])) for r in np.flatnonzero(charge[1:])]
 
 
 def _run_tree(amp: np.ndarray, valid: np.ndarray, diffs: PhaseDifferences) -> np.ndarray:
-    """I on every valid cell, integrated along the run tree of each valid
-    component from that component's largest |psi| (see unwrap_phase)."""
-    theta, dx, dy = diffs
+    """I = theta + 2 pi n on every valid cell, n = 0 at the largest |psi| of
+    each valid component (see unwrap_phase)."""
+    theta, sx, sy = diffs
     row, lo, hi, lower, upper = _row_runs(valid, 0)
 
     # Each run's largest |psi| and its first cell holding it: runs are
@@ -208,60 +209,37 @@ def _run_tree(amp: np.ndarray, valid: np.ndarray, diffs: PhaseDifferences) -> np
     amp = amp[valid]
     peak = np.maximum.reduceat(amp, offset)
     at_peak = np.flatnonzero(amp == np.repeat(peak, size))
-    peak_col = (lo + at_peak[np.searchsorted(at_peak, offset)] - offset).tolist()
+    peak_col = lo + at_peak[np.searchsorted(at_peak, offset)] - offset
 
-    # Runs that share a vertical edge, and the columns [a, b] they share,
-    # row-major by lower row, then column. Pair k gives two ways in, listed
-    # under the run they leave: into the upper run from below, ranked k, and
-    # into the lower run from above, ranked n + k. On a tie the lower rank
-    # wins: from below first, then from the left.
-    a, b = np.maximum(lo[lower], lo[upper]), np.minimum(hi[lower], hi[upper])
-    n = lower.size
+    # turns[j, i] sums sx along row j up to column i, and n is turns plus
+    # one base per run. Runs p below and q above share a vertical edge at
+    # their first shared column c, where n steps by sy: base[q] - base[p] =
+    # step.
+    turns = np.zeros(valid.shape, np.int32)
+    np.cumsum(sx, axis=1, out=turns[:, 1:])
+    j, c = row[lower], np.maximum(lo[lower], lo[upper])
+    step = turns[j, c] + sy[j, c] - turns[j + 1, c]
     ways = [[] for _ in range(row.size)]
-    for k, (p, q, a, b) in enumerate(zip(lower.tolist(), upper.tolist(), a.tolist(), b.tolist())):
-        ways[p].append((k, q, a, b))
-        ways[q].append((n + k, p, a, b))
+    for p, q, s in zip(lower.tolist(), upper.tolist(), step.tolist()):
+        ways[p].append((q, s))
+        ways[q].append((p, -s))
 
-    I = np.full(valid.shape, np.nan)
-    row, lo, hi = row.tolist(), lo.tolist(), hi.tolist()
-
-    def walk(r: int, c: int, value: float) -> None:
-        # Run r outward from its entry column c: one accumulate to the right
-        # over dx and one to the left over -dx, on views of I. These are the
-        # additions of a cell-by-cell walk, in the same order.
-        j = row[r]
-        right, left = I[j, c:hi[r] + 1], I[j, lo[r]:c + 1][::-1]
-        right[0] = value
-        right[1:] = dx[j, c:hi[r]]
-        np.negative(dx[j, lo[r]:c][::-1], out=left[1:])
-        np.add.accumulate(right, out=right)
-        np.add.accumulate(left, out=left)
-
-    # The search walks each run when it reaches it, so a new run's entry
-    # value is its parent's I plus the step across the vertical edge. Seeds
-    # go by largest |psi|, the first run first on a tie.
-    reached = [False] * len(row)
+    # A breadth-first pass over each component from its largest |psi|, where
+    # n = 0, the first run first on a tie.
+    base = [None] * row.size
     for seed in np.argsort(-peak, kind="stable").tolist():
-        if reached[seed]:
-            continue
-        anchor = peak_col[seed]
-        reached[seed] = True
-        walk(seed, anchor, theta[row[seed], anchor])
-        level = [seed]
-        while level:
-            best = {}  # run -> (key, column, parent); the least key wins
-            for p in level:
-                for rank, kid, a, b in ways[p]:
-                    if not reached[kid]:
-                        c = anchor if a <= anchor <= b else (a if anchor < a else b)
-                        key = (abs(c - anchor), rank)
-                        if kid not in best or key < best[kid][0]:
-                            best[kid] = (key, c, p)
-            for kid, ((_, rank), c, p) in best.items():
-                jp = row[p]
-                reached[kid] = True
-                walk(kid, c, I[jp, c] + (dy[jp, c] if rank < n else -dy[jp - 1, c]))
-            level = list(best)
+        if base[seed] is None:
+            base[seed] = -int(turns[row[seed], peak_col[seed]])
+            queue = [seed]
+            for r in queue:
+                for kid, s in ways[r]:
+                    if base[kid] is None:
+                        base[kid] = base[r] + s
+                        queue.append(kid)
+    turns[valid] += np.repeat(base, size)  # now n
+    I = _TWO_PI * turns
+    np.add(theta, I, out=I)
+    I[~valid] = np.nan
     return I
 
 
@@ -270,26 +248,19 @@ def unwrap_phase(psi: ComplexField, winding: np.ndarray | None = None,
                  holes: list[tuple[int, int, int]] | None = None) -> ScalarField:
     """Unwrap the phase of psi on every valid cell.
 
-    Itoh's method on a spanning tree of row runs, the maximal horizontal
-    segments of valid cells. Each valid component is unwrapped from its own
-    anchor, its cell of largest |psi|, which keeps its principal phase;
-    components go by largest |psi|, so each restart seeds the largest |psi|
-    among the runs not reached yet. The search goes one level of runs at a
-    time. It enters each new run through one vertical edge from a run of the
-    level before, at the shared column nearest the anchor's column (on a
-    tie, from the run below, then the leftmost column), and walks the run at
-    once: I at the entry cell is the parent cell's I plus the wrapped
-    difference along that edge, and the walk adds the wrapped differences
-    outward, to the right and then to the left. So each cell of I is
-    computed once. On a full rectangle this is the comb of a cell-by-cell
-    breadth-first search (the anchor's column, then each row outward from
-    it), with the same floats.
+    I = theta + 2 pi n, with theta = angle(psi) and n the whole turns of
+    Itoh's method: the turn counts summed along a spanning tree of row runs,
+    the maximal horizontal segments of valid cells, in integers. Each valid
+    component has n = 0 at its own anchor, its cell of largest |psi|, so I
+    there is exactly theta. With no winding plaquette and no charged hole the
+    turn counts sum to zero round every cycle of valid cells (a cycle
+    encloses only valid plaquettes and whole holes), so n, and every bit of
+    I, is the same along any path: the traversal does not affect the result.
 
     The result is unique up to 2*pi*n per component. `winding`, `diffs`
     and `holes` are `residues(psi)[0]`, `phase_differences(psi)` and
     `hole_charges(psi)`, when the caller has them. Raises VortexError when a
-    plaquette winds or a hole is charged. Else no off-tree edge jumps: a
-    cycle of valid cells encloses only valid plaquettes and whole holes.
+    plaquette winds or a hole is charged.
     """
     if diffs is None:
         diffs = phase_differences(psi)

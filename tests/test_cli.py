@@ -394,6 +394,49 @@ class TestVortexSummary:
                      "total_winding": 1, "unwrapped": False}
 
 
+class TestGlobalPhase:
+    """ψ and ψ·e^{0.7i} through `analyze`: the vortices are the same, and
+    where the phase unwraps, the I dumps differ by 0.7 mod 2π."""
+
+    @staticmethod
+    def run_both(tmp_path, psi, *extra):
+        out = []
+        for name, expr in (("plain", psi), ("turned", f"({psi})*exp(i*0.7)")):
+            code = analyze(tmp_path / name, "--psi", expr, "--dump", "bin", *extra)
+            out.append((code, load_report(tmp_path / name), tmp_path / name / "I.mfld"))
+        return out
+
+    @pytest.mark.parametrize("psi, extra", [
+        pytest.param("exp(x+i*y)*exp(-0.1*(x^2+y^2))", (), id="smooth"),
+        pytest.param("(x+i*y)*exp(-(x^2+y^2)/2)", ("--grid", "64x64"), id="vortex"),
+        pytest.param("(x+i*y)*(x-1-i*y)*exp(-(x^2+y^2))", ("--node-threshold", "0.05"),
+                     id="hidden-pair"),
+        pytest.param("(x-y)*exp(-(x^2+y^2)/2)", (), id="nodal-line"),
+        # on these cells the steps across the line come within rounding of pi
+        pytest.param("(x-y)*exp(-(x^2+y^2)/2)", ("--grid", "40x41"), id="nodal-line-off-grid"),
+        pytest.param("(x^2+y^2-1)*exp(-(x^2+y^2)/2)", (), id="nodal-circle"),
+    ])
+    def test_vortices_and_unwrapped_phase_follow_the_phase(self, tmp_path, psi, extra):
+        (code0, rep0, path0), (code1, rep1, path1) = self.run_both(tmp_path, psi, *extra)
+        assert code0 == code1 and rep0["vortices"] == rep1["vortices"]
+        if rep0["vortices"]["unwrapped"]:
+            I0, I1 = fieldio.read_binary(path0), fieldio.read_binary(path1)
+            assert np.array_equal(I0.mask, I1.mask)
+            d = np.mod(I1.values - I0.values - 0.7 + np.pi, 2 * np.pi) - np.pi
+            assert np.max(np.abs(d[I0.mask])) < 1e-12
+
+    def test_core_on_an_edge_keeps_count_and_charge(self, tmp_path):
+        # the -1 core lies exactly on the edge (32,37)-(32,38): which of its
+        # two plaquettes winds depends on the last bits of the phase, so
+        # only the count, the total and the holes are invariant
+        (code0, rep0, _), (code1, rep1, _) = self.run_both(
+            tmp_path, "(x+i*y)^2*(x-i*y-0.5)*exp(-(x^2+y^2))")
+        v0, v1 = rep0["vortices"], rep1["vortices"]
+        assert code0 == code1 == 2
+        for key in ("count", "total_winding", "holes"):
+            assert v0[key] == v1[key]
+
+
 class TestDumps:
     def test_bin_round_trip(self, tmp_path):
         analyze(tmp_path, "--builtin", "ho_ground", "--grid", "17x17", "--dump", "bin")

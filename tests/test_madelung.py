@@ -18,9 +18,10 @@ from madelab.madelung import (
     PhaseDifferences,
     VortexError,
     _row_runs,
-    _wrap,
+    _turns,
     decompose,
     hole_charges,
+    phase_differences,
     residues,
     unwrap_phase,
 )
@@ -403,29 +404,28 @@ class TestResidues:
         assert total == int(w[5:34, 5:34].sum())
 
 
-def test_wrap_step_is_wrap_on_angle_differences():
-    # _wrap's one shift by 2 pi is the np.mod form bit for bit on |d| <= 2 pi
-    # outside its band at +-pi, apart from -pi where pi - d is exactly 2 pi
-    # (mod_wrap's own rule), on every pair of edge-case angles, and random
-    # angles as np.angle returns them, including differences of exactly +-pi
-    # and +-2 pi
+def test_turns_count_the_wrap_of_angle_differences():
+    # _turns counts the turns of the np.mod form on |d| <= 2 pi outside its
+    # band at +-pi, on every pair of edge-case angles, and random angles as
+    # np.angle returns them, including differences of exactly +-pi and +-2 pi
     edge = np.array([np.pi, -np.pi, 0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300,
                      np.nextafter(np.pi, 0), np.nextafter(-np.pi, 0), np.pi / 2, -np.pi / 2])
     rng = np.random.default_rng(0)
     theta = np.angle(rng.normal(size=400_000) + 1j * rng.normal(size=400_000))
     a = np.concatenate([np.repeat(edge, edge.size), theta[::2], theta[::2]])
     b = np.concatenate([np.tile(edge, edge.size), theta[1::2], np.nextafter(theta[::2], 4)])
+    band = 2 * np.spacing(np.pi)
     for d in (a - b, b - a):
-        assert np.array_equal(_wrap(d).view(np.uint64), mod_wrap(d).view(np.uint64))
-    # odd at the boundary: a step of exactly -pi is the negation of +pi
-    d = np.array([np.pi, -np.pi])
-    assert np.array_equal(_wrap(-d).view(np.uint64), (-_wrap(d)).view(np.uint64))
-    assert np.array_equal(_wrap(d), d)
-    # a step within the band, 2 ulp of +-pi, keeps its sign; one beyond wraps
+        s = _turns(d)
+        assert s.dtype == np.int8
+        # odd: a step the other way counts the opposite turns
+        assert np.array_equal(_turns(-d), -s)
+        out = np.abs(np.abs(d) - np.pi) > band
+        assert np.array_equal(s[out], np.rint((mod_wrap(d) - d) / (2 * np.pi))[out])
+    # a step within the band, 2 ulp of +-pi, counts no turn; one beyond wraps
     near = np.pi + np.spacing(np.pi) * np.arange(-4, 5)
     for d in (near, -near):
-        kept = np.sign(_wrap(d)) == np.sign(d)
-        assert np.array_equal(kept, np.abs(d) <= np.pi + 2 * np.spacing(np.pi))
+        assert np.array_equal(_turns(d) == 0, np.abs(d) <= np.pi + band)
 
 
 class TestUnwrap:
@@ -586,28 +586,33 @@ def outcome(unwrap, psi):
         return err
 
 
-def assert_same_outcome(got, want):
+def assert_same_outcome(got, want, theta):
     # the oracles scan for tears only when no plaquette winds, and their
     # tears depend on the tree; unwrap_phase finds a hidden core by its
-    # hole's charge, before any tree
+    # hole's charge, before any tree. The oracles add floats along their
+    # tree, so they fix only the branch n = rint((I - theta) / 2 pi), and
+    # unwrap_phase returns theta + 2 pi n bit for bit
     assert type(got) is type(want)
     if isinstance(want, VortexError):
         assert got.plaquettes == want.plaquettes
         if not want.plaquettes:
             assert bool(got.holes) == bool(want.holes)
     else:
-        assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
         assert np.array_equal(got.mask, want.mask)
+        n = np.rint((want.values - theta) / (2 * np.pi))
+        assert np.array_equal(got.values.view(np.uint64), (theta + 2 * np.pi * n).view(np.uint64))
 
 
 @given(phases(masked=False))
 def test_unwrap_matches_cell_by_cell_bfs(psi):
-    assert_same_outcome(outcome(unwrap_phase, psi), outcome(bfs_unwrap, psi))
+    assert_same_outcome(outcome(unwrap_phase, psi), outcome(bfs_unwrap, psi),
+                        angle(psi.values))
 
 
 @given(phases())
 def test_unwrap_matches_cell_by_cell_run_tree(psi):
-    assert_same_outcome(outcome(unwrap_phase, psi), outcome(run_tree_unwrap, psi))
+    assert_same_outcome(outcome(unwrap_phase, psi), outcome(run_tree_unwrap, psi),
+                        angle(psi.values))
 
 
 @given(phases(vortex=st.just(False)))
@@ -622,8 +627,16 @@ def test_unwrapped_phase_congruent_to_angle(psi):
     for comp in components(psi.mask):
         anchor = min(comp, key=lambda c: (-amp[c], c))
         assert I.values[anchor] == theta[anchor]
-    d = mod_wrap(I.values - theta)  # not an angle difference: |I - theta| may exceed 2 pi
-    assert np.max(np.abs(d[I.mask])) < 1e-9
+    # I = theta + 2 pi n bit for bit, n whole, and n steps by each valid-valid
+    # edge's turn count
+    v = psi.mask
+    n = np.rint(np.where(v, I.values - theta, 0.0) / (2 * np.pi))
+    assert np.array_equal(I.values[v].view(np.uint64), (theta + 2 * np.pi * n)[v].view(np.uint64))
+    _, sx, sy = phase_differences(psi)
+    across = v[:, 1:] & v[:, :-1]
+    assert np.array_equal((n[:, 1:] - n[:, :-1])[across], sx[across])
+    up = v[1:] & v[:-1]
+    assert np.array_equal((n[1:] - n[:-1])[up], sy[up])
 
 
 @given(st.data())
@@ -667,15 +680,15 @@ def test_residue_additivity_on_random_rectangles(data):
 
 @given(st.data())
 def test_holes_are_the_8_connected_components_off_the_grid_edge(data):
-    # with dx = -2 pi j and dy = 0 every plaquette circulates by exactly
-    # 2 pi, so each hole's charge is the number of plaquettes touching it,
+    # with sx = -j and sy = 0 every plaquette circulates by exactly one
+    # turn, so each hole's charge is the number of plaquettes touching it,
     # never 0: the list names every hole, by its first cell
     ny, nx = data.draw(st.integers(3, 40)), data.draw(st.integers(3, 40))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     valid = rng.random((ny, nx)) >= data.draw(st.floats(0.05, 0.7))
     psi = ComplexField(GridSpec(nx, ny), np.ones((ny, nx), dtype=complex), valid)
-    dx = np.repeat(-2 * np.pi * np.arange(ny, dtype=float)[:, None], nx - 1, axis=1)
-    diffs = PhaseDifferences(np.zeros((ny, nx)), dx, np.zeros((ny - 1, nx)))
+    sx = np.repeat(-np.arange(ny, dtype=np.int8)[:, None], nx - 1, axis=1)
+    diffs = PhaseDifferences(np.zeros((ny, nx)), sx, np.zeros((ny - 1, nx), np.int8))
     label, count = ndimage.label(~valid, np.ones((3, 3)))
     edge = set(np.concatenate([label[0], label[-1], label[:, 0], label[:, -1]]).tolist())
     corner = np.maximum.reduce([label[:-1, :-1], label[:-1, 1:], label[1:, :-1], label[1:, 1:]])
