@@ -35,19 +35,3 @@ from .madelung import (
 )
 
 __version__ = "0.1.0"
-
-# The solver needs scipy, which takes longer to import than the rest of
-# madelab; `spectral` loads on first access to one of its names (PEP 562).
-_SOLVER_NAMES = ("EigenSolution", "Hamiltonian", "assemble", "combine", "solve_lowest")
-
-
-def __getattr__(name):
-    if name in _SOLVER_NAMES:
-        from . import spectral
-
-        return getattr(spectral, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted([*globals(), *_SOLVER_NAMES])

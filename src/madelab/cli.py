@@ -227,8 +227,6 @@ def _parse_combine(text: str) -> tuple[list[int], list[complex]]:
                   for t in coeff_part.split(",")]
     except (ValueError, exprlang.ParseError) as err:
         raise ValueError(f"bad --combine {text!r}: {err}") from err
-    if len(indices) != len(coeffs):
-        raise ValueError("--combine needs as many coefficients as indices")
     return indices, coeffs
 
 
@@ -387,6 +385,21 @@ def _write_and_hash(jobs: list) -> list[str]:
     return [writer(field, path) for writer, field, path in jobs]
 
 
+def _drop_stale_dumps(out_dir: Path, manifest: list[dict]) -> None:
+    """Delete the dumps that the report still in `out_dir` lists and
+    `manifest` does not, so the directory holds this run's dumps only. Only
+    bare file names are deleted; an unreadable old report deletes nothing."""
+    try:
+        old = json.loads((out_dir / "report.json").read_text())["manifest"]
+        stale = {e["path"] for e in old} - {e["path"] for e in manifest}
+        names = [n for n in stale if isinstance(n, str) and Path(n).name == n
+                 and n not in ("", "..", "report.json")]
+    except (OSError, ValueError, LookupError, TypeError):
+        return
+    for name in names:
+        (out_dir / name).unlink(missing_ok=True)
+
+
 def write_report(report: dict, out_dir: Path) -> Path:
     path = out_dir / "report.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
@@ -426,17 +439,13 @@ def _finish(args, out_dir: Path, d: Diagnosis, **entries) -> int:
     """Dump the fields, write the full report and pick the exit code."""
     report = build_report(args, d, **entries)
     report["manifest"] = dump_fields(d.psi, _collect_fields(d), out_dir, args.dump)
+    _drop_stale_dumps(out_dir, report["manifest"])
     path = write_report(report, out_dir)
     print(f"report written to {path}")
     if d.m.I_unwrapped is None:
         print("note: phase has vortices; J~ is unavailable", file=sys.stderr)
         return EXIT_VORTEX
     return EXIT_OK
-
-
-def _check_index(flag: str, idx: int, count: int) -> None:
-    if not 0 <= idx < count:
-        raise ValueError(f"{flag} {idx} out of range 0..{count - 1}")
 
 
 # --- subcommands -------------------------------------------------------------
@@ -461,28 +470,28 @@ def cmd_solve(args) -> int:
     if args.potential is None:
         raise ValueError("solve requires --potential")
     V = _potential_field(args, spec)
+    combination = None if args.combine is None else _parse_combine(args.combine)
     H = spectral.assemble(V, p)
     try:
         sol = spectral.solve_lowest(
             H, args.count, tol=args.solver_tol, max_iter=args.max_iter, seed=args.seed
         )
     except spectral.EigenConvergenceError as err:
-        report = build_report(args, error=str(err), energies=err.energies or [],
-                              solver_residuals=err.residuals or [])
+        report = build_report(args, error=str(err), energies=err.energies,
+                              solver_residuals=err.residuals)
+        _drop_stale_dumps(out_dir, [])
         path = write_report(report, out_dir)
         print(f"eigensolver did not converge; partial report at {path}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
-    if args.combine is not None:
-        indices, coeffs = _parse_combine(args.combine)
-        for idx in indices:
-            _check_index("--combine", idx, len(sol.states))
-        psi, energy = spectral.combine(sol, indices, coeffs)
+    if combination is not None:
+        psi, energy = spectral.combine(sol, *combination)
         provenance = {"source": "solve+combine", "potential": args.potential,
                       "combine": args.combine}
     else:
         idx = args.state_index
-        _check_index("--state-index", idx, len(sol.states))
+        if not 0 <= idx < len(sol.states):
+            raise ValueError(f"--state-index {idx} out of range 0..{len(sol.states) - 1}")
         psi, energy = sol.states[idx], sol.energies[idx]
         provenance = {"source": "solve", "potential": args.potential,
                       "state_index": idx}

@@ -258,13 +258,6 @@ def write_complex(f: ComplexField, path: str | Path, writer=write_binary) -> tup
     return re_path, im_path
 
 
-def read_complex(path: str | Path, reader=read_binary) -> ComplexField:
-    path = Path(path)
-    re = reader(path.with_name(path.name + ".re"))
-    im = reader(path.with_name(path.name + ".im"))
-    return ComplexField(re.spec, re.values + 1j * im.values)
-
-
 def write_gnuplot(f: ScalarField, path: str | Path) -> str:
     """Whitespace `x y value` table with blank lines between rows."""
     nx = f.spec.nx

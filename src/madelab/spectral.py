@@ -36,7 +36,7 @@ DEGENERACY_FACTOR = 10.0
 
 
 class EigenConvergenceError(RuntimeError):
-    def __init__(self, message: str, energies=None, residuals=None):
+    def __init__(self, message: str, energies: list[float], residuals: list[float]):
         super().__init__(message)
         self.energies = energies
         self.residuals = residuals
@@ -152,11 +152,11 @@ def solve_lowest(
             )
         except spla.ArpackNoConvergence as err:
             got = err.eigenvalues if err.eigenvalues is not None else np.empty(0)
-            res = [residual(lam, v) for lam, v in zip(got, err.eigenvectors.T)] if len(got) else None
+            vecs = err.eigenvectors.T if len(got) else []
             raise EigenConvergenceError(
                 f"eigensolver did not converge within {max_iter} iterations",
                 energies=[float(x) for x in got],
-                residuals=res,
+                residuals=[residual(lam, v) for lam, v in zip(got, vecs)],
             ) from err
         order = np.argsort(vals)
         energies = [float(x) for x in vals[order]]
@@ -209,7 +209,7 @@ def combine(
         raise ValueError("indices and coeffs must be nonempty and equal-length")
     for i in indices:
         if not 0 <= i < len(sol.states):
-            raise IndexError(f"eigenstate index {i} out of range")
+            raise ValueError(f"eigenstate index {i} out of range 0..{len(sol.states) - 1}")
     degeneracy_tol = DEGENERACY_FACTOR * sol.tol
     energies = [sol.energies[i] for i in indices]
     if max(energies) - min(energies) > degeneracy_tol:

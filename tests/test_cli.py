@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from madelab import cli, fieldio
+from madelab import cli, fieldio, spectral
 from madelab.currents import PhysicalParams
 from madelab.grid import ComplexField, GridSpec, ScalarField
 from madelab.madelung import VortexError, decompose, unwrap_phase
 from madelab.spectral import builtin_state
+from reportcheck import check_report
 
 
 def run(argv, capsys=None):
@@ -442,9 +443,11 @@ class TestDumps:
         analyze(tmp_path, "--builtin", "ho_ground", "--grid", "17x17", "--dump", "bin")
         f = fieldio.read_binary(tmp_path / "S.mfld")
         assert f.spec.nx == 17
-        psi = fieldio.read_complex(tmp_path / "psi.mfld")
+        real, imag = (fieldio.read_binary(tmp_path / f"psi.mfld.{part}") for part in ("re", "im"))
+        assert real.spec == imag.spec == f.spec
         # S from dump matches ln|psi|
-        assert np.allclose(f.values[f.mask], np.log(np.abs(psi.values))[f.mask])
+        psi = real.values + 1j * imag.values
+        assert np.allclose(f.values[f.mask], np.log(np.abs(psi))[f.mask])
 
     def test_split_mask_unwraps_every_component(self, tmp_path):
         # the nodal line x = 1/2 splits the valid cells in two; each half is
@@ -470,6 +473,61 @@ class TestDumps:
         monkeypatch.setenv("MADELUNG_OUT", str(tmp_path / "envdir"))
         assert cli.main(["analyze", "--builtin", "ho_ground", "--grid", "9x9"]) == 0
         assert (tmp_path / "envdir" / "report.json").exists()
+
+
+class TestStaleDumps:
+    """A reused --out holds the latest run's dumps only: the dumps the
+    previous report listed and this run did not write are deleted."""
+
+    @staticmethod
+    def dumps(out):
+        return sorted(p.name for p in out.iterdir() if p.name != "report.json")
+
+    def test_vortex_run_leaves_no_phase_dump(self, tmp_path):
+        assert analyze(tmp_path, "--psi", "exp(x+i*y)", "--grid", "17x17") == 0
+        assert "I.mfld" in self.dumps(tmp_path)
+        assert analyze(tmp_path, "--builtin", "ho_vortex", "--grid", "17x17") == 2
+        check_report(load_report(tmp_path), tmp_path, 2)
+        assert "I.mfld" not in self.dumps(tmp_path)
+
+    def test_csv_run_leaves_no_binary_dump(self, tmp_path):
+        (tmp_path / "notes.csv").write_text("kept\n")
+        analyze(tmp_path, "--psi", "exp(x+i*y)", "--grid", "17x17")
+        analyze(tmp_path, "--psi", "exp(x+i*y)", "--grid", "17x17", "--dump", "csv")
+        names = self.dumps(tmp_path)
+        assert not [n for n in names if ".mfld" in n]
+        assert (tmp_path / "notes.csv").read_text() == "kept\n"
+        assert sorted(e["path"] for e in load_report(tmp_path)["manifest"]) == \
+            [n for n in names if n != "notes.csv"]
+
+    def test_no_convergence_leaves_no_dump(self, tmp_path, capsys):
+        analyze(tmp_path, "--builtin", "ho_ground", "--grid", "17x17")
+        code = cli.main([
+            "solve", "--potential", "(x^2+y^2)/2", "--grid", "32x32",
+            "--domain", "-5,5,-5,5", "--count", "4", "--solver-tol", "1e-16",
+            "--out", str(tmp_path),
+        ])
+        assert code == 3 and self.dumps(tmp_path) == []
+
+    @pytest.mark.parametrize("entry", ["../x", "report.json", ".", "..", "", 7, None])
+    def test_only_bare_dump_names_are_deleted(self, tmp_path, entry):
+        out = tmp_path / "out"
+        out.mkdir()
+        (tmp_path / "x").write_text("outside\n")
+        report = {"manifest": [{"path": entry}, {"path": "old.mfld"}]}
+        (out / "report.json").write_text(json.dumps(report))
+        (out / "old.mfld").write_text("")
+        assert analyze(out, "--psi", "exp(x+i*y)", "--grid", "9x9") == 0
+        assert (tmp_path / "x").read_text() == "outside\n"
+        assert not (out / "old.mfld").exists()
+        assert load_report(out)["schema"] == "madelab-report/2"
+
+    @pytest.mark.parametrize("old", ["{", "[]", '{"manifest": 3}', '{"manifest": ["a"]}'])
+    def test_unreadable_old_report_is_skipped(self, tmp_path, old):
+        (tmp_path / "report.json").write_text(old)
+        (tmp_path / "a").write_text("")
+        assert analyze(tmp_path, "--psi", "exp(x+i*y)", "--grid", "9x9") == 0
+        assert (tmp_path / "a").exists()
 
 
 class TestOutputErrors:
@@ -642,7 +700,8 @@ class TestSolve:
             "--combine", spec, "--out", str(tmp_path),
         ])
         assert code == 1
-        assert "error: --combine" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: eigenstate index ") and "out of range 0..2" in err
 
     def test_count_cutting_a_cluster_converges(self, tmp_path, capsys):
         # --count 2 cuts the E = 2 pair; at seed 0 the cut pair alone
@@ -657,12 +716,18 @@ class TestSolve:
         assert len(rep["energies"]) == len(rep["solver_residuals"]) == 2
         assert max(rep["solver_residuals"]) <= 1e-10
 
-    def test_bad_combine_spec(self, tmp_path, capsys):
+    def test_bad_combine_spec(self, tmp_path, capsys, monkeypatch):
+        # --combine is parsed before the solve, which takes ~1 s at 256x256
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before --combine was parsed")
+
+        monkeypatch.setattr(spectral, "solve_lowest", no_solve)
         code = cli.main([
             "solve", "--potential", "0", "--grid", "16x16", "--domain", "0,1,0,1",
             "--count", "2", "--combine", "junk", "--out", str(tmp_path),
         ])
         assert code == 1
+        assert capsys.readouterr().err.startswith("error: bad --combine 'junk': ")
 
     def test_combine_of_tiny_coefficients_is_not_zero(self, tmp_path, capsys):
         # the plain sum of squares underflows to 0; the state is that of 1,i,

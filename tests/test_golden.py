@@ -3,7 +3,9 @@ stored text byte for byte.
 
 Reports are compared as `json.dumps(sort_keys=True, indent=2)` text with
 `generated_at` and `config.out` removed; the manifest's sha256 entries pin
-every dumped field as well. The `convergence` case compares its stdout.
+every dumped field as well. Each report must also pass `check_report`
+against its own output directory. The `convergence` case compares its
+stdout.
 
 After an intended output change, regenerate with
 
@@ -20,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from madelab import cli
+from reportcheck import check_report
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -53,6 +56,7 @@ def report_text(argv: list[str]) -> tuple[int, str]:
             code = cli.main(argv + ["--out", tmp])
         report = json.loads((Path(tmp) / "report.json").read_text(),
                             parse_constant=reject_constant)
+        check_report(report, Path(tmp), code)
     report.pop("generated_at")
     report["config"].pop("out")
     return code, json.dumps(report, sort_keys=True, indent=2) + "\n"

@@ -274,6 +274,15 @@ class TestWholeClusters:
         assert len(eigsh_runs) == 2
         assert len(info.value.energies) == len(info.value.residuals) == 4
 
+    def test_empty_arpack_result_gives_empty_lists(self, monkeypatch):
+        def no_pairs(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", None, None)
+
+        monkeypatch.setattr(spectral.spla, "eigsh", no_pairs)
+        with pytest.raises(EigenConvergenceError) as info:
+            solve_lowest(free_hamiltonian(box_spec(8)), 2)
+        assert info.value.energies == info.value.residuals == []
+
     def test_no_retry_past_the_cell_count(self, eigsh_runs):
         # 8 pairs of a 9-cell grid leave no room for a ninth
         H = free_hamiltonian(GridSpec(3, 3, 0, 0, 0.25, 0.25))
@@ -348,7 +357,7 @@ class TestCombine:
             combine(ho_sol, [0, 1], [1.0, 1.0])
 
     def test_bad_indices(self, ho_sol):
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match=r"eigenstate index 9 out of range 0\.\.3"):
             combine(ho_sol, [0, 9], [1.0, 1.0])
         with pytest.raises(ValueError):
             combine(ho_sol, [], [])
