@@ -385,18 +385,21 @@ def _write_and_hash(jobs: list) -> list[str]:
     return [writer(field, path) for writer, field, path in jobs]
 
 
-def _drop_stale_dumps(out_dir: Path, manifest: list[dict]) -> None:
-    """Delete the dumps that the report still in `out_dir` lists and
-    `manifest` does not, so the directory holds this run's dumps only. Only
-    bare file names are deleted; an unreadable old report deletes nothing."""
+def _listed_dumps(out_dir: Path) -> set[str]:
+    """The dumps that the report still in `out_dir` lists. Only bare file
+    names count; an unreadable old report lists nothing."""
     try:
         old = json.loads((out_dir / "report.json").read_text())["manifest"]
-        stale = {e["path"] for e in old} - {e["path"] for e in manifest}
-        names = [n for n in stale if isinstance(n, str) and Path(n).name == n
-                 and n not in ("", "..", "report.json")]
+        return {n for n in (e["path"] for e in old) if isinstance(n, str)
+                and Path(n).name == n and n not in ("", "..", "report.json")}
     except (OSError, ValueError, LookupError, TypeError):
-        return
-    for name in names:
+        return set()
+
+
+def _drop_stale_dumps(out_dir: Path, listed: set[str], manifest: list[dict]) -> None:
+    """Delete the `listed` dumps that `manifest` does not name, so the
+    directory holds this run's dumps only."""
+    for name in listed - {e["path"] for e in manifest}:
         (out_dir / name).unlink(missing_ok=True)
 
 
@@ -436,10 +439,14 @@ def build_report(args, d: Diagnosis | None = None, **entries) -> dict:
 
 
 def _finish(args, out_dir: Path, d: Diagnosis, **entries) -> int:
-    """Dump the fields, write the full report and pick the exit code."""
+    """Dump the fields, write the full report and pick the exit code. The
+    previous report goes before the first dump, so a run that fails while
+    dumping leaves no report naming files it overwrote."""
     report = build_report(args, d, **entries)
+    listed = _listed_dumps(out_dir)
+    (out_dir / "report.json").unlink(missing_ok=True)
     report["manifest"] = dump_fields(d.psi, _collect_fields(d), out_dir, args.dump)
-    _drop_stale_dumps(out_dir, report["manifest"])
+    _drop_stale_dumps(out_dir, listed, report["manifest"])
     path = write_report(report, out_dir)
     print(f"report written to {path}")
     if d.m.I_unwrapped is None:
@@ -479,7 +486,7 @@ def cmd_solve(args) -> int:
     except spectral.EigenConvergenceError as err:
         report = build_report(args, error=str(err), energies=err.energies,
                               solver_residuals=err.residuals)
-        _drop_stale_dumps(out_dir, [])
+        _drop_stale_dumps(out_dir, _listed_dumps(out_dir), [])
         path = write_report(report, out_dir)
         print(f"eigensolver did not converge; partial report at {path}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -48,6 +50,13 @@ def ho_spec(n=97, half=6.0):
 def ho_potential(spec):
     X, Y = spec.meshgrid()
     return ScalarField(spec, 0.5 * (X**2 + Y**2))
+
+
+def quartic_potential(spec):
+    # not separable on the grid, so it takes shift-invert Lanczos
+    X, Y = spec.meshgrid()
+    r2 = X**2 + Y**2
+    return ScalarField(spec, 0.5 * r2 + 0.05 * r2**2)
 
 
 class TestOperator:
@@ -168,6 +177,16 @@ class TestSolver:
         s2 = solve_lowest(H, 1, seed=99)
         assert np.allclose(s1.states[0].values, s2.states[0].values, atol=1e-7)
 
+    def test_shift_invert_deterministic_and_sign_stable(self):
+        H = assemble(quartic_potential(ho_spec(49)), P)
+        s1 = solve_lowest(H, 3, seed=11)
+        s2 = solve_lowest(H, 3, seed=11)
+        assert s1.method == "shift-invert" and s1.energies == s2.energies
+        for a, b in zip(s1.states, s2.states):
+            assert np.array_equal(a.values, b.values)
+        s3 = solve_lowest(H, 1, seed=99)
+        assert np.allclose(s1.states[0].values, s3.states[0].values, atol=1e-7)
+
     def test_normalization(self):
         spec = box_spec(24)
         sol = solve_lowest(free_hamiltonian(spec), 1)
@@ -219,19 +238,19 @@ def eigsh_runs(monkeypatch):
     return seen
 
 
-def oscillator_256():
-    # the CLI's grid convention on [-6, 6]^2, as in the headline flow
-    n, half = 256, 6.0
+def on_cli_grid(potential, n, half=6.0):
+    # the CLI's grid convention on [-half, half]^2, as in the headline flow
     h = 2 * half / (n + 1)
-    return assemble(ho_potential(GridSpec(n, n, -half + h, -half + h, h, h)), P)
+    return assemble(potential(GridSpec(n, n, -half + h, -half + h, h, h)), P)
 
 
 class TestCounters:
     def test_opinv_calls_are_the_real_count(self, eigsh_runs):
         seen = eigsh_runs
-        H = assemble(ho_potential(ho_spec(49)), P)
+        H = assemble(quartic_potential(ho_spec(49)), P)
         s1 = solve_lowest(H, 3, seed=5)
         s2 = solve_lowest(H, 3, seed=5)
+        assert s1.method == "shift-invert"
         assert s1.opinv_calls > 0
         assert seen == [s1.opinv_calls, s2.opinv_calls]
         assert s1.opinv_calls == s2.opinv_calls
@@ -239,36 +258,38 @@ class TestCounters:
 
     def test_fill_reducing_factor_at_256(self):
         # the default column ordering (COLAMD) fills 6.70 M nonzeros here
-        assert solve_lowest(oscillator_256(), 1).factor_nnz <= 3.6e6
+        sol = solve_lowest(on_cli_grid(quartic_potential, 256), 1)
+        assert 0 < sol.factor_nnz <= 3.6e6
 
 
 class TestWholeClusters:
     """A count that cuts a degenerate cluster is completed by one retry."""
 
     def cut_pair(self):
-        # 129^2 oscillator on [-6, 6]^2: count 2 cuts the E = 2 pair, and at
-        # seed 0 the pair's first member alone misses 1e-10 (1.95e-10)
-        n, half = 129, 6.0
-        h = 2 * half / (n + 1)
-        return assemble(ho_potential(GridSpec(n, n, -half + h, -half + h, h, h)), P)
+        # 129^2 quartic on [-6, 6]^2: count 2 cuts the E = 2.2365 pair; the
+        # cut member alone reads 1.45e-11 at seed 2 and 8.9e-12 at seed 0
+        return on_cli_grid(quartic_potential, 129)
 
     def test_cut_cluster_is_solved_whole(self, eigsh_runs):
         H = self.cut_pair()
-        sol = solve_lowest(H, 2, tol=1e-10, seed=0)
+        assert solve_lowest(H, 2, tol=1e-11, seed=0).solved_count == 2
+        del eigsh_runs[:]
+        sol = solve_lowest(H, 2, tol=1e-11, seed=2)
         assert sol.solved_count == 3
         assert len(eigsh_runs) == 2 and sol.opinv_calls == sum(eigsh_runs)
         assert len(sol.energies) == len(sol.states) == len(sol.residuals) == 2
-        assert max(sol.residuals) <= 1e-10
-        whole = solve_lowest(H, 3, tol=1e-10, seed=0)
-        assert np.allclose(sol.energies, whole.energies[:2], rtol=0, atol=1e-10)
+        assert max(sol.residuals) <= 1e-11
+        whole = solve_lowest(H, 3, tol=1e-11, seed=2)
+        assert np.allclose(sol.energies, whole.energies[:2], rtol=0, atol=1e-11)
 
     def test_headline_flow_never_retries(self, eigsh_runs):
-        sol = solve_lowest(oscillator_256(), 3, tol=1e-10, seed=1)
+        # the headline flow's shape on a potential that keeps shift-invert
+        sol = solve_lowest(on_cli_grid(quartic_potential, 256), 3, tol=1e-10, seed=1)
         assert sol.solved_count == 3
         assert eigsh_runs == [sol.opinv_calls]
 
     def test_retry_failure_reports_the_requested_prefix(self, eigsh_runs):
-        H = assemble(ho_potential(ho_spec(32, 5.0)), P)
+        H = assemble(quartic_potential(ho_spec(32, 5.0)), P)
         with pytest.raises(EigenConvergenceError) as info:
             solve_lowest(H, 4, tol=1e-16)
         assert len(eigsh_runs) == 2
@@ -280,15 +301,118 @@ class TestWholeClusters:
 
         monkeypatch.setattr(spectral.spla, "eigsh", no_pairs)
         with pytest.raises(EigenConvergenceError) as info:
-            solve_lowest(free_hamiltonian(box_spec(8)), 2)
+            solve_lowest(assemble(quartic_potential(ho_spec(8, 5.0)), P), 2)
         assert info.value.energies == info.value.residuals == []
 
     def test_no_retry_past_the_cell_count(self, eigsh_runs):
         # 8 pairs of a 9-cell grid leave no room for a ninth
-        H = free_hamiltonian(GridSpec(3, 3, 0, 0, 0.25, 0.25))
+        H = assemble(quartic_potential(GridSpec(3, 3, 0, 0, 0.25, 0.25)), P)
         with pytest.raises(EigenConvergenceError):
             solve_lowest(H, 8, tol=1e-30)
         assert len(eigsh_runs) == 1
+
+
+def free_energies(spec, count, params=P):
+    """The lowest `count` closed-form eigenvalues of the free Dirichlet
+    grid: sums of c (4/h^2) sin^2(k pi / (2 (n + 1))) over the two axes."""
+    c = params.hbar**2 / (2.0 * params.mass)
+
+    def axis(n, h):
+        k = np.arange(1, n + 1)
+        return c * (4.0 / (h * h)) * np.sin(k * np.pi / (2 * (n + 1))) ** 2
+
+    return np.sort((axis(spec.ny, spec.dy)[:, None] + axis(spec.nx, spec.dx)).ravel())[:count]
+
+
+def walled_column():
+    # zero with one wall column is still a[i] + b[j]; walls keep shift-invert
+    V = ScalarField(ho_spec(33, 5.0), np.zeros((33, 33)))
+    V.mask[:, 5] = False
+    return V
+
+
+def nearly_separable():
+    V = ho_potential(ho_spec(33, 5.0))
+    X, Y = V.spec.meshgrid()
+    return ScalarField(V.spec, V.values + 1e-12 * X * Y)
+
+
+class TestSeparable:
+    """Separable potentials are solved from two tridiagonal eigenproblems."""
+
+    @pytest.mark.parametrize("V, method", [
+        (ho_potential(ho_spec(33, 5.0)), "separable"),
+        (ScalarField(ho_spec(33, 5.0), np.zeros((33, 33))), "separable"),
+        (quartic_potential(ho_spec(33, 5.0)), "shift-invert"),
+        (nearly_separable(), "shift-invert"),
+        (walled_column(), "shift-invert"),
+    ], ids=["oscillator", "zero", "quartic", "nearly-separable", "walled"])
+    def test_the_potential_picks_the_path(self, V, method, eigsh_runs):
+        sol = solve_lowest(assemble(V, P), 2)
+        assert sol.method == method
+        if method == "separable":
+            counters = (sol.opinv_calls, sol.factor_nnz, sol.solved_count)
+            assert counters == (0, 0, 2) and eigsh_runs == []
+        else:
+            assert sol.opinv_calls == sum(eigsh_runs) > 0
+
+    def test_headline_potential_is_separable(self):
+        from madelab import exprlang
+
+        n, half = 256, 6.0
+        h = 2 * half / (n + 1)
+        spec = GridSpec(n, n, -half + h, -half + h, h, h)
+        V = exprlang.eval_field(exprlang.parse("(x^2+y^2)/2"), spec).values.real
+        assert spectral._separable_parts(V) is not None
+
+    @pytest.mark.parametrize("params", [P, PhysicalParams(hbar=0.7, mass=1.9)])
+    def test_free_grid_closed_form(self, params):
+        spec = GridSpec(17, 23, 0, 0, 0.1, 0.07)
+        H = assemble(ScalarField(spec, np.zeros(spec.shape)), params)
+        sol = solve_lowest(H, 6, tol=1e-10)
+        np.testing.assert_allclose(sol.energies, free_energies(spec, 6, params),
+                                   rtol=1e-12, atol=0)
+
+    def test_one_cell_axis(self):
+        # GridSpec needs 3 cells per axis, so the pair builder is called
+        # directly: T_x is 1 x 1 with no off-diagonal
+        spec = SimpleNamespace(nx=1, ny=12, dx=0.2, dy=0.1)
+        H = SimpleNamespace(spec=spec, params=P)
+        energies, vecs = spectral._kronecker_pairs(H, np.zeros(1), np.zeros(12), 3)
+        np.testing.assert_allclose(energies, free_energies(spec, 3), rtol=1e-12, atol=0)
+        assert vecs.shape == (12, 3)
+        assert np.allclose(vecs.T @ vecs, np.eye(3), atol=1e-12)
+
+    def test_count_above_one_axis_cell_count(self):
+        # 3 x 40 cells (the narrowest axis a GridSpec allows), count 5 > nx:
+        # the dense spectrum is the oracle
+        rng = np.random.default_rng(4)
+        spec = GridSpec(3, 40, 0, 0, 0.3, 0.1)
+        V = ScalarField(spec, rng.uniform(0, 2, 40)[:, None] + rng.uniform(0, 2, 3))
+        H = assemble(V, P)
+        sol = solve_lowest(H, 5, tol=1e-10)
+        assert sol.method == "separable"
+        dense = np.linalg.eigvalsh(H.matrix.toarray())[:5]
+        np.testing.assert_allclose(sol.energies, dense, rtol=1e-12, atol=0)
+        cell = spec.dx * spec.dy
+        G = np.array([[np.sum(a.values.real * b.values.real) * cell for b in sol.states]
+                      for a in sol.states])
+        assert np.allclose(G, np.eye(5), atol=1e-12)
+
+    def test_seed_has_no_effect(self):
+        H = assemble(ho_potential(ho_spec(49)), P)
+        s1 = solve_lowest(H, 4, seed=0, max_iter=1)
+        s2 = solve_lowest(H, 4, seed=12345)
+        assert s1.energies == s2.energies and s1.residuals == s2.residuals
+        for a, b in zip(s1.states, s2.states):
+            assert np.array_equal(a.values, b.values)
+
+    def test_residual_failure_is_not_retried(self, eigsh_runs):
+        H = assemble(ho_potential(ho_spec(32, 5.0)), P)
+        with pytest.raises(EigenConvergenceError, match="eigenpair 0 residual") as info:
+            solve_lowest(H, 4, tol=1e-16)
+        assert eigsh_runs == []
+        assert len(info.value.energies) == len(info.value.residuals) == 4
 
 
 def clusters(energies, tol=1e-8):
