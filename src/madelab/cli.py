@@ -11,6 +11,7 @@ non-convergence (partial report still written).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import os
@@ -310,14 +311,19 @@ def dump_fields(psi, fields: dict, out_dir: Path, fmt: str) -> list[dict]:
     each, and list every file with its SHA-256 in that order. The files are
     shared out over the CPUs this process may run on; which process writes
     a file changes neither its bytes nor the list."""
+    jobs = _dump_jobs(psi, fields, out_dir, fmt)
+    digests = _run_split(jobs, _worker_count(len(jobs)))
+    return [{"path": path.name, "sha256": digest}
+            for (_, _, path), digest in zip(jobs, digests)]
+
+
+def _dump_jobs(psi, fields: dict, out_dir: Path, fmt: str) -> list[tuple]:
+    """(writer, field, path) per dump file, in manifest order."""
     ext, writer = _DUMP[fmt]
     psi_writer = writer if fmt != "gnuplot" else fieldio.write_binary
     jobs = [(psi_writer, part, path)
             for part, path in fieldio.complex_parts(psi, out_dir / f"psi{ext}")]
-    jobs += [(writer, f, out_dir / f"{name}{ext}") for name, f in sorted(fields.items())]
-    digests = _run_split(jobs, _worker_count(len(jobs)))
-    return [{"path": path.name, "sha256": digest}
-            for (_, _, path), digest in zip(jobs, digests)]
+    return jobs + [(writer, f, out_dir / f"{name}{ext}") for name, f in sorted(fields.items())]
 
 
 def _worker_count(n_jobs: int) -> int:
@@ -396,11 +402,12 @@ def _listed_dumps(out_dir: Path) -> set[str]:
         return set()
 
 
-def _drop_stale_dumps(out_dir: Path, listed: set[str], manifest: list[dict]) -> None:
-    """Delete the `listed` dumps that `manifest` does not name, so the
-    directory holds this run's dumps only."""
-    for name in listed - {e["path"] for e in manifest}:
-        (out_dir / name).unlink(missing_ok=True)
+def _drop_dumps(out_dir: Path, names: set[str]) -> None:
+    """Delete the named dumps from `out_dir`, skipping any entry that cannot
+    be removed (a directory in a dump's place, say)."""
+    for name in names:
+        with contextlib.suppress(OSError):
+            (out_dir / name).unlink(missing_ok=True)
 
 
 def write_report(report: dict, out_dir: Path) -> Path:
@@ -440,14 +447,23 @@ def build_report(args, d: Diagnosis | None = None, **entries) -> dict:
 
 def _finish(args, out_dir: Path, d: Diagnosis, **entries) -> int:
     """Dump the fields, write the full report and pick the exit code. The
-    previous report goes before the first dump, so a run that fails while
-    dumping leaves no report naming files it overwrote."""
+    previous report goes before the first dump, so a failed write leaves no
+    report naming files it overwrote; the failure also deletes the dumps
+    that report listed and every file this run meant to write, so it leaves
+    no dump either. A run that completes deletes the listed dumps it did
+    not write."""
     report = build_report(args, d, **entries)
     listed = _listed_dumps(out_dir)
     (out_dir / "report.json").unlink(missing_ok=True)
-    report["manifest"] = dump_fields(d.psi, _collect_fields(d), out_dir, args.dump)
-    _drop_stale_dumps(out_dir, listed, report["manifest"])
-    path = write_report(report, out_dir)
+    fields = _collect_fields(d)
+    try:
+        report["manifest"] = dump_fields(d.psi, fields, out_dir, args.dump)
+        _drop_dumps(out_dir, listed - {e["path"] for e in report["manifest"]})
+        path = write_report(report, out_dir)
+    except BaseException:
+        jobs = _dump_jobs(d.psi, fields, out_dir, args.dump)
+        _drop_dumps(out_dir, listed | {p.name for *_, p in jobs} | {"report.json"})
+        raise
     print(f"report written to {path}")
     if d.m.I_unwrapped is None:
         print("note: phase has vortices; J~ is unavailable", file=sys.stderr)
@@ -486,7 +502,7 @@ def cmd_solve(args) -> int:
     except spectral.EigenConvergenceError as err:
         report = build_report(args, error=str(err), energies=err.energies,
                               solver_residuals=err.residuals)
-        _drop_stale_dumps(out_dir, _listed_dumps(out_dir), [])
+        _drop_dumps(out_dir, _listed_dumps(out_dir))
         path = write_report(report, out_dir)
         print(f"eigensolver did not converge; partial report at {path}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

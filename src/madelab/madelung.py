@@ -22,8 +22,10 @@ Then the counts sum to zero round every cycle of valid cells, and I = theta
 in whole turns, on a spanning tree of row runs, the maximal horizontal
 segments of valid cells, as in the region-based trees of Ghiglia & Pritt,
 Two-Dimensional Phase Unwrapping (Wiley 1998). One table of row runs
-(`_row_runs`) serves this tree and the holes. n = 0 at the anchor of each
-valid component, its cell of largest |psi|.
+(`_row_runs`) and one breadth-first walk over it (`_components`) serve the
+tree and the holes: the walk labels each hole by its first run, and steps n
+from run to run of the tree. n = 0 at the anchor of each valid component,
+its cell of largest |psi|.
 """
 
 from __future__ import annotations
@@ -166,29 +168,47 @@ def _row_runs(mask: np.ndarray, reach: int) -> tuple[np.ndarray, ...]:
     return row, lo, hi, p, np.arange(p.size) + np.repeat(first - np.cumsum(count) + count, count)
 
 
+def _components(lower, upper, step, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """One breadth-first pass over the runs joined by the pairs (lower[k],
+    upper[k]), with `seeds` listing every run. Each component starts from
+    the first of `seeds` it holds. Returns, per run, that seed and the run's
+    offset from it, which steps by step[k] from lower[k] to upper[k]."""
+    ends = np.concatenate([lower, upper])
+    order = np.argsort(ends, kind="stable")
+    other = np.concatenate([upper, lower])[order].tolist()
+    steps = np.concatenate([step, -step])[order].tolist()
+    # run r's pairs are other[start[r]:start[r + 1]]; a lone run seeds itself
+    start = np.bincount(ends + 1, minlength=len(seeds) + 1).cumsum()
+    seed = np.where(np.diff(start), -1, np.arange(len(seeds))).tolist()
+    start, offset = start.tolist(), [0] * len(seeds)
+    for s in seeds:
+        if seed[s] < 0:
+            seed[s], queue = s, [s]
+            for r in queue:
+                for k in range(start[r], start[r + 1]):
+                    q = other[k]
+                    if seed[q] < 0:
+                        seed[q], offset[q] = s, offset[r] + steps[k]
+                        queue.append(q)
+    return np.array(seed, int), np.array(offset, int)
+
+
 def hole_charges(psi: ComplexField, diffs: PhaseDifferences | None = None
                  ) -> list[tuple[int, int, int]]:
     """(j, i, charge) per charged hole, by its first cell (j, i), row-major.
     A hole is an 8-connected component of invalid cells off the grid edge;
     a plaquette's cells are 8-neighbours, so it touches one hole at most.
     The charge, the winding round a hole, sums those plaquettes'
-    circulations, in turns."""
+    circulations, in turns. `_components` walks the invalid row runs with
+    zero steps, seeded in run order, so each hole is labelled by its first
+    run, whose first cell is the hole's."""
     invalid = ~psi.mask
     if not invalid[1:-1, 1:-1].any():
         return []
     row, lo, hi, lower, upper = _row_runs(invalid, 1)  # 8-neighbours join
-    parent = list(range(row.size))
-
-    def find(r: int) -> int:
-        while parent[r] != r:
-            parent[r] = r = parent[parent[r]]
-        return r
-
-    for p, q in zip(lower.tolist(), upper.tolist()):
-        p, q = sorted((find(p), find(q)))
-        parent[q] = p  # each root is its component's first run
+    first, _ = _components(lower, upper, np.zeros_like(lower), range(row.size))
     label = np.zeros(invalid.shape, np.int32)
-    label[invalid] = np.repeat([find(r) + 1 for r in range(row.size)], hi - lo + 1)
+    label[invalid] = np.repeat(first + 1, hi - lo + 1)
     corner = np.maximum(np.maximum(label[:-1, :-1], label[:-1, 1:]), label[1:, :-1])
     np.maximum(corner, label[1:, 1:], out=corner)
     charge = np.bincount(corner.ravel(), _circulation(psi, diffs).ravel())
@@ -198,45 +218,36 @@ def hole_charges(psi: ComplexField, diffs: PhaseDifferences | None = None
 
 def _run_tree(amp: np.ndarray, valid: np.ndarray, diffs: PhaseDifferences) -> np.ndarray:
     """I = theta + 2 pi n on every valid cell, n = 0 at the largest |psi| of
-    each valid component (see unwrap_phase)."""
+    each valid component (see unwrap_phase). `_components` walks the valid
+    row runs from each component's largest |psi|, the first run first on a
+    tie, and gives each run's base as its offset from there."""
     theta, sx, sy = diffs
     row, lo, hi, lower, upper = _row_runs(valid, 0)
 
     # Each run's largest |psi| and its first cell holding it: runs are
     # contiguous among the row-major valid cells.
     size = hi - lo + 1
-    offset = np.cumsum(size) - size
+    first = np.cumsum(size) - size
     amp = amp[valid]
-    peak = np.maximum.reduceat(amp, offset)
+    peak = np.maximum.reduceat(amp, first)
     at_peak = np.flatnonzero(amp == np.repeat(peak, size))
-    peak_col = lo + at_peak[np.searchsorted(at_peak, offset)] - offset
+    peak_col = lo + at_peak[np.searchsorted(at_peak, first)] - first
 
     # turns[j, i] sums sx along row j up to column i, and n is turns plus
     # one base per run. Runs p below and q above share a vertical edge at
     # their first shared column c, where n steps by sy: base[q] - base[p] =
-    # step.
+    # step. A run's base is its offset from its component's seed less the
+    # turns at the seed's peak, where n = 0.
     turns = np.zeros(valid.shape, np.int32)
     np.cumsum(sx, axis=1, out=turns[:, 1:])
     j, c = row[lower], np.maximum(lo[lower], lo[upper])
     step = turns[j, c] + sy[j, c] - turns[j + 1, c]
-    ways = [[] for _ in range(row.size)]
-    for p, q, s in zip(lower.tolist(), upper.tolist(), step.tolist()):
-        ways[p].append((q, s))
-        ways[q].append((p, -s))
-
-    # A breadth-first pass over each component from its largest |psi|, where
-    # n = 0, the first run first on a tie.
-    base = [None] * row.size
-    for seed in np.argsort(-peak, kind="stable").tolist():
-        if base[seed] is None:
-            base[seed] = -int(turns[row[seed], peak_col[seed]])
-            queue = [seed]
-            for r in queue:
-                for kid, s in ways[r]:
-                    if base[kid] is None:
-                        base[kid] = base[r] + s
-                        queue.append(kid)
-    turns[valid] += np.repeat(base, size)  # now n
+    seed, offset = _components(lower, upper, step, np.argsort(-peak, kind="stable").tolist())
+    # now n on every valid cell; a run's base runs on over the invalid cells
+    # after it, which go to NaN below
+    cell = row * valid.shape[1] + lo  # each run's first cell, row-major
+    turns.reshape(-1)[cell[0]:] += np.repeat(offset - turns[row, peak_col][seed],
+                                             np.diff(cell, append=valid.size))
     I = _TWO_PI * turns
     np.add(theta, I, out=I)
     I[~valid] = np.nan

@@ -473,6 +473,27 @@ class TestDumps:
         assert (tmp_path / "orth.dat").exists()
         assert (tmp_path / "psi.dat.re").read_bytes()[:5] == b"MFLD1"
 
+    @pytest.mark.parametrize("fmt", ["bin", "csv", "gnuplot"])
+    @pytest.mark.parametrize("state,code", [
+        # a winding plaquette right below the masked nodal row y = 2/3
+        (["--psi", "(x-0.1+i*(y-0.15))*(y-2/3)", "--grid", "16x17"], 2),
+        # the hidden pair: two charged holes, no winding plaquette
+        (["--psi", "(x+i*y)*(x-1-i*y)*exp(-(x^2+y^2))", "--node-threshold", "0.05",
+          "--grid", "33x31"], 2),
+        # one charged hole whose first row run is three cells wide
+        (["--psi", "(x+i*y)*(x-1-i*y)*exp(-(x^2+y^2))", "--node-threshold", "0.1",
+          "--grid", "24x23"], 2),
+        # a core masked in a region that reaches the grid edge is no hole: the
+        # valid cells do not enclose it, and they unwrap
+        (["--psi", "x-2.5+i*y", "--node-threshold", "0.1", "--grid", "16x17"], 0),
+    ])
+    def test_vortex_lists_agree_with_the_s_dump(self, tmp_path, fmt, state, code):
+        assert analyze(tmp_path, *state, "--dump", fmt) == code
+        report = load_report(tmp_path)
+        v = report["vortices"]
+        assert bool(v["plaquettes"] or v["holes"]) == (code == 2)
+        check_report(report, tmp_path, code)
+
     def test_env_out_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MADELUNG_OUT", str(tmp_path / "envdir"))
         assert cli.main(["analyze", "--builtin", "ho_ground", "--grid", "9x9"]) == 0
@@ -514,13 +535,20 @@ class TestStaleDumps:
         assert code == 3 and self.dumps(tmp_path) == []
 
     def test_failed_dump_leaves_no_report(self, tmp_path, capsys):
-        # the old report would name digests that the files no longer have
+        # the old report would name digests that the files no longer have,
+        # and with no report listing the old dumps no later run would delete
+        # them: the failed run deletes them, and its own files
         assert analyze(tmp_path, "--psi", "exp(x+i*y)", "--grid", "17x17") == 0
         (tmp_path / "U.mfld").unlink()
         (tmp_path / "U.mfld").mkdir()
         assert analyze(tmp_path, "--psi", "exp(2*x+i*y)", "--grid", "17x17") == 1
-        assert capsys.readouterr().err.startswith("error: cannot write output: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ") and "U.mfld" in err
+        assert self.dumps(tmp_path) == ["U.mfld"]  # the blocking directory stays
         assert not (tmp_path / "report.json").exists()
+        (tmp_path / "U.mfld").rmdir()
+        assert analyze(tmp_path, "--builtin", "ho_vortex", "--grid", "17x17") == 2
+        check_report(load_report(tmp_path), tmp_path, 2)
 
     @pytest.mark.parametrize("entry", ["../x", "report.json", ".", "..", "", 7, None])
     def test_only_bare_dump_names_are_deleted(self, tmp_path, entry):
@@ -562,6 +590,16 @@ class TestOutputErrors:
         assert analyze(tmp_path, "--builtin", "ho_ground", "--grid", "9x9") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write output: ") and "report.json" in err
+
+    def test_failed_report_write_leaves_no_dump(self, tmp_path, monkeypatch, capsys):
+        def disk_full(report, out_dir):
+            (out_dir / "report.json").write_text("{")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_report", disk_full)
+        assert analyze(tmp_path, "--builtin", "ho_ground", "--grid", "9x9") == 1
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
+        assert list(tmp_path.iterdir()) == []
 
 
 def _affinity(monkeypatch, workers):

@@ -17,6 +17,7 @@ from madelab.madelung import (
     DecomposeError,
     PhaseDifferences,
     VortexError,
+    _components,
     _row_runs,
     _turns,
     decompose,
@@ -742,6 +743,29 @@ def test_row_runs_match_a_cell_by_cell_scan(mask, reach):
         lower = np.searchsorted(starts, opens, side="right") - 1
         upper = np.searchsorted(starts, opens + nx, side="right") - 1
         assert pairs == list(zip(lower.tolist(), upper.tolist()))
+
+
+@given(masks(), st.sampled_from([0, 1]), st.integers(0, 2**32 - 1))
+def test_components_walk_the_run_graph(mask, reach, seed):
+    row, lo, hi, lower, upper = _row_runs(mask, reach)
+    rng = np.random.default_rng(seed)
+    seeds = rng.permutation(row.size)
+    potential = rng.integers(-2**20, 2**20, row.size)
+    first, offset = _components(lower, upper, potential[upper] - potential[lower],
+                                seeds.tolist())
+    # runs share a component exactly when ndimage.label joins their cells:
+    # 4-connected for reach 0, 8-connected for reach 1
+    label = ndimage.label(mask, np.ones((3, 3)) if reach else None)[0][row, lo]
+    assert len(set(zip(first.tolist(), label.tolist()))) == len(set(first.tolist())) \
+        == len(set(label.tolist()))
+    # each component starts from the first of `seeds` it holds, and the
+    # offsets are the potential's differences from there
+    rank = np.empty(row.size, int)
+    rank[seeds] = np.arange(row.size)
+    least = np.full(label.max(initial=0) + 1, row.size)
+    np.minimum.at(least, label, rank)
+    assert np.array_equal(first, seeds[least[label]])
+    assert np.array_equal(offset, potential - potential[first])
 
 
 @st.composite
