@@ -182,8 +182,7 @@ def _params(args) -> PhysicalParams:
 
 
 def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("MADELUNG_OUT") or "madelab-out"
-    path = Path(out)
+    path = Path(args.out or os.environ.get("MADELUNG_OUT") or "madelab-out")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -212,11 +211,14 @@ def _state_from_args(args, spec: GridSpec, p: PhysicalParams):
 def _potential_field(args, spec: GridSpec) -> ScalarField | None:
     if args.potential is None:
         return None
-    expr = exprlang.parse(args.potential)
-    vf = exprlang.eval_field(expr, spec)
+    vf = exprlang.eval_field(exprlang.parse(args.potential), spec)
     V = ScalarField(spec, vf.values.real)
     if not V.mask.any():
         raise ValueError("potential is non-finite at every cell")
+    # H needs V real: an imaginary part beyond rounding is refused, not dropped
+    im, re = np.abs(vf.values.imag[V.mask]).max(), np.abs(V.values[V.mask]).max()
+    if not im <= 8 * np.finfo(float).eps * max(re, 1.0):
+        raise ValueError(f"potential must be real: max |Im V| is {im:.3g}, max |Re V| {re:.3g}")
     return V
 
 
@@ -306,19 +308,19 @@ def _collect_fields(d: Diagnosis) -> dict:
     return fields
 
 
-def dump_fields(psi, fields: dict, out_dir: Path, fmt: str) -> list[dict]:
-    """Write psi (`.re`, `.im`) and each field in name order, one file
-    each, and list every file with its SHA-256 in that order. The files are
-    shared out over the CPUs this process may run on; which process writes
-    a file changes neither its bytes nor the list."""
-    jobs = _dump_jobs(psi, fields, out_dir, fmt)
+def dump_fields(jobs: list[tuple]) -> list[dict]:
+    """Run the `_dump_jobs` list, one file each, and list every file with
+    its SHA-256 in job order. The files are shared out over the CPUs this
+    process may run on; which process writes a file changes neither its
+    bytes nor the list."""
     digests = _run_split(jobs, _worker_count(len(jobs)))
     return [{"path": path.name, "sha256": digest}
             for (_, _, path), digest in zip(jobs, digests)]
 
 
 def _dump_jobs(psi, fields: dict, out_dir: Path, fmt: str) -> list[tuple]:
-    """(writer, field, path) per dump file, in manifest order."""
+    """(writer, field, path) per dump file, in manifest order: psi (`.re`,
+    `.im`), then each field in name order."""
     ext, writer = _DUMP[fmt]
     psi_writer = writer if fmt != "gnuplot" else fieldio.write_binary
     jobs = [(psi_writer, part, path)
@@ -416,6 +418,29 @@ def write_report(report: dict, out_dir: Path) -> Path:
     return path
 
 
+def _publish(out_dir: Path, report: dict, jobs: list[tuple]) -> Path:
+    """Write the dumps that `jobs` name, list them in `report["manifest"]`
+    (no jobs, no manifest), then write the report; return its path. Once
+    `out_dir` exists, nothing else deletes or writes in it.
+
+    The previous report goes before the first dump, so a failed write
+    leaves no report naming files it overwrote; the failure also deletes
+    the dumps that report listed and every file this run meant to write,
+    so it leaves no dump either. A run that completes deletes the listed
+    dumps it did not write."""
+    written = {path.name for *_, path in jobs}
+    listed = _listed_dumps(out_dir)
+    try:
+        (out_dir / "report.json").unlink(missing_ok=True)
+        if jobs:
+            report["manifest"] = dump_fields(jobs)
+        _drop_dumps(out_dir, listed - written)
+        return write_report(report, out_dir)
+    except BaseException:
+        _drop_dumps(out_dir, listed | written | {"report.json"})
+        raise
+
+
 def _config_echo(args) -> dict:
     skip = {"command"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
@@ -446,24 +471,10 @@ def build_report(args, d: Diagnosis | None = None, **entries) -> dict:
 
 
 def _finish(args, out_dir: Path, d: Diagnosis, **entries) -> int:
-    """Dump the fields, write the full report and pick the exit code. The
-    previous report goes before the first dump, so a failed write leaves no
-    report naming files it overwrote; the failure also deletes the dumps
-    that report listed and every file this run meant to write, so it leaves
-    no dump either. A run that completes deletes the listed dumps it did
-    not write."""
-    report = build_report(args, d, **entries)
-    listed = _listed_dumps(out_dir)
-    (out_dir / "report.json").unlink(missing_ok=True)
-    fields = _collect_fields(d)
-    try:
-        report["manifest"] = dump_fields(d.psi, fields, out_dir, args.dump)
-        _drop_dumps(out_dir, listed - {e["path"] for e in report["manifest"]})
-        path = write_report(report, out_dir)
-    except BaseException:
-        jobs = _dump_jobs(d.psi, fields, out_dir, args.dump)
-        _drop_dumps(out_dir, listed | {p.name for *_, p in jobs} | {"report.json"})
-        raise
+    """Publish the full report with the diagnosis' dumps and pick the exit
+    code."""
+    jobs = _dump_jobs(d.psi, _collect_fields(d), out_dir, args.dump)
+    path = _publish(out_dir, build_report(args, d, **entries), jobs)
     print(f"report written to {path}")
     if d.m.I_unwrapped is None:
         print("note: phase has vortices; J~ is unavailable", file=sys.stderr)
@@ -502,8 +513,7 @@ def cmd_solve(args) -> int:
     except spectral.EigenConvergenceError as err:
         report = build_report(args, error=str(err), energies=err.energies,
                               solver_residuals=err.residuals)
-        _drop_dumps(out_dir, _listed_dumps(out_dir))
-        path = write_report(report, out_dir)
+        path = _publish(out_dir, report, [])
         print(f"eigensolver did not converge; partial report at {path}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
@@ -547,12 +557,10 @@ def cmd_convergence(args) -> int:
         rows.append((max(spec.dx, spec.dy),
                      {key: analytic.table_max(d.norms[key]) for key in _CONV_METRICS}))
 
-    def fmt(v):
-        return "na" if v is None else repr(v)
-
     print("h," + ",".join(_CONV_METRICS))
     for h, norms in rows:
-        print(repr(h) + "," + ",".join(fmt(norms[k]) for k in _CONV_METRICS))
+        cells = ("na" if norms[k] is None else repr(norms[k]) for k in _CONV_METRICS)
+        print(repr(h) + "," + ",".join(cells))
     orders = []
     for key in _CONV_METRICS:
         vals = [norms[key] for _, norms in rows]

@@ -79,10 +79,11 @@ def analytic_current(
     if m.I_unwrapped is None:
         return None, None, defectA
     c = p.hbar / p.mass
-    with np.errstate(over="ignore"):
-        rho_t = np.exp(2.0 * m.I_unwrapped.values)
-    c_rho_t = c * rho_t
-    Jt = VectorField(m.spec, c_rho_t * m.gradS.vx, c_rho_t * m.gradS.vy)
+    # e^{2I} overflows for large I; inf times a zero gradS is NaN, and
+    # either way the cell drops out of J~ as non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_rho_t = c * np.exp(2.0 * m.I_unwrapped.values)
+        Jt = VectorField(m.spec, c_rho_t * m.gradS.vx, c_rho_t * m.gradS.vy)
     return Jt, divergence(Jt), defectA
 
 

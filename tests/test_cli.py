@@ -19,6 +19,9 @@ from reportcheck import check_report
 
 # not separable on the grid, so `solve` takes shift-invert Lanczos
 QUARTIC = "(x^2+y^2)/2+0.05*(x^2+y^2)^2"
+# separable, so solved exactly, but no pair reaches 1e-16: exit 3
+UNCONVERGED = ["solve", "--potential", "(x^2+y^2)/2", "--grid", "32x32",
+               "--domain", "-5,5,-5,5", "--count", "4", "--solver-tol", "1e-16"]
 
 
 def run(argv, capsys=None):
@@ -80,6 +83,7 @@ class TestExitCodes:
         assert code == 3
         rep = load_report(tmp_path)
         assert "error" in rep
+        check_report(rep, tmp_path, 3)
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--builtin", "ho_ground", "--kb", "2"],
@@ -98,16 +102,37 @@ class TestExitCodes:
     def test_residual_failure_reports_every_residual(self, tmp_path, capsys):
         # no pair reaches 1e-16; the partial report keeps one residual per
         # energy, as the schema promises
-        code = cli.main([
-            "solve", "--potential", "(x^2+y^2)/2", "--grid", "32x32",
-            "--domain", "-5,5,-5,5", "--count", "4", "--solver-tol", "1e-16",
-            "--out", str(tmp_path),
-        ])
+        code = cli.main([*UNCONVERGED, "--out", str(tmp_path)])
         assert code == 3
         rep = load_report(tmp_path)
         assert len(rep["energies"]) == len(rep["solver_residuals"]) == 4
         assert all(0 < r < 1e-10 for r in rep["solver_residuals"])
         assert "eigenpair 0 residual" in rep["error"]
+        check_report(rep, tmp_path, 3)
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--builtin", "ho_ground", "--energy", "1", "--potential", "x^2/2 + i*x"],
+        ["solve", "--count", "1", "--potential", "(x^2+y^2)/2 + i*x"],
+        ["convergence", "--builtin", "ho_ground", "--energy", "1", "--levels", "2",
+         "--potential", "x^2/2 + i*x"],
+        # just beyond the bound 8 eps max |Re V| ~ 2.5e-14
+        ["solve", "--count", "1", "--potential", "(x^2+y^2)/2 + i*1e-13"],
+    ])
+    def test_complex_potential_exit_one(self, argv, tmp_path, monkeypatch, capsys):
+        # H needs V real: the imaginary part is refused, not dropped
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv + ["--grid", "33x33", "--domain", "-4,4,-4,4"]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: potential must be real: max |Im V| is ")
+        assert out == "" and not list(tmp_path.rglob("report.json"))
+
+    @pytest.mark.parametrize("V", ["(x^2+y^2)/2*exp(2*i*pi)", "(x^2+y^2)/2 + i*1e-14"])
+    def test_potential_rounding_is_accepted(self, V, tmp_path):
+        # within the bound, and Re V is bit-equal to the real potential's
+        argv = ["solve", "--count", "3", "--grid", "33x33", "--domain", "-4,4,-4,4"]
+        assert cli.main([*argv, "--potential", V, "--out", str(tmp_path / "c")]) == 0
+        assert cli.main([*argv, "--potential", "(x^2+y^2)/2", "--out", str(tmp_path / "r")]) == 0
+        assert load_report(tmp_path / "c")["energies"] == load_report(tmp_path / "r")["energies"]
 
     def test_count_not_below_cell_count_exit_one(self, tmp_path, capsys):
         code = cli.main(["solve", "--potential", "0", "--grid", "3x3",
@@ -207,6 +232,13 @@ class TestExitCodes:
             code = analyze(tmp_path, "--psi", "exp(x)*1e300*(1+i*y)", "--grid", "16x16",
                            "--domain", "0,30,0,1")
         assert code == 0 and load_report(tmp_path)["norms"]["divJ"] == "masked"
+
+    def test_overflowing_e2i_on_a_flat_amplitude_is_quiet(self, tmp_path):
+        # I reaches ~400, so e^{2I} overflows where gradS is exactly 0: the
+        # product inf * 0 must drop out of J~ without a warning (the suite
+        # turns warnings into errors)
+        assert analyze(tmp_path, "--builtin", "plane_wave", "--k1", "100",
+                       "--grid", "300x9", "--domain", "-4,4,-1,1") == 0
 
     # every cell is valid, but none lies two rings in, where the norms are taken
     @pytest.mark.parametrize("grid, cells", [("4x4", 16), ("4x9", 36)])
@@ -527,12 +559,9 @@ class TestStaleDumps:
 
     def test_no_convergence_leaves_no_dump(self, tmp_path, capsys):
         analyze(tmp_path, "--builtin", "ho_ground", "--grid", "17x17")
-        code = cli.main([
-            "solve", "--potential", "(x^2+y^2)/2", "--grid", "32x32",
-            "--domain", "-5,5,-5,5", "--count", "4", "--solver-tol", "1e-16",
-            "--out", str(tmp_path),
-        ])
+        code = cli.main([*UNCONVERGED, "--out", str(tmp_path)])
         assert code == 3 and self.dumps(tmp_path) == []
+        check_report(load_report(tmp_path), tmp_path, 3)
 
     def test_failed_dump_leaves_no_report(self, tmp_path, capsys):
         # the old report would name digests that the files no longer have,
@@ -549,6 +578,20 @@ class TestStaleDumps:
         (tmp_path / "U.mfld").rmdir()
         assert analyze(tmp_path, "--builtin", "ho_vortex", "--grid", "17x17") == 2
         check_report(load_report(tmp_path), tmp_path, 2)
+
+    def test_old_report_goes_before_the_first_dump(self, tmp_path, monkeypatch):
+        # a run stopped while dumping must leave no report naming digests
+        # that the files no longer have
+        assert analyze(tmp_path, "--psi", "exp(x+i*y)", "--grid", "9x9") == 0
+        dump_fields = cli.dump_fields
+
+        def checked(jobs):
+            assert not (tmp_path / "report.json").exists()
+            return dump_fields(jobs)
+
+        monkeypatch.setattr(cli, "dump_fields", checked)
+        assert analyze(tmp_path, "--psi", "exp(2*x+i*y)", "--grid", "9x9") == 0
+        check_report(load_report(tmp_path), tmp_path, 0)
 
     @pytest.mark.parametrize("entry", ["../x", "report.json", ".", "..", "", 7, None])
     def test_only_bare_dump_names_are_deleted(self, tmp_path, entry):
@@ -591,13 +634,23 @@ class TestOutputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write output: ") and "report.json" in err
 
-    def test_failed_report_write_leaves_no_dump(self, tmp_path, monkeypatch, capsys):
-        def disk_full(report, out_dir):
-            (out_dir / "report.json").write_text("{")
-            raise OSError(28, "No space left on device")
+    @staticmethod
+    def disk_full(report, out_dir):
+        (out_dir / "report.json").write_text("{")
+        raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(cli, "write_report", disk_full)
+    def test_failed_report_write_leaves_no_dump(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "write_report", self.disk_full)
         assert analyze(tmp_path, "--builtin", "ho_ground", "--grid", "9x9") == 1
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_partial_report_write_leaves_nothing(self, tmp_path, monkeypatch, capsys):
+        # exit 3 publishes as exit 0 and 2 do: the old report's dumps go,
+        # and so does the half-written partial report
+        assert analyze(tmp_path, "--builtin", "ho_ground", "--grid", "9x9") == 0
+        monkeypatch.setattr(cli, "write_report", self.disk_full)
+        assert cli.main([*UNCONVERGED, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: cannot write output: ")
         assert list(tmp_path.iterdir()) == []
 
@@ -641,7 +694,7 @@ class TestSplitDump:
             forks.clear()
             out = tmp_path / f"w{workers}"
             out.mkdir()
-            manifest = cli.dump_fields(diagnosis.psi, fields, out, fmt)
+            manifest = cli.dump_fields(cli._dump_jobs(diagnosis.psi, fields, out, fmt))
             assert len(forks) == workers - 1
             _assert_no_child_left()
             files = {p.name: p.read_bytes() for p in out.iterdir()}
@@ -661,7 +714,8 @@ class TestSplitDump:
             raise AssertionError("forked with one worker")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        manifest = cli.dump_fields(diagnosis.psi, cli._collect_fields(diagnosis), tmp_path, "bin")
+        fields = cli._collect_fields(diagnosis)
+        manifest = cli.dump_fields(cli._dump_jobs(diagnosis.psi, fields, tmp_path, "bin"))
         assert len(manifest) == len(list(tmp_path.iterdir()))
 
     def test_no_affinity_call_means_one_worker(self, monkeypatch):

@@ -40,6 +40,9 @@ REPORT_CASES = {
     # winds, and its 0/pi phase unwraps
     "solve_nodal": (["solve", "--potential", "0", "--domain", "0,1,0,1",
                      "--count", "2", "--state-index", "1"], 0),
+    # no pair reaches 1e-16: the partial report of exit 3, with no dump
+    "solve_unconverged": (["solve", "--potential", "(x^2+y^2)/2", "--grid", "32x32",
+                           "--domain", "-5,5,-5,5", "--count", "4", "--solver-tol", "1e-16"], 3),
 }
 CONVERGENCE_ARGV = ["convergence", "--psi", "exp(x+i*y)", "--grid", "16x16",
                     "--domain", "-1,1,-1,1", "--levels", "3"]
