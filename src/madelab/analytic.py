@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .currents import CurrentFields
-from .grid import ScalarField, interior_norms, max_norm
+from .grid import ScalarField, VectorField, interior_norms
 from .madelung import MadelungFields
 
 HOLDS = "holds"
@@ -32,42 +32,36 @@ PRECONDITION_NOT_MET = "precondition-not-met"
 class _Property(NamedTuple):
     hypothesis: tuple[str, ...]  # norms that must each be <= tol
     unmet_note: str              # the note when the hypothesis fails
-    unmet: tuple[str, ...]       # residuals reported when it fails
     rule: str                    # "agree": both sides on one side of tol; "both": both <= tol
     sides: tuple[str, str]
-    tested: tuple[str, ...]      # residuals reported when the property is tested
 
 
-# One row per property. P1's unmet residuals and P2's tested residuals do not
-# follow the pattern of the others; report.json shows them as they are.
 PROPERTIES = {
     # under the stationary continuity hypothesis (defectC ~ 0), "I harmonic"
     # and "g analytic" (orthogonality) must agree
     "P1": _Property(("defectC",), "state is not stationary at this tolerance (defectC > tol)",
-                    ("defectC", "harmI", "orth"), "agree", ("harmI", "orth"),
-                    ("defectC", "harmI", "orth")),
+                    "agree", ("harmI", "orth")),
     # gradS ~ 0 (plus stationarity) forces I harmonic and g analytic
     "P2": _Property(("gradS", "defectC"), "hypothesis |gradS| ~ 0 (with defectC ~ 0) not met",
-                    ("gradS", "defectC"), "both", ("harmI", "orth"), ("gradS", "harmI", "orth")),
+                    "both", ("harmI", "orth")),
     # "div J~ = 0" iff the analytic bracket vanishes; the two sides are
     # algebraically the same expression, so this doubles as a self-test
-    "P3": _Property((), "", (), "agree", ("divJtilde_scaled", "defectA"),
-                    ("divJtilde_scaled", "defectA")),
+    "P3": _Property((), "", "agree", ("divJtilde_scaled", "defectA")),
     # with S harmonic, "div J~ = 0" (via defectA) must agree with orth
-    "P4": _Property(("harmS",), "hypothesis lapS ~ 0 not met", ("harmS",), "agree",
-                    ("defectA", "orth"), ("harmS", "defectA", "orth")),
+    "P4": _Property(("harmS",), "hypothesis lapS ~ 0 not met", "agree", ("defectA", "orth")),
     # constant S forces defectA ~ 0 and analyticity
-    "P5": _Property(("gradS",), "hypothesis |gradS| ~ 0 not met", ("gradS",), "both",
-                    ("defectA", "orth"), ("gradS", "defectA", "orth")),
+    "P5": _Property(("gradS",), "hypothesis |gradS| ~ 0 not met", "both", ("defectA", "orth")),
 }
 
 
-def _norm_entry(name: str, f: ScalarField | None) -> dict | str:
-    """Interior {"max", "rms"}; "masked" without interior cells; "n/a" for
-    None. A norm that overflows is refused: the report is strict JSON."""
+def _norm_entry(name: str, f: ScalarField | VectorField | None) -> dict | str:
+    """Interior {"max", "rms"} of a scalar field, or of a vector field's
+    length; "masked" without interior cells; "n/a" for None. A norm that
+    overflows is refused: the report is strict JSON."""
     if f is None:
         return "n/a"
-    norms = interior_norms(f.values, f.mask)
+    values = np.hypot(f.vx, f.vy) if isinstance(f, VectorField) else f.values
+    norms = interior_norms(values, f.mask)
     if norms is None:
         return "masked"
     top, rms = norms
@@ -116,14 +110,11 @@ def default_tolerance(m: MadelungFields) -> float:
     return max(10.0 * h * h, 1e-8) * max(1.0, norms[1] if norms is not None else 1.0)
 
 
-def gradS_max(m: MadelungFields) -> float | None:
-    """Interior max |gradS|, the hypothesis of P2 and P5."""
-    return max_norm(np.hypot(m.gradS.vx, m.gradS.vy), m.gradS.mask)
-
-
 def norm_table(m: MadelungFields, c: CurrentFields, r: AnalyticityReport) -> dict:
-    """Interior norms of every diagnostic field: the report's `norms`, and
-    the numbers the verdicts and the convergence study read."""
+    """Interior norms of every diagnostic field and of |gradS|: the report's
+    `norms`, and all that the verdicts and the convergence study read."""
+    table = r.norms
+    table["gradS"] = _norm_entry("gradS", m.gradS)
     # raw div J~ carries the anchor-dependent e^{2I} prefactor and hbar/m;
     # the norm is taken of (m/hbar) e^{-2I} div J~, which is gauge/anchor
     # independent and approximates defectA, the other side of P3
@@ -135,7 +126,8 @@ def norm_table(m: MadelungFields, c: CurrentFields, r: AnalyticityReport) -> dic
         scaled = ScalarField(m.spec, values)
     fields = {"defectC": c.defectC, "defectA": c.defectA, "divJ": c.divJ,
               "divJtilde_scaled": scaled, "qhjResidual": c.qhjResidual}
-    return {**r.norms, **{name: _norm_entry(name, f) for name, f in fields.items()}}
+    table.update((name, _norm_entry(name, f)) for name, f in fields.items())
+    return table
 
 
 def table_max(entry: dict | str) -> float | None:
@@ -150,32 +142,30 @@ def check_properties(
     tol: float,
 ) -> dict[str, PropertyVerdict]:
     """Verdicts for the five properties at interior max-norm tolerance tol."""
-    return verdicts(norm_table(m, c, r), gradS_max(m), tol)
+    return verdicts(norm_table(m, c, r), tol)
 
 
-def verdicts(
-    norms: dict, n_gradS: float | None, tol: float
-) -> dict[str, PropertyVerdict]:
-    """P1-P5 from a `norm_table`, the interior max |gradS| and tol."""
+def verdicts(norms: dict, tol: float) -> dict[str, PropertyVerdict]:
+    """P1-P5 from a `norm_table` and tol. An unmet hypothesis lists its
+    norms; a tested property lists the hypothesis norms, then the sides."""
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
     n = {key: table_max(entry) for key, entry in norms.items()}
-    n["gradS"] = n_gradS
     out: dict[str, PropertyVerdict] = {}
-    for name, (hypothesis, unmet_note, unmet, rule, sides, tested) in PROPERTIES.items():
+    for name, (hypothesis, unmet_note, rule, sides) in PROPERTIES.items():
         note = ""
         if "divJtilde_scaled" in sides and n["divJtilde_scaled"] is None:
             # J~ is undefined when the phase has vortices; the bracket stands in
-            sides, tested = ("defectA", "defectA"), ("defectA",)
-            note = "J~ unavailable; bracket used for both sides"
+            sides, note = ("defectA", "defectA"), "J~ unavailable; bracket used for both sides"
         if None in (n[key] for key in hypothesis + sides):
             out[name] = PropertyVerdict(PRECONDITION_NOT_MET, {}, tol, "indeterminate input")
         elif not all(n[key] <= tol for key in hypothesis):
             out[name] = PropertyVerdict(
-                PRECONDITION_NOT_MET, {key: n[key] for key in unmet}, tol, unmet_note)
+                PRECONDITION_NOT_MET, {key: n[key] for key in hypothesis}, tol, unmet_note)
         else:
             a, b = (n[key] <= tol for key in sides)
             held = a == b if rule == "agree" else a and b
-            out[name] = PropertyVerdict(
-                HOLDS if held else FAILS, {key: n[key] for key in tested}, tol, note)
+            out[name] = PropertyVerdict(HOLDS if held else FAILS,
+                                        {key: n[key] for key in dict.fromkeys(hypothesis + sides)},
+                                        tol, note)
     return out

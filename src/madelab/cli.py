@@ -3,9 +3,9 @@ a grid-refinement convergence study. Emits a JSON report plus field dumps
 (CSV, binary, or gnuplot tables).
 
 Exit codes: 0 success; 1 hard failure (bad input, empty interior, cannot
-write output);
-2 diagnostics complete but J~ undefined because of vortices; 3 eigensolver
-non-convergence (partial report still written).
+write output; a refused analyze or solve writes a report of the error
+alone); 2 diagnostics complete but J~ undefined because of vortices; 3
+eigensolver non-convergence (partial report still written).
 """
 
 from __future__ import annotations
@@ -261,7 +261,7 @@ def diagnose(
     if tol is None:
         tol = analytic.default_tolerance(m)
     norms = analytic.norm_table(m, c, r)
-    verdicts = analytic.verdicts(norms, analytic.gradS_max(m), tol)
+    verdicts = analytic.verdicts(norms, tol)
     return Diagnosis(psi, m, c, r, tol, norms, verdicts)
 
 
@@ -581,14 +581,19 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     handlers = {"analyze": cmd_analyze, "solve": cmd_solve,
                 "convergence": cmd_convergence}
+    args = None
     try:
         args = parser.parse_args(_fold_dash_values(list(argv), parser))
         return handlers[args.command](args)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FAILURE
-    except MemoryError as err:
-        print(f"error: out of memory: {err}", file=sys.stderr)
+    except (ValueError, MemoryError) as err:
+        error = f"out of memory: {err}" if isinstance(err, MemoryError) else str(err)
+        print(f"error: {error}", file=sys.stderr)
+        if args is not None and args.command != "convergence":
+            # the refusal replaces whatever the last run left in --out
+            try:
+                _publish(_out_dir(args), build_report(args, error=error), [])
+            except (OSError, ValueError) as write_err:
+                print(f"error: cannot write output: {write_err}", file=sys.stderr)
         return EXIT_FAILURE
     except OSError as err:
         # the subcommands touch the file system only to create --out and

@@ -1,14 +1,16 @@
 """`check_report`: a report checked against itself and against the files
 beside it in its output directory. A full report (exit 0 or 2) lists its
-dumps; a partial one (exit 3) stands alone."""
+dumps, and its verdicts are judged again from its own norms; a partial one
+(exit 1 or 3) stands alone."""
 
 import hashlib
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 
-from madelab import fieldio
+from madelab import analytic, fieldio
 
 
 def read_dump(path: Path, shape: tuple[int, int]) -> np.ndarray:
@@ -20,13 +22,17 @@ def read_dump(path: Path, shape: tuple[int, int]) -> np.ndarray:
     return np.loadtxt(path, usecols=2).reshape(shape)  # gnuplot: x y value, row by row
 
 
-PARTIAL_KEYS = ["config", "energies", "error", "generated_at", "schema", "solver_residuals"]
+PARTIAL_KEYS = {
+    1: ["config", "error", "generated_at", "schema"],
+    3: ["config", "energies", "error", "generated_at", "schema", "solver_residuals"],
+}
 
 
 def check_report(report: dict, out_dir: Path, code: int) -> None:
-    if code == 3:
-        assert sorted(report) == PARTIAL_KEYS
-        assert len(report["energies"]) == len(report["solver_residuals"])
+    if code in PARTIAL_KEYS:
+        assert sorted(report) == PARTIAL_KEYS[code]
+        if code == 3:
+            assert len(report["energies"]) == len(report["solver_residuals"])
         assert [p.name for p in out_dir.iterdir()] == ["report.json"]
         return
     manifest = {e["path"]: e["sha256"] for e in report["manifest"]}
@@ -61,4 +67,8 @@ def check_report(report: dict, out_dir: Path, code: int) -> None:
         energies, residuals = report["energies"], report["solver_residuals"]
         assert energies == sorted(energies) and len(residuals) == len(energies)
         assert all(r <= report["config"]["solver_tol"] for r in residuals)
-    assert all(p["tol"] == report["tolerance"] for p in report["properties"].values())
+    # the verdicts again, from the report's own norms and tolerance
+    judged = analytic.verdicts(report["norms"], report["tolerance"])
+    assert report["properties"] == {
+        name: {k: v for k, v in asdict(verdict).items() if k != "note" or v}
+        for name, verdict in judged.items()}

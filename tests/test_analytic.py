@@ -22,13 +22,12 @@ from madelab.madelung import decompose
 P = PhysicalParams()
 
 
-def reference_verdicts(
-    norms: dict, n_gradS: float | None, tol: float
-) -> dict[str, PropertyVerdict]:
+def reference_verdicts(norms: dict, tol: float) -> dict[str, PropertyVerdict]:
     """Reference for `verdicts`: one hand-written branch block per property."""
     if not tol > 0:
         raise ValueError("tol must be positive")
 
+    n_gradS = table_max(norms["gradS"])
     n_orth = table_max(norms["orth"])
     n_harmS = table_max(norms["harmS"])
     n_harmI = table_max(norms["harmI"])
@@ -48,7 +47,7 @@ def reference_verdicts(
     elif not ok(n_defC):
         out["P1"] = PropertyVerdict(
             PRECONDITION_NOT_MET,
-            {"defectC": n_defC, "harmI": n_harmI, "orth": n_orth},
+            {"defectC": n_defC},
             tol,
             "state is not stationary at this tolerance (defectC > tol)",
         )
@@ -74,7 +73,7 @@ def reference_verdicts(
         conclusion = ok(n_harmI) and ok(n_orth)
         out["P2"] = PropertyVerdict(
             HOLDS if conclusion else FAILS,
-            {"gradS": n_gradS, "harmI": n_harmI, "orth": n_orth},
+            {"gradS": n_gradS, "defectC": n_defC, "harmI": n_harmI, "orth": n_orth},
             tol,
         )
 
@@ -306,17 +305,23 @@ TABLE_NORMS = ("orth", "harmS", "harmI", "defectC", "defectA", "divJtilde_scaled
 
 @pytest.mark.parametrize("gradS_factor", [None, 0.5, 1.0, 2.0])
 def test_table_verdicts_match_reference(gradS_factor):
-    # every combination of the six norms the verdicts read, each masked,
+    # every combination of the seven norms the verdicts read, each masked,
     # n/a, below, at or above tol; the loop over the property table must
     # reproduce the branch-by-branch reference in status, residuals (key
-    # order included), tol and note
+    # order included), tol and note. The gradS entry is split across the
+    # cases: None sweeps it masked and n/a, a factor fixes it at factor*tol
     tol = 1e-3
-    n_gradS = None if gradS_factor is None else gradS_factor * tol
     entries = ["masked", "n/a"] + [{"max": f * tol, "rms": f * tol} for f in (0.5, 1.0, 2.0)]
-    for combo in itertools.product(entries, repeat=len(TABLE_NORMS)):
-        norms = dict(zip(TABLE_NORMS, combo))
-        got, want = verdicts(norms, n_gradS, tol), reference_verdicts(norms, n_gradS, tol)
-        assert list(got) == list(want) == list(PROPERTIES)
-        for name, w in want.items():
-            assert got[name] == w, (name, norms, n_gradS)
-            assert list(got[name].residuals) == list(w.residuals), (name, norms, n_gradS)
+    gradS_entries = (
+        ["masked", "n/a"]
+        if gradS_factor is None
+        else [{"max": gradS_factor * tol, "rms": gradS_factor * tol}]
+    )
+    for gradS in gradS_entries:
+        for combo in itertools.product(entries, repeat=len(TABLE_NORMS)):
+            norms = dict(zip(TABLE_NORMS, combo), gradS=gradS)
+            got, want = verdicts(norms, tol), reference_verdicts(norms, tol)
+            assert list(got) == list(want) == list(PROPERTIES)
+            for name, w in want.items():
+                assert got[name] == w, (name, norms)
+                assert list(got[name].residuals) == list(w.residuals), (name, norms)

@@ -38,6 +38,14 @@ def analyze(tmp_path, *extra):
     return cli.main(argv)
 
 
+def assert_refused(out_dir, error):
+    """A run refused with exit 1 leaves its error report, and no other
+    file, in out_dir."""
+    rep = load_report(out_dir)
+    assert rep["error"] == error
+    check_report(rep, out_dir, 1)
+
+
 class TestExitCodes:
     def test_ok(self, tmp_path, capsys):
         code = analyze(tmp_path, "--builtin", "plane_wave", "--k1", "2", "--k2", "3")
@@ -124,7 +132,11 @@ class TestExitCodes:
         assert cli.main(argv + ["--grid", "33x33", "--domain", "-4,4,-4,4"]) == 1
         out, err = capsys.readouterr()
         assert err.startswith("error: potential must be real: max |Im V| is ")
-        assert out == "" and not list(tmp_path.rglob("report.json"))
+        assert out == ""
+        if argv[0] == "convergence":  # no --out, so no report
+            assert not list(tmp_path.rglob("report.json"))
+        else:
+            assert_refused(tmp_path / "madelab-out", err[len("error: "):-1])
 
     @pytest.mark.parametrize("V", ["(x^2+y^2)/2*exp(2*i*pi)", "(x^2+y^2)/2 + i*1e-14"])
     def test_potential_rounding_is_accepted(self, V, tmp_path):
@@ -161,7 +173,7 @@ class TestExitCodes:
                          "--out", str(tmp_path)])
         assert code == 1
         assert "error: potential is non-finite at every cell" in capsys.readouterr().err
-        assert not (tmp_path / "report.json").exists()
+        assert_refused(tmp_path, "potential is non-finite at every cell")
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--builtin", "ho_ground", "--potential", "1/0", "--energy", "1"],
@@ -174,7 +186,10 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert "error: potential is non-finite at every cell" in err
         assert out == ""
-        assert not list(tmp_path.rglob("report.json"))
+        if argv[0] == "convergence":
+            assert not list(tmp_path.rglob("report.json"))
+        else:
+            assert_refused(tmp_path / "madelab-out", "potential is non-finite at every cell")
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--psi", "exp(-(x^2+y^2))", "--tol", "inf"],
@@ -189,12 +204,21 @@ class TestExitCodes:
     def test_non_finite_numbers_exit_one(self, argv, tmp_path, capsys):
         # each is refused for what it is, not as a vanishing psi or a verdict
         assert cli.main(argv + ["--out", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "finite" in err
-        assert not (tmp_path / "report.json").exists()
+        first, *rest = capsys.readouterr().err.splitlines()
+        assert first.startswith("error:") and "finite" in first
+        echoed = {"nan", "inf"} & set(argv)  # values of float options
+        if echoed:
+            # strict JSON cannot echo a non-finite option: no report at all
+            assert rest == ["error: cannot write output: "
+                            f"Out of range float values are not JSON compliant: {echoed.pop()}"]
+            assert not list(tmp_path.iterdir())
+        else:
+            assert rest == []
+            assert_refused(tmp_path, first[len("error: "):])
 
     @pytest.mark.parametrize("argv, err", [
-        # the norms overflow: strict JSON cannot hold them, so nothing is written
+        # the norms overflow: strict JSON cannot hold them, so the report holds
+        # only the error and no dump is written
         (["--builtin", "ho_ground", "--energy", "1e308", "--potential", "x"],
          "error: the interior rms norm of qhjResidual overflows\n"),
         (["--psi", "exp(x+i*y)", "--mass", "1e-300"],
@@ -222,7 +246,7 @@ class TestExitCodes:
             warnings.simplefilter("error")
             assert cli.main(["analyze", *argv, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == err
-        assert not list(tmp_path.iterdir())
+        assert_refused(tmp_path, err[len("error: "):-1])
 
     def test_density_overflow_leaves_div_j_masked_quietly(self, tmp_path):
         # rho = e^{2S} overflows past x ~ 5 while psi, its gradient and
@@ -244,10 +268,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("grid, cells", [("4x4", 16), ("4x9", 36)])
     def test_no_cell_two_rings_in_exit_one(self, grid, cells, tmp_path, capsys):
         assert analyze(tmp_path, "--psi", "exp(x+i*y)", "--grid", grid) == 1
-        assert capsys.readouterr().err == (
+        err = capsys.readouterr().err
+        assert err == (
             f"error: none of the {cells} cells with a valid Laplacian lies two rings in "
             "from the grid boundary; no interior to analyze\n")
-        assert not list(tmp_path.iterdir())
+        assert_refused(tmp_path, err[len("error: "):-1])
 
     def test_out_of_memory_exit_one(self, tmp_path, capsys, monkeypatch):
         def decompose(*args):
@@ -258,7 +283,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: out of memory: Unable to allocate 2.98 GiB for an array\n"
         assert "Traceback" not in err
-        assert not (tmp_path / "report.json").exists()
+        assert_refused(tmp_path, "out of memory: Unable to allocate 2.98 GiB for an array")
 
     def test_degenerate_combine_mismatch_exit_one(self, tmp_path, capsys):
         code = cli.main([
@@ -380,6 +405,18 @@ class TestReport:
         p3 = rep["properties"]["P3"]["residuals"]
         h = rep["grid"]["dx"]
         assert abs(p3["divJtilde_scaled"] - p3["defectA"]) <= h * h
+
+    @pytest.mark.parametrize("psi", ["x+i*y", "(x+i*y)^2"])
+    def test_p3_holds_on_analytic_vortex_states(self, tmp_path, psi):
+        # psi = z^l is analytic, so the bracket defectA vanishes to rounding
+        # and "div J~ = 0" holds, cores and all: a P3 side formed from the
+        # local phase steps must not read the core's stencil error as a
+        # failure (at 64^2 it reaches ~1e3 beside a tolerance of ~0.1)
+        assert analyze(tmp_path, "--psi", psi, "--grid", "64x64") == 2
+        rep = load_report(tmp_path)
+        check_report(rep, tmp_path, 2)
+        assert rep["properties"]["P3"]["status"] == "holds"
+        assert rep["norms"]["defectA"]["max"] <= rep["tolerance"]
 
 
 class TestVortexSummary:
@@ -593,6 +630,16 @@ class TestStaleDumps:
         assert analyze(tmp_path, "--psi", "exp(2*x+i*y)", "--grid", "9x9") == 0
         check_report(load_report(tmp_path), tmp_path, 0)
 
+    def test_refused_run_replaces_the_old_report(self, tmp_path, capsys):
+        # exit 1 must not leave the last run's report and dumps posing as
+        # its own output
+        assert analyze(tmp_path, "--builtin", "ho_ground", "--grid", "17x17") == 0
+        argv = ["solve", "--potential", "(x^2+y^2)/2 + i*x", "--grid", "17x17"]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert_refused(tmp_path, err[len("error: "):-1])
+        assert load_report(tmp_path)["config"]["potential"] == argv[2]
+
     @pytest.mark.parametrize("entry", ["../x", "report.json", ".", "..", "", 7, None])
     def test_only_bare_dump_names_are_deleted(self, tmp_path, entry):
         out = tmp_path / "out"
@@ -652,6 +699,16 @@ class TestOutputErrors:
         monkeypatch.setattr(cli, "write_report", self.disk_full)
         assert cli.main([*UNCONVERGED, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: cannot write output: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_error_report_write_leaves_nothing(self, tmp_path, monkeypatch, capsys):
+        # a refusal publishes as every other run does
+        assert analyze(tmp_path, "--builtin", "ho_ground", "--grid", "9x9") == 0
+        monkeypatch.setattr(cli, "write_report", self.disk_full)
+        assert analyze(tmp_path, "--psi", "0", "--grid", "9x9") == 1
+        refusal, failure = capsys.readouterr().err.splitlines()
+        assert refusal.startswith("error: ") and "cannot write output" not in refusal
+        assert failure == "error: cannot write output: [Errno 28] No space left on device"
         assert list(tmp_path.iterdir()) == []
 
 
@@ -865,7 +922,7 @@ class TestSolve:
         assert code == 1
         err = capsys.readouterr().err
         assert err == "error: combination has no finite norm; check the coefficients\n"
-        assert not (tmp_path / "report.json").exists()
+        assert_refused(tmp_path, "combination has no finite norm; check the coefficients")
 
 
 class TestConvergence:

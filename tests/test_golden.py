@@ -10,10 +10,15 @@ stdout.
 After an intended output change, regenerate with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints, per golden, each JSON path (each line, for the CSV) that the
+new output adds (+), removes (-) or changes (~ old -> new) before it
+overwrites the file.
 """
 
 import contextlib
 import io
+import itertools
 import json
 import sys
 import tempfile
@@ -43,6 +48,8 @@ REPORT_CASES = {
     # no pair reaches 1e-16: the partial report of exit 3, with no dump
     "solve_unconverged": (["solve", "--potential", "(x^2+y^2)/2", "--grid", "32x32",
                            "--domain", "-5,5,-5,5", "--count", "4", "--solver-tol", "1e-16"], 3),
+    # a complex potential is refused: the report of exit 1, error only
+    "solve_refused": (["solve", "--potential", "(x^2+y^2)/2 + i*x", "--grid", "17x17"], 1),
 }
 CONVERGENCE_ARGV = ["convergence", "--psi", "exp(x+i*y)", "--grid", "16x16",
                     "--domain", "-1,1,-1,1", "--levels", "3"]
@@ -86,9 +93,55 @@ def test_convergence_matches_golden():
     assert text == (GOLDEN / "convergence.csv").read_text()
 
 
+_ABSENT = object()
+
+
+def json_diff(old, new, path: str = "") -> list[str]:
+    """One line per path, in document order, that `new` adds (+), removes
+    (-) or changes (~ old -> new) against `old`. Objects and arrays are
+    compared member by member; a value that changes type counts as changed."""
+    if old is _ABSENT:
+        return [f"+ {path} = {json.dumps(new)}"]
+    if new is _ABSENT:
+        return [f"- {path} = {json.dumps(old)}"]
+    if isinstance(old, dict) and isinstance(new, dict):
+        pairs = {f"{path}.{k}" if path else k: (old.get(k, _ABSENT), new.get(k, _ABSENT))
+                 for k in {**old, **new}}
+    elif isinstance(old, list) and isinstance(new, list):
+        pairs = {f"{path}[{i}]": pair
+                 for i, pair in enumerate(itertools.zip_longest(old, new, fillvalue=_ABSENT))}
+    else:
+        same = type(old) is type(new) and old == new
+        return [] if same else [f"~ {path}: {json.dumps(old)} -> {json.dumps(new)}"]
+    return [line for p, (a, b) in pairs.items() for line in json_diff(a, b, p)]
+
+
+def test_json_diff_names_every_moved_path():
+    old = {"a": 1, "b": {"c": [1, 2, 3], "d": "x"}, "e": True, "f": {"g": 1}}
+    new = {"a": 1.0, "b": {"c": [1, 5], "d": "x"}, "e": True, "f": [1], "h": None}
+    assert json_diff(old, new) == [
+        "~ a: 1 -> 1.0",
+        "~ b.c[1]: 2 -> 5",
+        "- b.c[2] = 3",
+        '~ f: {"g": 1} -> [1]',
+        "+ h = null",
+    ]
+    assert json_diff(old, old) == [] and json_diff([], ["x"]) == ['+ [0] = "x"']
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name, (argv, _) in REPORT_CASES.items():
-        (GOLDEN / f"{name}.json").write_text(report_text(argv)[1])
-    (GOLDEN / "convergence.csv").write_text(convergence_text()[1])
+    texts = {f"{name}.json": report_text(argv)[1] for name, (argv, _) in REPORT_CASES.items()}
+    texts["convergence.csv"] = convergence_text()[1]
+    for name, text in texts.items():
+        path = GOLDEN / name
+        parse = json.loads if name.endswith(".json") else str.splitlines
+        if not path.exists():
+            print(f"{name}: new")
+        else:
+            moved = json_diff(parse(path.read_text()), parse(text))
+            print(f"{name}: {len(moved)} moved" if moved else f"{name}: unchanged")
+            for line in moved:
+                print(f"  {line}")
+        path.write_text(text)
     sys.exit(0)
