@@ -11,11 +11,14 @@ eigensolver non-convergence (partial report still written).
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import datetime
 import json
+import math
 import os
 import sys
+import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -254,10 +257,20 @@ def diagnose(
     tol: float | None = None,
     V: ScalarField | None = None,
     E: float | None = None,
+    out: _Output | None = None,
 ) -> Diagnosis:
+    """One pass over a state. With `out`, psi and each stage's fields are
+    handed to it as soon as they are final, so a binary dump is written
+    while the rest of the pass runs."""
+    if out is not None:
+        out.add(psi, {})
     m = madelung.decompose(psi, node_threshold)
+    if out is not None:
+        out.add(None, _madelung_fields(m))
     c = currents.compute_currents(m, p, V=V, E=E)
     r = analytic.analyze(m)
+    if out is not None:
+        out.add(None, _current_fields(c, r))
     if tol is None:
         tol = analytic.default_tolerance(m)
     norms = analytic.norm_table(m, c, r)
@@ -276,56 +289,126 @@ def vortex_summary(m) -> dict:
     }
 
 
-def _collect_fields(d: Diagnosis) -> dict:
-    m, c, r = d.m, d.c, d.r
+def _madelung_fields(m: madelung.MadelungFields) -> dict:
+    """The dumps final once `madelung.decompose` returns. `orth`, `harmS`
+    and `harmI` are the cross term and the two Laplacians; vector
+    components are `fieldio.Part`s, not copies."""
     fields = {
         "S": m.S,
-        "gradS.x": ScalarField(m.spec, m.gradS.vx),
-        "gradS.y": ScalarField(m.spec, m.gradS.vy),
-        "gradI.x": ScalarField(m.spec, m.gradI.vx),
-        "gradI.y": ScalarField(m.spec, m.gradI.vy),
+        "gradS.x": fieldio.Part(m.spec, m.gradS.vx),
+        "gradS.y": fieldio.Part(m.spec, m.gradS.vy),
+        "gradI.x": fieldio.Part(m.spec, m.gradI.vx),
+        "gradI.y": fieldio.Part(m.spec, m.gradI.vy),
+        "orth": m.cross,
+        "harmS": m.lapS,
+        "harmI": m.lapI,
+    }
+    if m.I_unwrapped is not None:
+        fields["I"] = m.I_unwrapped
+    return fields
+
+
+def _current_fields(c: currents.CurrentFields, r: analytic.AnalyticityReport) -> dict:
+    """The dumps of the currents and of `crStrict`."""
+    fields = {
         "rho": c.rho,
-        "J.x": ScalarField(m.spec, c.J.vx),
-        "J.y": ScalarField(m.spec, c.J.vy),
+        "J.x": fieldio.Part(c.J.spec, c.J.vx),
+        "J.y": fieldio.Part(c.J.spec, c.J.vy),
         "divJ": c.divJ,
         "defectC": c.defectC,
         "defectA": c.defectA,
         "U": c.U,
         "deBroglie": c.deBroglie,
-        "orth": r.orth,
         "crStrict": r.crStrict,
-        "harmS": r.harmS,
-        "harmI": r.harmI,
     }
-    if m.I_unwrapped is not None:
-        fields["I"] = m.I_unwrapped
     if c.Jtilde is not None:
-        fields["Jtilde.x"] = ScalarField(m.spec, c.Jtilde.vx)
-        fields["Jtilde.y"] = ScalarField(m.spec, c.Jtilde.vy)
+        fields["Jtilde.x"] = fieldio.Part(c.Jtilde.spec, c.Jtilde.vx)
+        fields["Jtilde.y"] = fieldio.Part(c.Jtilde.spec, c.Jtilde.vy)
         fields["divJtilde"] = c.divJtilde
     if c.qhjResidual is not None:
         fields["qhjResidual"] = c.qhjResidual
     return fields
 
 
-def dump_fields(jobs: list[tuple]) -> list[dict]:
-    """Run the `_dump_jobs` list, one file each, and list every file with
-    its SHA-256 in job order. The files are shared out over the CPUs this
-    process may run on; which process writes a file changes neither its
-    bytes nor the list."""
-    digests = _run_split(jobs, _worker_count(len(jobs)))
+def _collect_fields(d: Diagnosis) -> dict:
+    """Every field a full report dumps, by name."""
+    return {**_madelung_fields(d.m), **_current_fields(d.c, d.r)}
+
+
+def dump_fields(jobs: list[tuple], writer: _Writer | None = None) -> list[dict]:
+    """List every file the `_dump_jobs` list names with its SHA-256, in job
+    order. Binary jobs were handed to `writer` while the diagnosis ran, and
+    this waits for it to finish them. Text jobs are written here, shared
+    out over the CPUs this process may run on. Which thread or process
+    writes a file changes neither its bytes nor the list."""
+    if writer is not None:
+        done = writer.wait()
+        digests = [done[path] for *_, path in jobs]
+    else:
+        digests = _run_split(jobs, _worker_count(len(jobs)))
     return [{"path": path.name, "sha256": digest}
             for (_, _, path), digest in zip(jobs, digests)]
 
 
 def _dump_jobs(psi, fields: dict, out_dir: Path, fmt: str) -> list[tuple]:
     """(writer, field, path) per dump file, in manifest order: psi (`.re`,
-    `.im`), then each field in name order."""
+    `.im`) unless it is None, then each field in name order."""
     ext, writer = _DUMP[fmt]
     psi_writer = writer if fmt != "gnuplot" else fieldio.write_binary
-    jobs = [(psi_writer, part, path)
-            for part, path in fieldio.complex_parts(psi, out_dir / f"psi{ext}")]
-    return jobs + [(writer, f, out_dir / f"{name}{ext}") for name, f in sorted(fields.items())]
+    parts = [] if psi is None else fieldio.complex_parts(psi, out_dir / f"psi{ext}")
+    return ([(psi_writer, part, path) for part, path in parts]
+            + [(writer, f, out_dir / f"{name}{ext}") for name, f in sorted(fields.items())])
+
+
+class _Writer:
+    """One thread that writes and hashes the binary dump jobs handed to
+    `put`, in order, while the caller goes on. A failed job stops the
+    writing; its exception is kept for `wait` to raise in the caller's
+    thread, so none escapes this one. Threads, not processes: `hashlib`,
+    file writes and the row-block copies release the GIL."""
+
+    def __init__(self):
+        self._jobs = collections.deque()
+        self._ready = threading.Semaphore(0)  # one release per job, and one to end
+        self._done: dict[Path, str] = {}
+        self._error: BaseException | None = None
+        self._stop = False
+        self._thread = threading.Thread(target=self._run, name="madelab-dump")
+        self._thread.start()
+
+    def _run(self) -> None:
+        while True:
+            self._ready.acquire()
+            job = self._jobs.popleft()
+            if job is None:
+                return
+            if self._error is None and not self._stop:
+                writer, field, path = job
+                try:
+                    self._done[path] = writer(field, path)
+                except BaseException as err:
+                    self._error = err
+
+    def put(self, jobs: list[tuple]) -> None:
+        for job in jobs:
+            self._jobs.append(job)
+            self._ready.release()
+
+    def join(self, stop: bool = False) -> None:
+        """End the thread once the jobs handed over are written, or, with
+        `stop`, once the job under way is."""
+        self._stop = self._stop or stop
+        if self._thread.is_alive():
+            self.put([None])
+            self._thread.join()
+
+    def wait(self) -> dict[Path, str]:
+        """Every job's digest by path, once all are written; a failed
+        job's exception is raised here."""
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._done
 
 
 def _worker_count(n_jobs: int) -> int:
@@ -418,32 +501,79 @@ def write_report(report: dict, out_dir: Path) -> Path:
     return path
 
 
-def _publish(out_dir: Path, report: dict, jobs: list[tuple]) -> Path:
-    """Write the dumps that `jobs` name, list them in `report["manifest"]`
-    (no jobs, no manifest), then write the report; return its path. Once
-    `out_dir` exists, nothing else deletes or writes in it.
+class _Output:
+    """What one run puts in `--out`: the psi and fields handed to `add`,
+    dumped in format `fmt` (None: no dumps), and the report. Made by
+    `_owned`, the one owner of `--out`."""
 
-    The previous report goes before the first dump, so a failed write
-    leaves no report naming files it overwrote; the failure also deletes
-    the dumps that report listed and every file this run meant to write,
-    so it leaves no dump either. A run that completes deletes the listed
-    dumps it did not write."""
-    written = {path.name for *_, path in jobs}
-    listed = _listed_dumps(out_dir)
+    def __init__(self, out_dir: Path, fmt: str | None):
+        self.out_dir, self.fmt = out_dir, fmt
+        self.listed = _listed_dumps(out_dir)
+        self.psi, self.fields = None, {}
+        self.writer: _Writer | None = None
+
+    def add(self, psi: ComplexField | None, fields: dict) -> None:
+        """Hand over `psi` (None: not now) and `fields` (name -> field),
+        which nothing writes to from here on. Binary dumps of them start at
+        once, in the writer thread; text dumps wait for `publish`."""
+        if psi is not None:
+            self.psi = psi
+        self.fields.update(fields)
+        if self.fmt == "bin":
+            self.writer = self.writer or _Writer()
+            self.writer.put(_dump_jobs(psi, fields, self.out_dir, self.fmt))
+
+    def jobs(self) -> list[tuple]:
+        return [] if self.fmt is None else _dump_jobs(self.psi, self.fields,
+                                                      self.out_dir, self.fmt)
+
+    def publish(self, report: dict) -> Path:
+        """Finish the dumps, list them in `report["manifest"]` (no dumps,
+        no manifest), delete the listed dumps this run did not write, then
+        write the report; return its path."""
+        jobs = self.jobs()
+        if jobs:
+            report["manifest"] = dump_fields(jobs, self.writer)
+        _drop_dumps(self.out_dir, self.listed - {path.name for *_, path in jobs})
+        return write_report(report, self.out_dir)
+
+
+@contextlib.contextmanager
+def _owned(out_dir: Path, fmt: str | None = None):
+    """Own `out_dir` for one run: once it exists, nothing else deletes or
+    writes in it. Yields the run's `_Output`.
+
+    The previous report goes before the first dump, so a failed or stopped
+    run leaves no report naming files it overwrote. On any exception (a
+    failed write, a refusal after the dumps began, an interrupt) the
+    writer thread is stopped and joined, then the dumps that report listed
+    and every file this run meant to write are deleted, so no dump is left
+    either, and the exception goes on. `publish` waits for the writer, so
+    no thread outlives the block."""
+    out = _Output(out_dir, fmt)
     try:
         (out_dir / "report.json").unlink(missing_ok=True)
-        if jobs:
-            report["manifest"] = dump_fields(jobs)
-        _drop_dumps(out_dir, listed - written)
-        return write_report(report, out_dir)
+        yield out
     except BaseException:
-        _drop_dumps(out_dir, listed | written | {"report.json"})
+        if out.writer is not None:
+            out.writer.join(stop=True)
+        written = {path.name for *_, path in out.jobs()}
+        _drop_dumps(out_dir, out.listed | written | {"report.json"})
         raise
 
 
+def _publish(out_dir: Path, report: dict) -> Path:
+    """Publish a report that has no dumps."""
+    with _owned(out_dir) as out:
+        return out.publish(report)
+
+
 def _config_echo(args) -> dict:
-    skip = {"command"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    """The parsed options but `command`. A non-finite float is echoed as
+    the string `repr` gives it ("inf", "-inf", "nan"), which strict JSON
+    can hold, so a run refused for one still writes its report."""
+    return {k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in sorted(vars(args).items()) if k != "command"}
 
 
 def build_report(args, d: Diagnosis | None = None, **entries) -> dict:
@@ -470,11 +600,10 @@ def build_report(args, d: Diagnosis | None = None, **entries) -> dict:
     return report
 
 
-def _finish(args, out_dir: Path, d: Diagnosis, **entries) -> int:
+def _finish(args, out: _Output, d: Diagnosis, **entries) -> int:
     """Publish the full report with the diagnosis' dumps and pick the exit
     code."""
-    jobs = _dump_jobs(d.psi, _collect_fields(d), out_dir, args.dump)
-    path = _publish(out_dir, build_report(args, d, **entries), jobs)
+    path = out.publish(build_report(args, d, **entries))
     print(f"report written to {path}")
     if d.m.I_unwrapped is None:
         print("note: phase has vortices; J~ is unavailable", file=sys.stderr)
@@ -490,9 +619,10 @@ def cmd_analyze(args) -> int:
     out_dir = _out_dir(args)
     psi, energy, provenance = _state_from_args(args, spec, p)
     V = _potential_field(args, spec)
-    d = diagnose(psi, p, args.node_threshold, tol=args.tol, V=V, E=energy)
-    state = {**provenance, "energy": energy if energy is not None else "n/a"}
-    return _finish(args, out_dir, d, state=state)
+    with _owned(out_dir, args.dump) as out:
+        d = diagnose(psi, p, args.node_threshold, tol=args.tol, V=V, E=energy, out=out)
+        state = {**provenance, "energy": energy if energy is not None else "n/a"}
+        return _finish(args, out, d, state=state)
 
 
 def cmd_solve(args) -> int:
@@ -513,7 +643,7 @@ def cmd_solve(args) -> int:
     except spectral.EigenConvergenceError as err:
         report = build_report(args, error=str(err), energies=err.energies,
                               solver_residuals=err.residuals)
-        path = _publish(out_dir, report, [])
+        path = _publish(out_dir, report)
         print(f"eigensolver did not converge; partial report at {path}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
@@ -529,9 +659,10 @@ def cmd_solve(args) -> int:
         provenance = {"source": "solve", "potential": args.potential,
                       "state_index": idx}
 
-    d = diagnose(psi, p, args.node_threshold, tol=args.tol, V=V, E=energy)
-    return _finish(args, out_dir, d, state={**provenance, "energy": energy},
-                   energies=sol.energies, solver_residuals=sol.residuals)
+    with _owned(out_dir, args.dump) as out:
+        d = diagnose(psi, p, args.node_threshold, tol=args.tol, V=V, E=energy, out=out)
+        return _finish(args, out, d, state={**provenance, "energy": energy},
+                       energies=sol.energies, solver_residuals=sol.residuals)
 
 
 _CONV_METRICS = ("orth", "crStrict", "harmI", "defectC", "defectA", "divJ", "qhjResidual")
@@ -591,7 +722,7 @@ def main(argv=None) -> int:
         if args is not None and args.command != "convergence":
             # the refusal replaces whatever the last run left in --out
             try:
-                _publish(_out_dir(args), build_report(args, error=error), [])
+                _publish(_out_dir(args), build_report(args, error=error))
             except (OSError, ValueError) as write_err:
                 print(f"error: cannot write output: {write_err}", file=sys.stderr)
         return EXIT_FAILURE

@@ -30,6 +30,7 @@ import hashlib
 import struct
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +42,15 @@ _HEADER = struct.Struct("<QQdddd")
 
 class FieldFormatError(ValueError):
     """Raised on a malformed field file."""
+
+
+class Part(NamedTuple):
+    """A grid and one array of values: all that the writers read of a field.
+    Built from a component of a `VectorField` or a part of a `ComplexField`,
+    whose invalid cells already hold NaN, it shares their memory, where a
+    `ScalarField` would copy them to set the same NaN again."""
+    spec: GridSpec
+    values: np.ndarray
 
 
 def _write_hashed(path: str | Path, chunks) -> str:
@@ -64,7 +74,7 @@ def _write_hashed(path: str | Path, chunks) -> str:
 
 _U = np.uint64
 _M32, _M63 = _U(0xFFFFFFFF), _U((1 << 63) - 1)
-_BLOCK = 1 << 13  # values formatted at a time, in whole rows: bounds the temporaries
+_BLOCK = 1 << 13  # values formatted or copied at a time, in whole rows: bounds the temporaries
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
 # _RUNS[a, b] keeps bytes a..b-1 of a 32-byte cell
 _RUNS = (np.arange(32) >= np.arange(25)[:, None, None]) & (np.arange(32) < np.arange(31)[:, None])
@@ -193,7 +203,7 @@ def _csv_lines(block) -> bytes:
     return _text([_cells(block, sep)], block.shape)
 
 
-def write_csv(f: ScalarField, path: str | Path) -> str:
+def write_csv(f: ScalarField | Part, path: str | Path) -> str:
     s = f.spec
     header = f"# {s.nx} {s.ny} {s.x0!r} {s.y0!r} {s.dx!r} {s.dy!r}\n"
     rows = (_csv_lines(b) for _, b in _row_blocks(f.values))
@@ -220,10 +230,17 @@ def read_csv(path: str | Path) -> ScalarField:
     return ScalarField(spec, np.array(rows))
 
 
-def write_binary(f: ScalarField, path: str | Path) -> str:
+def write_binary(f: ScalarField | Part, path: str | Path) -> str:
+    """C-contiguous little-endian doubles are written as they are; any other
+    array, such as one part of a complex field, in blocks of whole rows, so
+    the writer makes no grid-sized copy."""
     s = f.spec
     header = MAGIC + _HEADER.pack(s.nx, s.ny, s.x0, s.y0, s.dx, s.dy)
-    return _write_hashed(path, (header, np.ascontiguousarray(f.values, "<f8")))
+    v = f.values
+    if v.flags.c_contiguous and v.dtype == "<f8":
+        return _write_hashed(path, (header, v))
+    blocks = (np.ascontiguousarray(b, "<f8") for _, b in _row_blocks(v))
+    return _write_hashed(path, chain([header], blocks))
 
 
 def read_binary(path: str | Path) -> ScalarField:
@@ -244,11 +261,12 @@ def read_binary(path: str | Path) -> ScalarField:
     return ScalarField(spec, data.reshape(spec.shape).astype(float))
 
 
-def complex_parts(f: ComplexField, path: str | Path) -> list[tuple[ScalarField, Path]]:
-    """The `.re` and `.im` scalar fields of `f` with the paths they go to."""
+def complex_parts(f: ComplexField, path: str | Path) -> list[tuple[Part, Path]]:
+    """The `.re` and `.im` parts of `f`, views of its values, with the paths
+    they go to."""
     path = Path(path)
-    return [(ScalarField(f.spec, f.values.real), path.with_name(path.name + ".re")),
-            (ScalarField(f.spec, f.values.imag), path.with_name(path.name + ".im"))]
+    return [(Part(f.spec, f.values.real), path.with_name(path.name + ".re")),
+            (Part(f.spec, f.values.imag), path.with_name(path.name + ".im"))]
 
 
 def write_complex(f: ComplexField, path: str | Path, writer=write_binary) -> tuple[Path, Path]:
@@ -258,7 +276,7 @@ def write_complex(f: ComplexField, path: str | Path, writer=write_binary) -> tup
     return re_path, im_path
 
 
-def write_gnuplot(f: ScalarField, path: str | Path) -> str:
+def write_gnuplot(f: ScalarField | Part, path: str | Path) -> str:
     """Whitespace `x y value` table with blank lines between rows."""
     nx = f.spec.nx
     xs, ys = _cells(f.spec.x(), ord(" ")), _cells(f.spec.y(), ord(" "))

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -200,21 +202,21 @@ class TestExitCodes:
         ["analyze", "--builtin", "ho_ground", "--domain", "-1e308,1e308,-1,1"],
         ["analyze", "--builtin", "plane_wave", "--k1", "inf"],
         ["analyze", "--builtin", "gauss_real", "--sigma", "nan"],
+        ["analyze", "--builtin", "ho_ground", "--hbar", "nan"],
+        ["analyze", "--builtin", "ho_ground", "--energy", "inf", "--potential", "x"],
     ])
     def test_non_finite_numbers_exit_one(self, argv, tmp_path, capsys):
         # each is refused for what it is, not as a vanishing psi or a verdict
         assert cli.main(argv + ["--out", str(tmp_path)]) == 1
         first, *rest = capsys.readouterr().err.splitlines()
         assert first.startswith("error:") and "finite" in first
-        echoed = {"nan", "inf"} & set(argv)  # values of float options
-        if echoed:
-            # strict JSON cannot echo a non-finite option: no report at all
-            assert rest == ["error: cannot write output: "
-                            f"Out of range float values are not JSON compliant: {echoed.pop()}"]
-            assert not list(tmp_path.iterdir())
-        else:
-            assert rest == []
-            assert_refused(tmp_path, first[len("error: "):])
+        assert rest == []
+        assert_refused(tmp_path, first[len("error: "):])
+        # a non-finite float option is echoed as a string strict JSON holds
+        config = load_report(tmp_path)["config"]
+        for flag, value in zip(argv, argv[1:]):
+            if value in ("nan", "inf"):
+                assert config[flag[2:].replace("-", "_")] == value
 
     @pytest.mark.parametrize("argv, err", [
         # the norms overflow: strict JSON cannot hold them, so the report holds
@@ -620,14 +622,18 @@ class TestStaleDumps:
         # a run stopped while dumping must leave no report naming digests
         # that the files no longer have
         assert analyze(tmp_path, "--psi", "exp(x+i*y)", "--grid", "9x9") == 0
-        dump_fields = cli.dump_fields
+        ext, write = cli._DUMP["bin"]
+        calls = []
 
-        def checked(jobs):
-            assert not (tmp_path / "report.json").exists()
-            return dump_fields(jobs)
+        def checked(field, path):
+            if not calls:
+                assert not (tmp_path / "report.json").exists()
+            calls.append(path.name)
+            return write(field, path)
 
-        monkeypatch.setattr(cli, "dump_fields", checked)
+        monkeypatch.setitem(cli._DUMP, "bin", (ext, checked))
         assert analyze(tmp_path, "--psi", "exp(2*x+i*y)", "--grid", "9x9") == 0
+        assert calls[:2] == ["psi.mfld.re", "psi.mfld.im"] and len(calls) == 23
         check_report(load_report(tmp_path), tmp_path, 0)
 
     def test_refused_run_replaces_the_old_report(self, tmp_path, capsys):
@@ -722,8 +728,9 @@ def _assert_no_child_left():
 
 
 class TestSplitDump:
-    """`dump_fields` shares the files out over the CPUs in the affinity set;
-    the split must not show in the files, the manifest or stdout."""
+    """`dump_fields` shares the text dumps out over the CPUs in the
+    affinity set; the split must not show in the files, the manifest or
+    stdout."""
 
     @pytest.fixture(scope="class")
     def diagnosis(self):
@@ -733,7 +740,7 @@ class TestSplitDump:
         V = ScalarField(spec, 0.5 * (X**2 + Y**2))
         return cli.diagnose(psi, PhysicalParams(), 0.01, V=V, E=1.0)
 
-    @pytest.mark.parametrize("fmt", ["csv", "bin", "gnuplot"])
+    @pytest.mark.parametrize("fmt", ["csv", "gnuplot"])
     def test_same_files_and_manifest_for_any_worker_count(self, fmt, diagnosis, tmp_path,
                                                           monkeypatch):
         fields = cli._collect_fields(diagnosis)
@@ -741,6 +748,9 @@ class TestSplitDump:
         real_fork, forks = os.fork, []
 
         def counting_fork():
+            # never fork beside another thread: the child would hold a copy
+            # of its locks in whatever state they were in
+            assert threading.active_count() == 1
             forks.append(1)
             return real_fork()
 
@@ -772,7 +782,7 @@ class TestSplitDump:
 
         monkeypatch.setattr(os, "fork", no_fork)
         fields = cli._collect_fields(diagnosis)
-        manifest = cli.dump_fields(cli._dump_jobs(diagnosis.psi, fields, tmp_path, "bin"))
+        manifest = cli.dump_fields(cli._dump_jobs(diagnosis.psi, fields, tmp_path, "csv"))
         assert len(manifest) == len(list(tmp_path.iterdir()))
 
     def test_no_affinity_call_means_one_worker(self, monkeypatch):
@@ -817,6 +827,114 @@ class TestSplitDump:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["started", f"report written to {out / 'report.json'}"]
         assert proc.stderr == ""
+
+
+class TestStreamDump:
+    """With `--dump bin` one writer thread writes each field as soon as it
+    is final, while the diagnosis goes on; that must not show in the files
+    or the manifest, and the thread must not outlive the run."""
+
+    @staticmethod
+    def serial(d, out_dir):
+        """The binary dumps of the final diagnosis `d` written one by one
+        as whole arrays, and their manifest."""
+        manifest = []
+        for _, f, path in cli._dump_jobs(d.psi, cli._collect_fields(d), out_dir, "bin"):
+            s = f.spec
+            values = ScalarField(s, f.values).values
+            data = b"MFLD1" + struct.pack("<QQdddd", s.nx, s.ny, s.x0, s.y0, s.dx, s.dy) \
+                + np.ascontiguousarray(values, "<f8").tobytes()
+            path.write_bytes(data)
+            manifest.append({"path": path.name, "sha256": hashlib.sha256(data).hexdigest()})
+        return manifest
+
+    @pytest.mark.parametrize("argv, code", [
+        (["analyze", "--psi", "exp(x+i*y)*exp(-0.1*(x^2+y^2))", "--potential", "x",
+          "--energy", "1", "--grid", "33x31"], 0),
+        (["analyze", "--builtin", "ho_vortex", "--grid", "32x32"], 2),
+        (["solve", "--potential", "(x^2+y^2)/2", "--count", "3", "--combine", "1,2:1,i",
+          "--grid", "32x32", "--domain", "-5,5,-5,5"], 2),
+    ], ids=["smooth", "vortex", "solve"])
+    def test_same_files_and_manifest_as_a_serial_write(self, argv, code, tmp_path, monkeypatch):
+        diagnoses, diagnose = [], cli.diagnose
+
+        def kept(*args, **kwargs):
+            diagnoses.append(diagnose(*args, **kwargs))
+            return diagnoses[-1]
+
+        monkeypatch.setattr(cli, "diagnose", kept)
+        out, serial = tmp_path / "stream", tmp_path / "serial"
+        serial.mkdir()
+        assert cli.main([*argv, "--out", str(out)]) == code
+        report = load_report(out)
+        check_report(report, out, code)
+        manifest = self.serial(diagnoses[0], serial)
+        assert report["manifest"] == manifest
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.name != "report.json"} \
+            == {p.name: p.read_bytes() for p in serial.iterdir()}
+
+    def test_every_job_written_once_in_order(self):
+        # the owner hands jobs over in batches while the thread takes them
+        # one by one; a short switch interval interleaves the two often
+        calls, start = [], threading.active_count()
+
+        def writer(field, path):
+            calls.append(path)
+            return f"digest of {path}"
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            w = cli._Writer()
+            for k in range(0, 2000, 100):
+                w.put([(writer, None, Path(str(j))) for j in range(k, k + 100)])
+            done = w.wait()
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == [Path(str(j)) for j in range(2000)]
+        assert done == {path: f"digest of {path}" for path in calls}
+        assert threading.active_count() == start
+
+    def test_interrupt_joins_the_writer_and_leaves_nothing(self, tmp_path, monkeypatch):
+        # stopped after the dumps began: the old report, its dumps and the
+        # files this run began are all gone, and so is the thread
+        assert analyze(tmp_path, "--psi", "exp(x+i*y)", "--grid", "17x17") == 0
+        start = threading.active_count()
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli.analytic, "norm_table", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            analyze(tmp_path, "--psi", "exp(2*x+i*y)", "--grid", "17x17")
+        assert list(tmp_path.iterdir()) == []
+        assert threading.active_count() == start
+
+    def test_no_thread_outlives_a_run(self, tmp_path, monkeypatch, capsys):
+        start = threading.active_count()
+        real_fork, forks = os.fork, []
+
+        def counting_fork():
+            assert threading.active_count() == start
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        _affinity(monkeypatch, 2)
+        base = ["--psi", "exp(x+i*y)", "--grid", "17x17"]
+        assert analyze(tmp_path / "ok", *base) == 0
+        (tmp_path / "blocked").mkdir()
+        (tmp_path / "blocked" / "U.mfld").mkdir()
+        assert analyze(tmp_path / "blocked", *base) == 1
+        assert analyze(tmp_path / "refused", *base, "--mass", "1e-300") == 1
+        assert not forks  # binary dumps never fork
+        assert analyze(tmp_path / "csv", *base, "--dump", "csv") == 0
+        assert len(forks) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("error: cannot write output: ") and "U.mfld" in err[0]
+        assert err[1] == "error: the interior rms norm of divJ overflows"
+        assert threading.active_count() == start
+        assert_refused(tmp_path / "refused", err[1][len("error: "):])
 
 
 class TestSolve:
