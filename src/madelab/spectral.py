@@ -23,18 +23,22 @@ The potential alone picks one of two eigensolvers:
   factor through a counting operator, so the solution reports how often
   it did (`opinv_calls`) and how large the factor is (`factor_nnz`).
 
-Either way every pair's residual is checked against the assembled matrix.
+Either way every pair's residual |Hv - Ev|/|v| applies H through the
+5-point stencil (`Hamiltonian.apply`), bit for bit the assembled matrix's
+product, so the separable path never builds the sparse matrix. Importing
+this module loads `scipy.linalg` only; `scipy.sparse` and
+`scipy.sparse.linalg` load on the first shift-invert solve or the first
+read of `Hamiltonian.matrix`.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .catalog import BUILTIN_NAMES, builtin_state  # noqa: F401 (re-exported)
 from .currents import PhysicalParams
@@ -43,6 +47,16 @@ from .grid import ComplexField, GridSpec, ScalarField
 V_WALL = 1e6
 MAX_EIGENPAIRS = 20
 DEGENERACY_FACTOR = 10.0
+
+# scipy.sparse serves shift-invert alone, so it is imported where it is used;
+# these names resolve on access (PEP 562) and are never bound here
+_SPARSE = {"sp": "scipy.sparse", "spla": "scipy.sparse.linalg"}
+
+
+def __getattr__(name: str):
+    if name in _SPARSE:
+        return importlib.import_module(_SPARSE[name])
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class EigenConvergenceError(RuntimeError):
@@ -63,13 +77,38 @@ class Hamiltonian:
     potential: np.ndarray  # wall value already substituted at masked cells
     params: PhysicalParams
 
-    @cached_property
-    def matrix(self) -> sp.csr_matrix:
+    def _coefficients(self) -> tuple[float, float, np.ndarray]:
+        """c/dx^2, c/dy^2 and the (ny, nx) diagonal 2c/dx^2 + 2c/dy^2 + V."""
         s = self.spec
         c = self.params.hbar**2 / (2.0 * self.params.mass)
         inv_dx2 = c / (s.dx * s.dx)
         inv_dy2 = c / (s.dy * s.dy)
-        diag = 2.0 * (inv_dx2 + inv_dy2) + self.potential.ravel()
+        return inv_dx2, inv_dy2, 2.0 * (inv_dx2 + inv_dy2) + self.potential
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """H v for v of `spec.size` values, flat or (ny, nx), in v's shape.
+
+        Each cell sums its stencil terms in the CSR row's column order
+        (-nx, -1, 0, +1, +nx) into +0.0, as `matrix @ v` does, so for finite
+        v the two agree bit for bit: the zeros `matrix` drops add nothing to
+        a sum that starts at +0.0."""
+        inv_dx2, inv_dy2, diag = self._coefficients()
+        x = np.reshape(v, self.spec.shape)
+        out = np.zeros(self.spec.shape)
+        out[1:, :] += -inv_dy2 * x[:-1, :]
+        out[:, 1:] += -inv_dx2 * x[:, :-1]
+        out += diag * x
+        out[:, :-1] += -inv_dx2 * x[:, 1:]
+        out[:-1, :] += -inv_dy2 * x[1:, :]
+        return out.reshape(np.shape(v))
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
+
+        s = self.spec
+        inv_dx2, inv_dy2, diag = self._coefficients()
+        diag = diag.ravel()
         n = s.size
         # x-neighbors: skip couplings that would wrap across row ends
         offx = np.full(n - 1, -inv_dx2)
@@ -112,7 +151,8 @@ def solve_lowest(
     seed: int = 0,
 ) -> EigenSolution:
     """Lowest `count` eigenpairs, ascending. Every pair's residual
-    |H v - E v|/|v| is taken against `H.matrix`; a pair over `tol` raises
+    |H v - E v|/|v| applies H through the 5-point stencil (`H.apply`, bit
+    for bit `H.matrix @ v`); a pair over `tol` raises
     `EigenConvergenceError` with every energy and residual.
 
     A separable potential with no wall cell (`_separable_parts`) is solved
@@ -120,7 +160,8 @@ def solve_lowest(
     `max_iter` and `seed` have no effect, nothing is retried, and
     `opinv_calls` and `factor_nnz` read 0. Any other potential takes
     shift-invert Lanczos (`_shift_invert`). The potential alone picks the
-    path, named by `method`. Deterministic for a fixed seed.
+    path, named by `method`. Only shift-invert builds `H.matrix` and loads
+    `scipy.sparse`. Deterministic for a fixed seed.
 
     Each state has its largest-magnitude component positive and unit norm
     on the grid (sum |psi|^2 dx dy = 1).
@@ -129,14 +170,13 @@ def solve_lowest(
         raise ValueError(f"count must be in 1..{MAX_EIGENPAIRS}")
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
-    A = H.matrix
-    n = A.shape[0]
+    n = H.spec.size
     if count >= n:
         raise ValueError(f"count {count} needs a grid of more than {count} cells (has {n})")
     parts = _separable_parts(H.potential)
     if parts is not None:
         energies, vecs = _kronecker_pairs(H, *parts, count)
-        residuals = [_residual(A, lam, v) for lam, v in zip(energies, vecs.T)]
+        residuals = [_residual(H, lam, v) for lam, v in zip(energies, vecs.T)]
         counters = {"method": "separable", "solved_count": count,
                     "opinv_calls": 0, "factor_nnz": 0}
     else:
@@ -163,8 +203,8 @@ def solve_lowest(
                          tol=tol, **counters)
 
 
-def _residual(A, lam: float, v: np.ndarray) -> float:
-    return float(np.linalg.norm(A @ v - lam * v) / np.linalg.norm(v))
+def _residual(H: Hamiltonian, lam: float, v: np.ndarray) -> float:
+    return float(np.linalg.norm(H.apply(v) - lam * v) / np.linalg.norm(v))
 
 
 def _separable_parts(V: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -224,8 +264,11 @@ def _shift_invert(H: Hamiltonian, count: int, tol: float, max_iter: int, seed: i
     the solve runs once more with `count + 1` pairs and the first `count`
     are returned.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     A = H.matrix
-    n = A.shape[0]
+    n = H.spec.size
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
     sigma = float(H.potential.min()) - 1.0
@@ -255,12 +298,12 @@ def _shift_invert(H: Hamiltonian, count: int, tol: float, max_iter: int, seed: i
             raise EigenConvergenceError(
                 f"eigensolver did not converge within {max_iter} iterations",
                 energies=[float(x) for x in got],
-                residuals=[_residual(A, lam, v) for lam, v in zip(got, vecs)],
+                residuals=[_residual(H, lam, v) for lam, v in zip(got, vecs)],
             ) from err
         order = np.argsort(vals)
         energies = [float(x) for x in vals[order]]
         vecs = vecs[:, order]
-        return energies, vecs, [_residual(A, lam, v) for lam, v in zip(energies, vecs.T)]
+        return energies, vecs, [_residual(H, lam, v) for lam, v in zip(energies, vecs.T)]
 
     solved = count
     energies, vecs, residuals = lanczos(solved)

@@ -1,7 +1,8 @@
 """`import madelab` and the analyze/convergence paths never load scipy; the
-solver is reached only through `madelab.spectral`, which loads it. Each
-check runs in a fresh interpreter, since this test process has long
-imported everything."""
+solver is reached only through `madelab.spectral`, which loads
+`scipy.linalg`. `scipy.sparse` loads only for shift-invert. Each check runs
+in a fresh interpreter, since this test process has long imported
+everything."""
 
 import os
 import subprocess
@@ -14,6 +15,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 NO_SCIPY = ("assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], "
             "sorted(m for m in sys.modules if m.startswith('scipy'))")
+NO_SPARSE = ("assert not [m for m in sys.modules if m.startswith('scipy.sparse')], "
+             "sorted(m for m in sys.modules if m.startswith('scipy.sparse'))")
+SOLVE = ["solve", "--grid", "24x24", "--domain", "-5,5,-5,5", "--count", "3", "--out", "out"]
 
 
 def run_fresh(code: str, tmp_path: Path) -> subprocess.CompletedProcess:
@@ -41,7 +45,8 @@ assert cli.main(["convergence", "--builtin", "ho_ground", "--grid", "8x8",
 
 
 def test_solver_names_load_spectral_on_first_use(tmp_path):
-    # the solver's names exist only in `madelab.spectral`; importing it loads scipy
+    # the solver's names exist only in `madelab.spectral`; importing it loads
+    # scipy.linalg, not scipy.sparse
     run_fresh(f"""
 import madelab
 {NO_SCIPY}
@@ -54,7 +59,45 @@ import madelab.spectral
 assert madelab.spectral.builtin_state is madelab.catalog.builtin_state
 assert madelab.builtin_state is madelab.catalog.builtin_state
 assert madelab.spectral.BUILTIN_NAMES is madelab.catalog.BUILTIN_NAMES
+assert "scipy.linalg" in sys.modules
+{NO_SPARSE}
+""", tmp_path)
+
+
+def test_separable_solve_leaves_sparse_unloaded(tmp_path):
+    run_fresh(f"""
+from madelab import cli
+assert cli.main({[*SOLVE, "--potential", "(x^2+y^2)/2"]!r}) == 0
+assert "scipy.linalg" in sys.modules
+{NO_SPARSE}
+""", tmp_path)
+
+
+def test_shift_invert_solve_loads_sparse(tmp_path):
+    run_fresh(f"""
+from madelab import cli
+assert cli.main({[*SOLVE, "--potential", "(x^2+y^2)/2+0.05*(x^2+y^2)^2"]!r}) == 0
 assert "scipy.sparse.linalg" in sys.modules
+""", tmp_path)
+
+
+def test_sparse_names_resolve_without_binding(tmp_path):
+    # the benchmark's tracer patches `spectral.spla.eigsh` and compares the
+    # module's namespace before and after
+    run_fresh(f"""
+import madelab.spectral
+{NO_SPARSE}
+import scipy.sparse
+import scipy.sparse.linalg
+assert madelab.spectral.spla is scipy.sparse.linalg
+assert madelab.spectral.sp is scipy.sparse
+assert "spla" not in vars(madelab.spectral) and "sp" not in vars(madelab.spectral)
+try:
+    madelab.spectral.nonexistent
+except AttributeError as err:
+    assert "nonexistent" in str(err)
+else:
+    raise AssertionError("madelab.spectral.nonexistent resolved")
 """, tmp_path)
 
 

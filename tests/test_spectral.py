@@ -3,6 +3,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given
+from hypothesis import strategies as st
 
 from madelab.currents import PhysicalParams
 from madelab.grid import GridSpec, ScalarField
@@ -129,6 +131,37 @@ class TestOperator:
         assert solve_lowest(H2, 1).energies[0] == pytest.approx(E1, rel=1e-12)
 
 
+@st.composite
+def operators_and_vectors(draw):
+    """A Hamiltonian on 3-40 cells per axis, with random spacings, hbar and
+    m and a potential with or without wall cells, and a vector to apply it
+    to: random, random with signed zeros, or all zero."""
+    positive = st.floats(1e-2, 1e2)
+    spec = GridSpec(draw(st.integers(3, 40)), draw(st.integers(3, 40)), 0.0, 0.0,
+                    draw(positive), draw(positive))
+    p = PhysicalParams(hbar=draw(positive), mass=draw(positive))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    V = rng.uniform(-100.0, 100.0, spec.shape)
+    if draw(st.booleans()):
+        V[rng.random(spec.shape) < 0.3] = np.nan  # masked: a wall cell
+        V[0, 0] = 0.0
+    H = assemble(ScalarField(spec, V), p)
+    kind = draw(st.sampled_from(["random", "signed-zero", "zero"]))
+    v = rng.standard_normal(spec.size) if kind != "zero" else np.zeros(spec.size)
+    if kind == "signed-zero":
+        pick = rng.integers(0, 3, spec.size)
+        v[pick == 1] = 0.0
+        v[pick == 2] = -0.0
+    return H, v
+
+
+@given(operators_and_vectors())
+def test_apply_is_the_matrix_product_bit_for_bit(case):
+    H, v = case
+    assert np.array_equal(H.apply(v).view(np.uint64), (H.matrix @ v).view(np.uint64))
+    assert np.array_equal(H.apply(v.reshape(H.spec.shape)).ravel(), H.apply(v))
+
+
 class TestSolver:
     def test_box_energies(self):
         # Dirichlet box: E_{n1 n2} = pi^2 (n1^2 + n2^2)/2, degenerate (1,2)/(2,1)
@@ -209,6 +242,14 @@ class TestSolver:
     def test_residuals_below_tol(self):
         sol = solve_lowest(free_hamiltonian(box_spec(24)), 2, tol=1e-8)
         assert all(r <= 1e-8 for r in sol.residuals)
+
+    def test_separable_solve_builds_no_matrix(self):
+        H = assemble(ho_potential(ho_spec(33)), P)
+        assert solve_lowest(H, 3).method == "separable"
+        assert "matrix" not in H.__dict__
+        Hq = assemble(quartic_potential(ho_spec(33)), P)
+        assert solve_lowest(Hq, 3).method == "shift-invert"
+        assert "matrix" in Hq.__dict__
 
     def test_count_must_be_below_cell_count(self):
         H = free_hamiltonian(GridSpec(3, 3, 0, 0, 0.25, 0.25))
