@@ -1,8 +1,9 @@
 """`import madelab` and the analyze/convergence paths never load scipy; the
 solver is reached only through `madelab.spectral`, which loads
-`scipy.linalg`. `scipy.sparse` loads only for shift-invert. Each check runs
-in a fresh interpreter, since this test process has long imported
-everything."""
+`scipy.linalg`. `scipy.sparse` loads only for shift-invert. The text
+formatter's tables are built on the first text dump, not on import. Each
+check runs in a fresh interpreter, since this test process has long
+imported everything."""
 
 import os
 import subprocess
@@ -31,6 +32,20 @@ def run_fresh(code: str, tmp_path: Path) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize("module", ["madelab", "madelab.cli"])
 def test_import_leaves_scipy_unloaded(module, tmp_path):
     run_fresh(f"import {module}\n{NO_SCIPY}", tmp_path)
+
+
+def test_import_builds_no_formatter_table(tmp_path):
+    # every cached table of `fieldio`, `_tables` and any added beside it,
+    # stays empty until a text dump needs it
+    run_fresh("""
+import madelab.cli
+from madelab import fieldio
+tables = {name: fn for name, fn in vars(fieldio).items() if hasattr(fn, "cache_info")}
+assert "_tables" in tables
+assert not {name: fn.cache_info().currsize for name, fn in tables.items() if fn.cache_info().currsize}
+fieldio._csv_lines(fieldio.np.ones((1, 1)))
+assert fieldio._tables.cache_info().currsize == 1
+""", tmp_path)
 
 
 def test_analyze_and_convergence_leave_scipy_unloaded(tmp_path):
