@@ -259,18 +259,16 @@ def diagnose(
     E: float | None = None,
     out: _Output | None = None,
 ) -> Diagnosis:
-    """One pass over a state. With `out`, psi and each stage's fields are
-    handed to it as soon as they are final, so a binary dump is written
-    while the rest of the pass runs."""
-    if out is not None:
-        out.add(psi, {})
+    """One pass over a state. With `out`, psi (as the field "psi") and each
+    stage's fields are handed to it as soon as they are final, so a binary
+    dump is written while the rest of the pass runs."""
+    add = out.add if out is not None else lambda fields: None
+    add({"psi": psi})
     m = madelung.decompose(psi, node_threshold)
-    if out is not None:
-        out.add(None, _madelung_fields(m))
+    add(_madelung_fields(m))
     c = currents.compute_currents(m, p, V=V, E=E)
     r = analytic.analyze(m)
-    if out is not None:
-        out.add(None, _current_fields(c, r))
+    add(_current_fields(c, r))
     if tol is None:
         tol = analytic.default_tolerance(m)
     norms = analytic.norm_table(m, c, r)
@@ -330,42 +328,36 @@ def _current_fields(c: currents.CurrentFields, r: analytic.AnalyticityReport) ->
     return fields
 
 
-def _collect_fields(d: Diagnosis) -> dict:
-    """Every field a full report dumps, by name."""
-    return {**_madelung_fields(d.m), **_current_fields(d.c, d.r)}
+def dump_fields(jobs: list[tuple], dumper: _Writer | _Split) -> list[dict]:
+    """List every file of the `_dump_jobs` list handed to `dumper` with its
+    SHA-256, in job order, once all are written; a failed write raises here.
+    Which thread or process wrote a file changes neither its bytes nor the list."""
+    done = dumper.wait()
+    return [{"path": path.name, "sha256": done[path]} for *_, path in jobs]
 
 
-def dump_fields(jobs: list[tuple], writer: _Writer | None = None) -> list[dict]:
-    """List every file the `_dump_jobs` list names with its SHA-256, in job
-    order. Binary jobs were handed to `writer` while the diagnosis ran, and
-    this waits for it to finish them. Text jobs are written here, shared
-    out over the CPUs this process may run on. Which thread or process
-    writes a file changes neither its bytes nor the list."""
-    if writer is not None:
-        done = writer.wait()
-        digests = [done[path] for *_, path in jobs]
-    else:
-        digests = _run_split(jobs, _worker_count(len(jobs)))
-    return [{"path": path.name, "sha256": digest}
-            for (_, _, path), digest in zip(jobs, digests)]
-
-
-def _dump_jobs(psi, fields: dict, out_dir: Path, fmt: str) -> list[tuple]:
-    """(writer, field, path) per dump file, in manifest order: psi (`.re`,
-    `.im`) unless it is None, then each field in name order."""
-    ext, writer = _DUMP[fmt]
-    psi_writer = writer if fmt != "gnuplot" else fieldio.write_binary
-    parts = [] if psi is None else fieldio.complex_parts(psi, out_dir / f"psi{ext}")
-    return ([(psi_writer, part, path) for part, path in parts]
-            + [(writer, f, out_dir / f"{name}{ext}") for name, f in sorted(fields.items())])
+def _dump_jobs(fields: dict, out_dir: Path, fmt: str) -> list[tuple]:
+    """(writer, field, path) per dump file of `fields` (name -> field), in
+    manifest order: "psi" first, as its `.re` and `.im` parts (binary in a
+    gnuplot run too), then the other fields in name order."""
+    jobs = []
+    for name in sorted(fields, key=lambda name: (name != "psi", name)):
+        ext, writer = _DUMP[fmt]
+        if name == "psi":
+            psi_writer = writer if fmt != "gnuplot" else fieldio.write_binary
+            jobs += [(psi_writer, part, path)
+                     for part, path in fieldio.complex_parts(fields[name], out_dir / f"psi{ext}")]
+        else:
+            jobs.append((writer, fields[name], out_dir / f"{name}{ext}"))
+    return jobs
 
 
 class _Writer:
-    """One thread that writes and hashes the binary dump jobs handed to
-    `put`, in order, while the caller goes on. A failed job stops the
-    writing; its exception is kept for `wait` to raise in the caller's
-    thread, so none escapes this one. Threads, not processes: `hashlib`,
-    file writes and the row-block copies release the GIL."""
+    """The dumper of binary runs: one thread writes and hashes the jobs
+    handed to `put`, in order, while the caller goes on. A failed job stops
+    the writing, and `wait` raises its exception in the caller's thread.
+    Threads, not processes: `hashlib`, file writes and row-block copies
+    release the GIL."""
 
     def __init__(self):
         self._jobs = collections.deque()
@@ -394,21 +386,39 @@ class _Writer:
             self._jobs.append(job)
             self._ready.release()
 
-    def join(self, stop: bool = False) -> None:
-        """End the thread once the jobs handed over are written, or, with
-        `stop`, once the job under way is."""
-        self._stop = self._stop or stop
-        if self._thread.is_alive():
-            self.put([None])
-            self._thread.join()
-
     def wait(self) -> dict[Path, str]:
-        """Every job's digest by path, once all are written; a failed
-        job's exception is raised here."""
-        self.join()
+        """Every job's digest by path, once all are written and the thread
+        has ended; a failed job's exception is raised here."""
+        self.put([None])
+        self._thread.join()
         if self._error is not None:
             raise self._error
         return self._done
+
+    def stop(self) -> None:
+        """End the thread once the job under way is written; drop the rest."""
+        self._stop = True
+        self.put([None])
+        self._thread.join()
+
+
+class _Split:
+    """The dumper of text runs: it holds the jobs handed to `put` until
+    `wait` writes them all with `_run_split`, in the order they came."""
+
+    def __init__(self):
+        self._jobs: list[tuple] = []
+
+    def put(self, jobs: list[tuple]) -> None:
+        self._jobs += jobs
+
+    def wait(self) -> dict[Path, str]:
+        """Every job's digest by path; a failed job raises here."""
+        return _run_split(self._jobs, _worker_count(len(self._jobs)))
+
+    def stop(self) -> None:
+        """Drop the jobs unwritten; no child was started."""
+        self._jobs = []
 
 
 def _worker_count(n_jobs: int) -> int:
@@ -417,9 +427,9 @@ def _worker_count(n_jobs: int) -> int:
     return min(len(os.sched_getaffinity(0)), n_jobs)
 
 
-def _run_split(jobs: list, workers: int) -> list[str]:
+def _run_split(jobs: list, workers: int) -> dict[Path, str]:
     """Run `jobs[k::workers]` in forked child k (1 <= k < workers) and
-    `jobs[0::workers]` here; return every job's digest in job order.
+    `jobs[0::workers]` here; return every job's digest by path.
 
     Each child sends its digests, or `"<ExcType>: <message>"` on failure,
     back through a pipe. Every child is reaped before this returns or
@@ -437,22 +447,19 @@ def _run_split(jobs: list, workers: int) -> list[str]:
             os.close(w)
             children.append((pid, r))
         digests = [""] * len(jobs)
-        digests[0::workers] = _write_and_hash(jobs[0::workers])
+        digests[0::workers] = [writer(field, path) for writer, field, path in jobs[0::workers]]
     finally:
-        replies = [_reap(pid, r) for pid, r in children]
+        replies = []
+        for pid, r in children:
+            with open(r) as fh:  # to the end first: a child may wait on a full pipe
+                text = fh.read()
+            replies.append((os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), text))
     failures = [text or f"dump worker ended with code {code}" for code, text in replies if code]
     if failures:
         raise OSError("; ".join(failures))
     for k, (_, text) in enumerate(replies, 1):
         digests[k::workers] = text.split()
-    return digests
-
-
-def _reap(pid: int, fd: int) -> tuple[int, str]:
-    """Read a dump worker's reply to the end, then wait for it to exit."""
-    with open(fd) as fh:
-        text = fh.read()
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), text
+    return {path: digest for (*_, path), digest in zip(jobs, digests)}
 
 
 def _dump_worker(jobs: list, fd: int):
@@ -462,7 +469,7 @@ def _dump_worker(jobs: list, fd: int):
     status = 1
     try:
         try:
-            text, code = "\n".join(_write_and_hash(jobs)), 0
+            text, code = "\n".join(writer(field, path) for writer, field, path in jobs), 0
         except BaseException as err:
             text, code = f"{type(err).__name__}: {err}", 1
         with open(fd, "w") as fh:
@@ -470,10 +477,6 @@ def _dump_worker(jobs: list, fd: int):
         status = code
     finally:
         os._exit(status)
-
-
-def _write_and_hash(jobs: list) -> list[str]:
-    return [writer(field, path) for writer, field, path in jobs]
 
 
 def _listed_dumps(out_dir: Path) -> set[str]:
@@ -502,30 +505,41 @@ def write_report(report: dict, out_dir: Path) -> Path:
 
 
 class _Output:
-    """What one run puts in `--out`: the psi and fields handed to `add`,
-    dumped in format `fmt` (None: no dumps), and the report. Made by
-    `_owned`, the one owner of `--out`."""
+    """The one owner of `--out` in a run, as a context manager: it dumps the
+    fields handed to `add` in format `fmt` (None: no dumps), then publishes
+    the report. It deletes the old report before it picks the dumper from
+    `fmt` (a `_Writer` thread for `bin`, else a `_Split`), so a failed or
+    stopped run leaves no report naming files it overwrote; if that delete
+    fails, nothing else is touched. On any exception in the block (a failed
+    write, a refusal after the dumps began, an interrupt) the dumper is
+    stopped, then the dumps the old report listed and every file this run
+    meant to write are deleted, and the exception goes on. `publish` waits
+    for the dumper, so no thread or child outlives the block."""
 
     def __init__(self, out_dir: Path, fmt: str | None):
         self.out_dir, self.fmt = out_dir, fmt
         self.listed = _listed_dumps(out_dir)
-        self.psi, self.fields = None, {}
-        self.writer: _Writer | None = None
+        (out_dir / "report.json").unlink(missing_ok=True)
+        self.fields: dict = {}
+        self.dumper = _Writer() if fmt == "bin" else _Split()
 
-    def add(self, psi: ComplexField | None, fields: dict) -> None:
-        """Hand over `psi` (None: not now) and `fields` (name -> field),
-        which nothing writes to from here on. Binary dumps of them start at
-        once, in the writer thread; text dumps wait for `publish`."""
-        if psi is not None:
-            self.psi = psi
+    def __enter__(self) -> _Output:
+        return self
+
+    def __exit__(self, kind, value, traceback) -> None:
+        if kind is not None:
+            self.dumper.stop()
+            written = {path.name for *_, path in self.jobs()}
+            _drop_dumps(self.out_dir, self.listed | written | {"report.json"})
+
+    def add(self, fields: dict) -> None:
+        """Hand `fields` (name -> field) to the dumper; nothing writes to
+        them from here on."""
         self.fields.update(fields)
-        if self.fmt == "bin":
-            self.writer = self.writer or _Writer()
-            self.writer.put(_dump_jobs(psi, fields, self.out_dir, self.fmt))
+        self.dumper.put(_dump_jobs(fields, self.out_dir, self.fmt))
 
     def jobs(self) -> list[tuple]:
-        return [] if self.fmt is None else _dump_jobs(self.psi, self.fields,
-                                                      self.out_dir, self.fmt)
+        return _dump_jobs(self.fields, self.out_dir, self.fmt)
 
     def publish(self, report: dict) -> Path:
         """Finish the dumps, list them in `report["manifest"]` (no dumps,
@@ -533,38 +547,14 @@ class _Output:
         write the report; return its path."""
         jobs = self.jobs()
         if jobs:
-            report["manifest"] = dump_fields(jobs, self.writer)
+            report["manifest"] = dump_fields(jobs, self.dumper)
         _drop_dumps(self.out_dir, self.listed - {path.name for *_, path in jobs})
         return write_report(report, self.out_dir)
 
 
-@contextlib.contextmanager
-def _owned(out_dir: Path, fmt: str | None = None):
-    """Own `out_dir` for one run: once it exists, nothing else deletes or
-    writes in it. Yields the run's `_Output`.
-
-    The previous report goes before the first dump, so a failed or stopped
-    run leaves no report naming files it overwrote. On any exception (a
-    failed write, a refusal after the dumps began, an interrupt) the
-    writer thread is stopped and joined, then the dumps that report listed
-    and every file this run meant to write are deleted, so no dump is left
-    either, and the exception goes on. `publish` waits for the writer, so
-    no thread outlives the block."""
-    out = _Output(out_dir, fmt)
-    try:
-        (out_dir / "report.json").unlink(missing_ok=True)
-        yield out
-    except BaseException:
-        if out.writer is not None:
-            out.writer.join(stop=True)
-        written = {path.name for *_, path in out.jobs()}
-        _drop_dumps(out_dir, out.listed | written | {"report.json"})
-        raise
-
-
 def _publish(out_dir: Path, report: dict) -> Path:
     """Publish a report that has no dumps."""
-    with _owned(out_dir) as out:
+    with _Output(out_dir, None) as out:
         return out.publish(report)
 
 
@@ -619,7 +609,7 @@ def cmd_analyze(args) -> int:
     out_dir = _out_dir(args)
     psi, energy, provenance = _state_from_args(args, spec, p)
     V = _potential_field(args, spec)
-    with _owned(out_dir, args.dump) as out:
+    with _Output(out_dir, args.dump) as out:
         d = diagnose(psi, p, args.node_threshold, tol=args.tol, V=V, E=energy, out=out)
         state = {**provenance, "energy": energy if energy is not None else "n/a"}
         return _finish(args, out, d, state=state)
@@ -659,7 +649,7 @@ def cmd_solve(args) -> int:
         provenance = {"source": "solve", "potential": args.potential,
                       "state_index": idx}
 
-    with _owned(out_dir, args.dump) as out:
+    with _Output(out_dir, args.dump) as out:
         d = diagnose(psi, p, args.node_threshold, tol=args.tol, V=V, E=energy, out=out)
         return _finish(args, out, d, state={**provenance, "energy": energy},
                        energies=sol.energies, solver_residuals=sol.residuals)

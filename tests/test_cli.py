@@ -40,6 +40,12 @@ def analyze(tmp_path, *extra):
     return cli.main(argv)
 
 
+def dumped_fields(d):
+    """Every field, psi included, that a full report of the diagnosis `d`
+    dumps, by name."""
+    return {"psi": d.psi, **cli._madelung_fields(d.m), **cli._current_fields(d.c, d.r)}
+
+
 def assert_refused(out_dir, error):
     """A run refused with exit 1 leaves its error report, and no other
     file, in out_dir."""
@@ -682,10 +688,16 @@ class TestOutputErrors:
         assert str(out) in err and "Traceback" not in err
 
     def test_report_cannot_be_written(self, tmp_path, capsys):
+        # the old report cannot be deleted, so no dump may begin: the
+        # writer thread starts only once that report is gone
+        start = threading.active_count()
         (tmp_path / "report.json").mkdir()
-        assert analyze(tmp_path, "--builtin", "ho_ground", "--grid", "9x9") == 1
+        assert analyze(tmp_path, "--builtin", "ho_ground", "--grid", "9x9",
+                       "--dump", "bin") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write output: ") and "report.json" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+        assert threading.active_count() == start
 
     @staticmethod
     def disk_full(report, out_dir):
@@ -727,10 +739,16 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _split_dump(fields, out_dir, fmt):
+    """The manifest of `fields` dumped in text format `fmt` by a `_Split`."""
+    jobs, split = cli._dump_jobs(fields, out_dir, fmt), cli._Split()
+    split.put(jobs)
+    return cli.dump_fields(jobs, split)
+
+
 class TestSplitDump:
-    """`dump_fields` shares the text dumps out over the CPUs in the
-    affinity set; the split must not show in the files, the manifest or
-    stdout."""
+    """`_Split` shares the text dumps out over the CPUs in the affinity
+    set; the split must not show in the files, the manifest or stdout."""
 
     @pytest.fixture(scope="class")
     def diagnosis(self):
@@ -743,7 +761,7 @@ class TestSplitDump:
     @pytest.mark.parametrize("fmt", ["csv", "gnuplot"])
     def test_same_files_and_manifest_for_any_worker_count(self, fmt, diagnosis, tmp_path,
                                                           monkeypatch):
-        fields = cli._collect_fields(diagnosis)
+        fields = dumped_fields(diagnosis)
         assert "I" in fields and "qhjResidual" in fields
         real_fork, forks = os.fork, []
 
@@ -761,7 +779,7 @@ class TestSplitDump:
             forks.clear()
             out = tmp_path / f"w{workers}"
             out.mkdir()
-            manifest = cli.dump_fields(cli._dump_jobs(diagnosis.psi, fields, out, fmt))
+            manifest = _split_dump(fields, out, fmt)
             assert len(forks) == workers - 1
             _assert_no_child_left()
             files = {p.name: p.read_bytes() for p in out.iterdir()}
@@ -781,8 +799,7 @@ class TestSplitDump:
             raise AssertionError("forked with one worker")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        fields = cli._collect_fields(diagnosis)
-        manifest = cli.dump_fields(cli._dump_jobs(diagnosis.psi, fields, tmp_path, "csv"))
+        manifest = _split_dump(dumped_fields(diagnosis), tmp_path, "csv")
         assert len(manifest) == len(list(tmp_path.iterdir()))
 
     def test_no_affinity_call_means_one_worker(self, monkeypatch):
@@ -839,7 +856,7 @@ class TestStreamDump:
         """The binary dumps of the final diagnosis `d` written one by one
         as whole arrays, and their manifest."""
         manifest = []
-        for _, f, path in cli._dump_jobs(d.psi, cli._collect_fields(d), out_dir, "bin"):
+        for _, f, path in cli._dump_jobs(dumped_fields(d), out_dir, "bin"):
             s = f.spec
             values = ScalarField(s, f.values).values
             data = b"MFLD1" + struct.pack("<QQdddd", s.nx, s.ny, s.x0, s.y0, s.dx, s.dy) \
@@ -872,28 +889,6 @@ class TestStreamDump:
         assert report["manifest"] == manifest
         assert {p.name: p.read_bytes() for p in out.iterdir() if p.name != "report.json"} \
             == {p.name: p.read_bytes() for p in serial.iterdir()}
-
-    def test_every_job_written_once_in_order(self):
-        # the owner hands jobs over in batches while the thread takes them
-        # one by one; a short switch interval interleaves the two often
-        calls, start = [], threading.active_count()
-
-        def writer(field, path):
-            calls.append(path)
-            return f"digest of {path}"
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            w = cli._Writer()
-            for k in range(0, 2000, 100):
-                w.put([(writer, None, Path(str(j))) for j in range(k, k + 100)])
-            done = w.wait()
-        finally:
-            sys.setswitchinterval(interval)
-        assert calls == [Path(str(j)) for j in range(2000)]
-        assert done == {path: f"digest of {path}" for path in calls}
-        assert threading.active_count() == start
 
     def test_interrupt_joins_the_writer_and_leaves_nothing(self, tmp_path, monkeypatch):
         # stopped after the dumps began: the old report, its dumps and the
@@ -935,6 +930,111 @@ class TestStreamDump:
         assert err[1] == "error: the interior rms norm of divJ overflows"
         assert threading.active_count() == start
         assert_refused(tmp_path / "refused", err[1][len("error: "):])
+
+
+@pytest.mark.parametrize("dumper", [cli._Writer, cli._Split])
+class TestDumpers:
+    """Both dumpers keep one contract: `put` jobs as their fields become
+    final, `wait` for every digest by path, `stop` on failure. `_Split`
+    runs with two workers, so one child is forked when it writes."""
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        _affinity(monkeypatch, 2)
+        start = threading.active_count()
+        yield
+        assert threading.active_count() == start
+        _assert_no_child_left()
+
+    def test_batches_come_back_once_per_path(self, dumper):
+        # the owner hands jobs over in batches while the writer thread takes
+        # them one by one; a short switch interval interleaves the two often
+        calls = []
+
+        def writer(field, path):
+            calls.append(path)
+            return f"digest-of-{path}"
+
+        paths = [Path(str(j)) for j in range(2000)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            d = dumper()
+            for k in range(0, 2000, 100):
+                d.put([(writer, None, path) for path in paths[k:k + 100]])
+            done = d.wait()
+        finally:
+            sys.setswitchinterval(interval)
+        assert done == {path: f"digest-of-{path}" for path in paths}
+        # every job once, in order; a split's children write the odd ones
+        assert calls == (paths if dumper is cli._Writer else paths[0::2])
+
+    # job 2 is the parent's share of a split, job 3 its child's
+    @pytest.mark.parametrize("failing", [2, 3])
+    def test_failed_job_raises_from_wait(self, dumper, failing, tmp_path):
+        def writer(field, path):
+            if path.name == f"f{failing}":
+                raise OSError(28, "No space left on device", str(path))
+            return f"digest-of-{path.name}"
+
+        d = dumper()
+        d.put([(writer, None, tmp_path / f"f{j}") for j in range(3)])
+        d.put([(writer, None, tmp_path / f"f{j}") for j in range(3, 6)])
+        with pytest.raises(OSError, match=f"No space left on device: '.*f{failing}'"):
+            d.wait()
+
+    def test_stop_after_put_leaves_nothing_running(self, dumper, tmp_path):
+        started = threading.Event()
+        d = dumper()
+
+        def writer(field, path):
+            # the first job holds the writer thread until `stop` is called
+            started.set()
+            deadline = time.monotonic() + 10
+            while not d._stop and time.monotonic() < deadline:
+                time.sleep(0.001)
+            path.write_text(field)
+            return "digest"
+
+        d.put([(writer, str(j), tmp_path / f"f{j}") for j in range(5)])
+        if dumper is cli._Writer:
+            assert started.wait(10)
+        d.stop()
+        # the job under way is finished and the rest dropped; a split never
+        # began, so it wrote nothing
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == (["f0"] if dumper is cli._Writer else [])
+
+
+class TestTracedSeams:
+    """The benchmark's tracer times `cli.dump_fields` and
+    `cli.write_report` by name, so the CLI must reach both through the
+    module: once each per published run."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for name in ("dump_fields", "write_report"):
+            def counted(*args, name=name, fn=getattr(cli, name)):
+                calls.append(name)
+                return fn(*args)
+
+            monkeypatch.setattr(cli, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("fmt", ["bin", "csv", "gnuplot"])
+    def test_each_once_per_published_run(self, fmt, calls, tmp_path):
+        assert analyze(tmp_path, "--psi", "exp(x+i*y)", "--grid", "9x9", "--dump", fmt) == 0
+        assert calls == ["dump_fields", "write_report"]
+        assert cli.main(["solve", "--potential", "(x^2+y^2)/2", "--grid", "16x16",
+                         "--count", "3", "--combine", "1,2:1,i", "--dump", fmt,
+                         "--out", str(tmp_path)]) == 2
+        assert calls == ["dump_fields", "write_report"] * 2
+
+    def test_dumpless_refusal_writes_the_report_only(self, calls, tmp_path, capsys):
+        assert analyze(tmp_path, "--psi", "0", "--grid", "9x9") == 1
+        assert calls == ["write_report"]
+        assert "manifest" not in load_report(tmp_path)
 
 
 class TestSolve:
