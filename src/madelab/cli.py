@@ -1,6 +1,7 @@
 """Command-line entry point: analyze a state, solve for eigenstates, or run
-a grid-refinement convergence study. Emits a JSON report plus field dumps
-(CSV, binary, or gnuplot tables).
+a grid-refinement convergence study. Holds the options, the pipeline, the
+report and `_Output`, which publishes the JSON report and the field dumps
+(CSV, binary, or gnuplot tables) that the dumpers of `madelab.dumps` write.
 
 Exit codes: 0 success; 1 hard failure (bad input, empty interior, cannot
 write output; a refused analyze or solve writes a report of the error
@@ -11,20 +12,18 @@ eigensolver non-convergence (partial report still written).
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import datetime
 import json
 import math
 import os
 import sys
-import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import analytic, catalog, currents, exprlang, fieldio, madelung
+from . import analytic, catalog, currents, dumps, exprlang, fieldio, madelung
 from .currents import PhysicalParams
 from .grid import ComplexField, GridSpec, ScalarField
 
@@ -47,34 +46,12 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise ValueError(message)
 
-
-def _fold_dash_values(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
-    """Fold `--flag value` into `--flag=value` when the value starts with '-'
-    (negative numbers such as -1e1, expressions such as -exp(x)), which argparse
-    would take for an option. Every option of any subcommand that takes one
-    value qualifies; a token that is itself an option string is never folded."""
-    takes_one, options = set(), set()
-    parsers = [parser]
-    for p in parsers:
-        for action in p._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                parsers.extend(action.choices.values())
-            options.update(action.option_strings)
-            if action.nargs is None:
-                takes_one.update(action.option_strings)
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        value = argv[i + 1] if i + 1 < len(argv) else ""
-        if (tok in takes_one and value.startswith("-")
-                and value.partition("=")[0] not in options):
-            out.append(f"{tok}={value}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
-    return out
+    # a token that is none of this parser's option strings, alone or before
+    # '=', is a value such as -1e1 or -exp(x); subparsers share this class
+    def _parse_optional(self, arg_string):
+        if arg_string.partition("=")[0] not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
 
 
 # --- argument plumbing -------------------------------------------------------
@@ -328,7 +305,7 @@ def _current_fields(c: currents.CurrentFields, r: analytic.AnalyticityReport) ->
     return fields
 
 
-def dump_fields(jobs: list[tuple], dumper: _Writer | _Split) -> list[dict]:
+def dump_fields(jobs: list[tuple], dumper: dumps.Writer | dumps.Split) -> list[dict]:
     """List every file of the `_dump_jobs` list handed to `dumper` with its
     SHA-256, in job order, once all are written; a failed write raises here.
     Which thread or process wrote a file changes neither its bytes nor the list."""
@@ -350,133 +327,6 @@ def _dump_jobs(fields: dict, out_dir: Path, fmt: str) -> list[tuple]:
         else:
             jobs.append((writer, fields[name], out_dir / f"{name}{ext}"))
     return jobs
-
-
-class _Writer:
-    """The dumper of binary runs: one thread writes and hashes the jobs
-    handed to `put`, in order, while the caller goes on. A failed job stops
-    the writing, and `wait` raises its exception in the caller's thread.
-    Threads, not processes: `hashlib`, file writes and row-block copies
-    release the GIL."""
-
-    def __init__(self):
-        self._jobs = collections.deque()
-        self._ready = threading.Semaphore(0)  # one release per job, and one to end
-        self._done: dict[Path, str] = {}
-        self._error: BaseException | None = None
-        self._stop = False
-        self._thread = threading.Thread(target=self._run, name="madelab-dump")
-        self._thread.start()
-
-    def _run(self) -> None:
-        while True:
-            self._ready.acquire()
-            job = self._jobs.popleft()
-            if job is None:
-                return
-            if self._error is None and not self._stop:
-                writer, field, path = job
-                try:
-                    self._done[path] = writer(field, path)
-                except BaseException as err:
-                    self._error = err
-
-    def put(self, jobs: list[tuple]) -> None:
-        for job in jobs:
-            self._jobs.append(job)
-            self._ready.release()
-
-    def wait(self) -> dict[Path, str]:
-        """Every job's digest by path, once all are written and the thread
-        has ended; a failed job's exception is raised here."""
-        self.put([None])
-        self._thread.join()
-        if self._error is not None:
-            raise self._error
-        return self._done
-
-    def stop(self) -> None:
-        """End the thread once the job under way is written; drop the rest."""
-        self._stop = True
-        self.put([None])
-        self._thread.join()
-
-
-class _Split:
-    """The dumper of text runs: it holds the jobs handed to `put` until
-    `wait` writes them all with `_run_split`, in the order they came."""
-
-    def __init__(self):
-        self._jobs: list[tuple] = []
-
-    def put(self, jobs: list[tuple]) -> None:
-        self._jobs += jobs
-
-    def wait(self) -> dict[Path, str]:
-        """Every job's digest by path; a failed job raises here."""
-        return _run_split(self._jobs, _worker_count(len(self._jobs)))
-
-    def stop(self) -> None:
-        """Drop the jobs unwritten; no child was started."""
-        self._jobs = []
-
-
-def _worker_count(n_jobs: int) -> int:
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return min(len(os.sched_getaffinity(0)), n_jobs)
-
-
-def _run_split(jobs: list, workers: int) -> dict[Path, str]:
-    """Run `jobs[k::workers]` in forked child k (1 <= k < workers) and
-    `jobs[0::workers]` here; return every job's digest by path.
-
-    Each child sends its digests, or `"<ExcType>: <message>"` on failure,
-    back through a pipe. Every child is reaped before this returns or
-    raises; a child's failure is raised here as `OSError`. Processes, not
-    threads: threads share one GIL, which the text formatter's short numpy
-    calls pass back and forth."""
-    children = []
-    try:
-        for k in range(1, workers):
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(r)
-                _dump_worker(jobs[k::workers], w)
-            os.close(w)
-            children.append((pid, r))
-        digests = [""] * len(jobs)
-        digests[0::workers] = [writer(field, path) for writer, field, path in jobs[0::workers]]
-    finally:
-        replies = []
-        for pid, r in children:
-            with open(r) as fh:  # to the end first: a child may wait on a full pipe
-                text = fh.read()
-            replies.append((os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), text))
-    failures = [text or f"dump worker ended with code {code}" for code, text in replies if code]
-    if failures:
-        raise OSError("; ".join(failures))
-    for k, (_, text) in enumerate(replies, 1):
-        digests[k::workers] = text.split()
-    return {path: digest for (*_, path), digest in zip(jobs, digests)}
-
-
-def _dump_worker(jobs: list, fd: int):
-    """The body of a forked child: never returns into the caller. It leaves
-    through `os._exit`, so no atexit handler runs and no stdio buffer
-    copied from the parent is flushed a second time."""
-    status = 1
-    try:
-        try:
-            text, code = "\n".join(writer(field, path) for writer, field, path in jobs), 0
-        except BaseException as err:
-            text, code = f"{type(err).__name__}: {err}", 1
-        with open(fd, "w") as fh:
-            fh.write(text)
-        status = code
-    finally:
-        os._exit(status)
 
 
 def _listed_dumps(out_dir: Path) -> set[str]:
@@ -508,7 +358,7 @@ class _Output:
     """The one owner of `--out` in a run, as a context manager: it dumps the
     fields handed to `add` in format `fmt` (None: no dumps), then publishes
     the report. It deletes the old report before it picks the dumper from
-    `fmt` (a `_Writer` thread for `bin`, else a `_Split`), so a failed or
+    `fmt` (a `dumps.Writer` for `bin`, else a `dumps.Split`), so a failed or
     stopped run leaves no report naming files it overwrote; if that delete
     fails, nothing else is touched. On any exception in the block (a failed
     write, a refusal after the dumps began, an interrupt) the dumper is
@@ -521,7 +371,7 @@ class _Output:
         self.listed = _listed_dumps(out_dir)
         (out_dir / "report.json").unlink(missing_ok=True)
         self.fields: dict = {}
-        self.dumper = _Writer() if fmt == "bin" else _Split()
+        self.dumper = dumps.Writer() if fmt == "bin" else dumps.Split()
 
     def __enter__(self) -> _Output:
         return self
@@ -698,13 +548,11 @@ def cmd_convergence(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
     handlers = {"analyze": cmd_analyze, "solve": cmd_solve,
                 "convergence": cmd_convergence}
     args = None
     try:
-        args = parser.parse_args(_fold_dash_values(list(argv), parser))
+        args = parser.parse_args(argv)
         return handlers[args.command](args)
     except (ValueError, MemoryError) as err:
         error = f"out of memory: {err}" if isinstance(err, MemoryError) else str(err)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -11,8 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from madelab import cli, fieldio, spectral
+from madelab import cli, dumps, fieldio, spectral
 from madelab.currents import PhysicalParams
 from madelab.grid import ComplexField, GridSpec, ScalarField
 from madelab.madelung import VortexError, decompose, unwrap_phase
@@ -44,6 +47,27 @@ def dumped_fields(d):
     """Every field, psi included, that a full report of the diagnosis `d`
     dumps, by name."""
     return {"psi": d.psi, **cli._madelung_fields(d.m), **cli._current_fields(d.c, d.r)}
+
+
+_PARSER = cli.build_parser()
+_COMMANDS = next(a for a in _PARSER._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+# (subcommand, option string) for every option of every subcommand that
+# takes one value
+ONE_VALUE = [(cmd, opt) for cmd, p in _COMMANDS.items() for a in p._actions
+             if a.nargs is None for opt in a.option_strings]
+OPTION_STRINGS = sorted({o for p in _COMMANDS.values() for o in p._option_string_actions})
+
+
+def parsed(cmd, opt, *tokens):
+    """The options of `cmd` that `tokens` give, as a dict, or the usage
+    error's message. Unless `opt` is --psi or --builtin, the state comes
+    from --builtin, so that a required option is not what fails."""
+    base = [] if cmd == "solve" or opt in ("--psi", "--builtin") else ["--builtin", "ho_ground"]
+    try:
+        return vars(_PARSER.parse_args([cmd, *base, *tokens]))
+    except ValueError as err:
+        return str(err)
 
 
 def assert_refused(out_dir, error):
@@ -341,13 +365,36 @@ class TestGridParsing:
         assert analyze(tmp_path, "--psi", "--builtin", "ho_ground") == 1
         assert "argument --psi: expected one argument" in capsys.readouterr().err
 
+    # a dash, then anything; or an option string with more after it
+    @settings(max_examples=15)
+    @given(st.one_of(st.text("-=.e1x(+) ", max_size=8).map("-".__add__),
+                     st.tuples(st.sampled_from(OPTION_STRINGS),
+                               st.text("-=x1", max_size=3)).map("".join)))
+    def test_dash_value_reads_alike_with_or_without_equals(self, value):
+        for cmd, opt in ONE_VALUE:
+            if value.partition("=")[0] not in _COMMANDS[cmd]._option_string_actions:
+                assert parsed(cmd, opt, opt, value) == parsed(cmd, opt, f"{opt}={value}")
+
+    def test_option_string_as_a_value_expects_one_argument(self):
+        # every option string after every option; with "=1" after --grid
+        for cmd, opt in ONE_VALUE:
+            for other in _COMMANDS[cmd]._option_string_actions:
+                for token in [other, f"{other}=1"] if opt == "--grid" else [other]:
+                    assert parsed(cmd, opt, opt, token).endswith(
+                        f"argument {opt}: expected one argument"), (cmd, opt, token)
+
+    def test_stray_token_before_the_command(self, tmp_path, capsys):
+        assert cli.main(["-x", "analyze", "--psi", "1", "--out", str(tmp_path)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("argv", [
         ["analyze", "--ps", "exp(x+i*y)"],
         ["analyze", "--builtin", "ho_ground", "--dom", "0,1,0,1"],
         ["analyze", "--builtin", "ho_ground", "--node-thr", "0.1"],
     ])
     def test_options_are_spelled_in_full(self, argv, tmp_path, capsys):
-        # the dash-value fold and argparse accept the same option names
+        # a prefix of an option string is a value, never an abbreviation
         assert cli.main(argv + ["--out", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
 
@@ -740,14 +787,14 @@ def _assert_no_child_left():
 
 
 def _split_dump(fields, out_dir, fmt):
-    """The manifest of `fields` dumped in text format `fmt` by a `_Split`."""
-    jobs, split = cli._dump_jobs(fields, out_dir, fmt), cli._Split()
+    """The manifest of `fields` dumped in text format `fmt` by a `dumps.Split`."""
+    jobs, split = cli._dump_jobs(fields, out_dir, fmt), dumps.Split()
     split.put(jobs)
     return cli.dump_fields(jobs, split)
 
 
 class TestSplitDump:
-    """`_Split` shares the text dumps out over the CPUs in the affinity
+    """`dumps.Split` shares the text dumps out over the CPUs in the affinity
     set; the split must not show in the files, the manifest or stdout."""
 
     @pytest.fixture(scope="class")
@@ -804,11 +851,11 @@ class TestSplitDump:
 
     def test_no_affinity_call_means_one_worker(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert cli._worker_count(19) == 1
+        assert dumps.worker_count(19) == 1
 
     def test_worker_count_is_capped_by_jobs(self, monkeypatch):
         _affinity(monkeypatch, 64)
-        assert cli._worker_count(19) == 19
+        assert dumps.worker_count(19) == 19
 
     # psi.csv.re is the parent's first file; psi.csv.im goes to child 1 of
     # 2 and I.csv to child 2 of 3
@@ -932,10 +979,12 @@ class TestStreamDump:
         assert_refused(tmp_path / "refused", err[1][len("error: "):])
 
 
-@pytest.mark.parametrize("dumper", [cli._Writer, cli._Split])
+# the ids are the names the two dumpers had in `cli`, kept so that the
+# tests keep theirs
+@pytest.mark.parametrize("dumper", [dumps.Writer, dumps.Split], ids=["_Writer", "_Split"])
 class TestDumpers:
     """Both dumpers keep one contract: `put` jobs as their fields become
-    final, `wait` for every digest by path, `stop` on failure. `_Split`
+    final, `wait` for every digest by path, `stop` on failure. `Split`
     runs with two workers, so one child is forked when it writes."""
 
     @pytest.fixture(autouse=True)
@@ -967,7 +1016,7 @@ class TestDumpers:
             sys.setswitchinterval(interval)
         assert done == {path: f"digest-of-{path}" for path in paths}
         # every job once, in order; a split's children write the odd ones
-        assert calls == (paths if dumper is cli._Writer else paths[0::2])
+        assert calls == (paths if dumper is dumps.Writer else paths[0::2])
 
     # job 2 is the parent's share of a split, job 3 its child's
     @pytest.mark.parametrize("failing", [2, 3])
@@ -997,13 +1046,13 @@ class TestDumpers:
             return "digest"
 
         d.put([(writer, str(j), tmp_path / f"f{j}") for j in range(5)])
-        if dumper is cli._Writer:
+        if dumper is dumps.Writer:
             assert started.wait(10)
         d.stop()
         # the job under way is finished and the rest dropped; a split never
         # began, so it wrote nothing
         written = sorted(p.name for p in tmp_path.iterdir())
-        assert written == (["f0"] if dumper is cli._Writer else [])
+        assert written == (["f0"] if dumper is dumps.Writer else [])
 
 
 class TestTracedSeams:
