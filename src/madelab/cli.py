@@ -25,7 +25,7 @@ import numpy as np
 
 from . import analytic, catalog, currents, dumps, exprlang, fieldio, madelung
 from .currents import PhysicalParams
-from .grid import ComplexField, GridSpec, ScalarField
+from .grid import ComplexField, GridSpec, ScalarField, VectorField
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -81,7 +81,7 @@ def _add_report(p: argparse.ArgumentParser) -> None:
 
 
 def _add_state_source(p: argparse.ArgumentParser) -> None:
-    src = p.add_mutually_exclusive_group(required=True)
+    src = p.add_mutually_exclusive_group()
     src.add_argument("--psi", default=None, metavar="EXPR",
                      help="wavefunction expression in x, y")
     src.add_argument("--builtin", default=None, choices=catalog.BUILTIN_NAMES,
@@ -217,11 +217,8 @@ def _parse_combine(text: str) -> tuple[list[int], list[complex]]:
 
 @dataclass
 class Diagnosis:
-    """Everything one pass over a state produces; each quantity once."""
-    psi: ComplexField
+    """What the report and `convergence` read of one pass over a state."""
     m: madelung.MadelungFields
-    c: currents.CurrentFields
-    r: analytic.AnalyticityReport
     tol: float
     norms: dict
     verdicts: dict
@@ -236,21 +233,41 @@ def diagnose(
     E: float | None = None,
     out: _Output | None = None,
 ) -> Diagnosis:
-    """One pass over a state. With `out`, psi (as the field "psi") and each
-    stage's fields are handed to it as soon as they are final, so a binary
-    dump is written while the rest of the pass runs."""
+    """One pass over a state. With `out`, psi and then each stage's fields
+    are handed to it by dump name as soon as they are final, so a binary dump
+    is written while the rest of the pass runs; a field the state lacks is None."""
     add = out.add if out is not None else lambda fields: None
     add({"psi": psi})
     m = madelung.decompose(psi, node_threshold)
-    add(_madelung_fields(m))
+    add({
+        "S": m.S,
+        "gradS": m.gradS,
+        "gradI": m.gradI,
+        "orth": m.cross,
+        "harmS": m.lapS,
+        "harmI": m.lapI,
+        "I": m.I_unwrapped,
+    })
     c = currents.compute_currents(m, p, V=V, E=E)
     r = analytic.analyze(m)
-    add(_current_fields(c, r))
+    add({
+        "rho": c.rho,
+        "J": c.J,
+        "divJ": c.divJ,
+        "defectC": c.defectC,
+        "defectA": c.defectA,
+        "U": c.U,
+        "deBroglie": c.deBroglie,
+        "crStrict": r.crStrict,
+        "Jtilde": c.Jtilde,
+        "divJtilde": c.divJtilde,
+        "qhjResidual": c.qhjResidual,
+    })
     if tol is None:
         tol = analytic.default_tolerance(m)
     norms = analytic.norm_table(m, c, r)
     verdicts = analytic.verdicts(norms, tol)
-    return Diagnosis(psi, m, c, r, tol, norms, verdicts)
+    return Diagnosis(m, tol, norms, verdicts)
 
 
 def vortex_summary(m) -> dict:
@@ -264,47 +281,6 @@ def vortex_summary(m) -> dict:
     }
 
 
-def _madelung_fields(m: madelung.MadelungFields) -> dict:
-    """The dumps final once `madelung.decompose` returns. `orth`, `harmS`
-    and `harmI` are the cross term and the two Laplacians; vector
-    components are `fieldio.Part`s, not copies."""
-    fields = {
-        "S": m.S,
-        "gradS.x": fieldio.Part(m.spec, m.gradS.vx),
-        "gradS.y": fieldio.Part(m.spec, m.gradS.vy),
-        "gradI.x": fieldio.Part(m.spec, m.gradI.vx),
-        "gradI.y": fieldio.Part(m.spec, m.gradI.vy),
-        "orth": m.cross,
-        "harmS": m.lapS,
-        "harmI": m.lapI,
-    }
-    if m.I_unwrapped is not None:
-        fields["I"] = m.I_unwrapped
-    return fields
-
-
-def _current_fields(c: currents.CurrentFields, r: analytic.AnalyticityReport) -> dict:
-    """The dumps of the currents and of `crStrict`."""
-    fields = {
-        "rho": c.rho,
-        "J.x": fieldio.Part(c.J.spec, c.J.vx),
-        "J.y": fieldio.Part(c.J.spec, c.J.vy),
-        "divJ": c.divJ,
-        "defectC": c.defectC,
-        "defectA": c.defectA,
-        "U": c.U,
-        "deBroglie": c.deBroglie,
-        "crStrict": r.crStrict,
-    }
-    if c.Jtilde is not None:
-        fields["Jtilde.x"] = fieldio.Part(c.Jtilde.spec, c.Jtilde.vx)
-        fields["Jtilde.y"] = fieldio.Part(c.Jtilde.spec, c.Jtilde.vy)
-        fields["divJtilde"] = c.divJtilde
-    if c.qhjResidual is not None:
-        fields["qhjResidual"] = c.qhjResidual
-    return fields
-
-
 def dump_fields(jobs: list[tuple], dumper: dumps.Writer | dumps.Split) -> list[dict]:
     """List every file of the `_dump_jobs` list handed to `dumper` with its
     SHA-256, in job order, once all are written; a failed write raises here.
@@ -315,17 +291,21 @@ def dump_fields(jobs: list[tuple], dumper: dumps.Writer | dumps.Split) -> list[d
 
 def _dump_jobs(fields: dict, out_dir: Path, fmt: str) -> list[tuple]:
     """(writer, field, path) per dump file of `fields` (name -> field), in
-    manifest order: "psi" first, as its `.re` and `.im` parts (binary in a
-    gnuplot run too), then the other fields in name order."""
+    manifest order: "psi" first, then the rest by name. A `ComplexField` gives
+    `.re`/`.im` parts (binary in a gnuplot run too), a `VectorField` `.x`/`.y`
+    parts, both views; None gives no file, any other field one."""
     jobs = []
     for name in sorted(fields, key=lambda name: (name != "psi", name)):
         ext, writer = _DUMP[fmt]
-        if name == "psi":
-            psi_writer = writer if fmt != "gnuplot" else fieldio.write_binary
-            jobs += [(psi_writer, part, path)
-                     for part, path in fieldio.complex_parts(fields[name], out_dir / f"psi{ext}")]
-        else:
-            jobs.append((writer, fields[name], out_dir / f"{name}{ext}"))
+        f, path = fields[name], out_dir / f"{name}{ext}"
+        if isinstance(f, ComplexField):
+            w = writer if fmt != "gnuplot" else fieldio.write_binary
+            jobs += [(w, part, part_path) for part, part_path in fieldio.complex_parts(f, path)]
+        elif isinstance(f, VectorField):
+            jobs += [(writer, fieldio.Part(f.spec, f.vx), out_dir / f"{name}.x{ext}"),
+                     (writer, fieldio.Part(f.spec, f.vy), out_dir / f"{name}.y{ext}")]
+        elif f is not None:
+            jobs.append((writer, f, path))
     return jobs
 
 
@@ -552,7 +532,11 @@ def main(argv=None) -> int:
                 "convergence": cmd_convergence}
     args = None
     try:
-        args = parser.parse_args(argv)
+        parsed = parser.parse_args(argv)
+        # not argparse's required group, which is checked before a misspelt option is named
+        if parsed.command != "solve" and parsed.psi is None and parsed.builtin is None:
+            parser.error("one of the arguments --psi --builtin is required")
+        args = parsed
         return handlers[args.command](args)
     except (ValueError, MemoryError) as err:
         error = f"out of memory: {err}" if isinstance(err, MemoryError) else str(err)

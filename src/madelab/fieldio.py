@@ -415,10 +415,10 @@ def complex_parts(f: ComplexField, path: str | Path) -> list[tuple[Part, Path]]:
             (Part(f.spec, f.values.imag), path.with_name(path.name + ".im"))]
 
 
-def write_complex(f: ComplexField, path: str | Path, writer=write_binary) -> tuple[Path, Path]:
+def write_complex(f: ComplexField, path: str | Path) -> tuple[Path, Path]:
     (re, re_path), (im, im_path) = complex_parts(f, path)
-    writer(re, re_path)
-    writer(im, im_path)
+    write_binary(re, re_path)
+    write_binary(im, im_path)
     return re_path, im_path
 
 

@@ -9,15 +9,16 @@ import threading
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from madelab import cli, dumps, fieldio, spectral
+from madelab import catalog, cli, dumps, fieldio, spectral
 from madelab.currents import PhysicalParams
-from madelab.grid import ComplexField, GridSpec, ScalarField
+from madelab.grid import ComplexField, GridSpec, ScalarField, VectorField
 from madelab.madelung import VortexError, decompose, unwrap_phase
 from madelab.spectral import builtin_state
 from reportcheck import check_report
@@ -43,10 +44,12 @@ def analyze(tmp_path, *extra):
     return cli.main(argv)
 
 
-def dumped_fields(d):
-    """Every field, psi included, that a full report of the diagnosis `d`
-    dumps, by name."""
-    return {"psi": d.psi, **cli._madelung_fields(d.m), **cli._current_fields(d.c, d.r)}
+def dumped_fields(*args, **kwargs):
+    """Every field, psi included, that `cli.diagnose(*args, **kwargs)` hands
+    to a stand-in `out`, by dump name; None where the state lacks it."""
+    fields = {}
+    cli.diagnose(*args, **kwargs, out=SimpleNamespace(add=fields.update))
+    return fields
 
 
 _PARSER = cli.build_parser()
@@ -112,6 +115,28 @@ class TestExitCodes:
         # argparse failures must not collide with the vortex exit code 2
         assert cli.main(["analyze", "--out", str(tmp_path)]) == 1
         assert cli.main(["analyze", "--nope"]) == 1
+
+    def test_misspelt_option_is_named_without_a_state(self, tmp_path, capsys):
+        assert cli.main(["analyze", "--ps", "exp(x+i*y)", "--out", str(tmp_path)]) == 1
+        assert "error: unrecognized arguments: --ps" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cmd", ["analyze", "convergence"])
+    def test_missing_state_exit_one_without_report(self, cmd, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        argv = [cmd, "--grid", "9x9"] + (["--out", str(out)] if cmd == "analyze" else [])
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.endswith("error: one of the arguments --psi --builtin is required\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_psi_with_builtin_refused(self, tmp_path, capsys):
+        assert cli.main(["analyze", "--psi", "x", "--builtin", "ho_ground",
+                         "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith("error: argument --builtin: not allowed with argument --psi\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_nonconvergence_exit_three(self, tmp_path, capsys):
         # ARPACK runs, so --max-iter binds
@@ -624,6 +649,43 @@ class TestDumps:
         assert (tmp_path / "envdir" / "report.json").exists()
 
 
+class TestDumpJobs:
+    """`_dump_jobs` names a field's files by its type, and the parts it
+    splits a field into are views of the field's arrays, not copies."""
+
+    @pytest.fixture(scope="class")
+    def fields(self):
+        # the box mode's rim lies below the node threshold, so its fields hold
+        # NaN there, and a ScalarField built from one of their arrays copies it
+        n = 15
+        h = 1 / (n + 1)
+        spec = GridSpec(n, n, h, h, h, h)
+        psi, _ = catalog.builtin_state("box_mode", {"n1": 1, "n2": 1}, spec, PhysicalParams())
+        return dumped_fields(psi, PhysicalParams(), 0.2)
+
+    @pytest.mark.parametrize("fmt", ["bin", "csv", "gnuplot"])
+    def test_parts_are_views(self, fmt, fields, tmp_path):
+        assert not fields["S"].mask[0].any()
+        ext, parts = cli._DUMP[fmt][0], 0
+        for name, f in fields.items():
+            jobs = cli._dump_jobs({name: f}, tmp_path, fmt)
+            sources, names = [], ([] if f is None else [f"{name}{ext}"])
+            if isinstance(f, ComplexField):
+                sources, names = [f.values] * 2, [f"{name}{ext}.re", f"{name}{ext}.im"]
+            elif isinstance(f, VectorField):
+                sources, names = [f.vx, f.vy], [f"{name}.x{ext}", f"{name}.y{ext}"]
+            assert [path.name for *_, path in jobs] == names
+            for (_, part, _), source in zip(jobs, sources):
+                assert isinstance(part, fieldio.Part)
+                assert np.shares_memory(part.values, source)
+                parts += 1
+        # psi, gradS, gradI, J and Jtilde; no V and E, so no qhjResidual file
+        assert parts == 10 and fields["qhjResidual"] is None
+
+    def test_none_gives_no_job(self, tmp_path):
+        assert cli._dump_jobs({"I": None, "Jtilde": None}, tmp_path, "csv") == []
+
+
 class TestStaleDumps:
     """A reused --out holds the latest run's dumps only: the dumps the
     previous report listed and this run did not write are deleted."""
@@ -798,18 +860,17 @@ class TestSplitDump:
     set; the split must not show in the files, the manifest or stdout."""
 
     @pytest.fixture(scope="class")
-    def diagnosis(self):
+    def fields(self):
         spec = GridSpec(19, 13, -1.0, -0.8, 0.1, 0.125)
         X, Y = spec.meshgrid()
         psi = ComplexField(spec, np.exp((1j - 0.5) * (X + 2 * Y) - X**2))
         V = ScalarField(spec, 0.5 * (X**2 + Y**2))
-        return cli.diagnose(psi, PhysicalParams(), 0.01, V=V, E=1.0)
+        return dumped_fields(psi, PhysicalParams(), 0.01, V=V, E=1.0)
 
     @pytest.mark.parametrize("fmt", ["csv", "gnuplot"])
-    def test_same_files_and_manifest_for_any_worker_count(self, fmt, diagnosis, tmp_path,
+    def test_same_files_and_manifest_for_any_worker_count(self, fmt, fields, tmp_path,
                                                           monkeypatch):
-        fields = dumped_fields(diagnosis)
-        assert "I" in fields and "qhjResidual" in fields
+        assert fields["I"] is not None and fields["qhjResidual"] is not None
         real_fork, forks = os.fork, []
 
         def counting_fork():
@@ -839,14 +900,14 @@ class TestSplitDump:
                    for e in manifest)
         assert results[1] == results[0] and results[2] == results[0]
 
-    def test_one_worker_starts_no_child(self, diagnosis, tmp_path, monkeypatch):
+    def test_one_worker_starts_no_child(self, fields, tmp_path, monkeypatch):
         _affinity(monkeypatch, 1)
 
         def no_fork():
             raise AssertionError("forked with one worker")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        manifest = _split_dump(dumped_fields(diagnosis), tmp_path, "csv")
+        manifest = _split_dump(fields, tmp_path, "csv")
         assert len(manifest) == len(list(tmp_path.iterdir()))
 
     def test_no_affinity_call_means_one_worker(self, monkeypatch):
@@ -899,11 +960,11 @@ class TestStreamDump:
     or the manifest, and the thread must not outlive the run."""
 
     @staticmethod
-    def serial(d, out_dir):
-        """The binary dumps of the final diagnosis `d` written one by one
-        as whole arrays, and their manifest."""
+    def serial(fields, out_dir):
+        """The binary dumps of `fields` written one by one as whole arrays,
+        once the run is over, and their manifest."""
         manifest = []
-        for _, f, path in cli._dump_jobs(dumped_fields(d), out_dir, "bin"):
+        for _, f, path in cli._dump_jobs(fields, out_dir, "bin"):
             s = f.spec
             values = ScalarField(s, f.values).values
             data = b"MFLD1" + struct.pack("<QQdddd", s.nx, s.ny, s.x0, s.y0, s.dx, s.dy) \
@@ -920,19 +981,20 @@ class TestStreamDump:
           "--grid", "32x32", "--domain", "-5,5,-5,5"], 2),
     ], ids=["smooth", "vortex", "solve"])
     def test_same_files_and_manifest_as_a_serial_write(self, argv, code, tmp_path, monkeypatch):
-        diagnoses, diagnose = [], cli.diagnose
+        # every field that `diagnose` hands to the run's `out`
+        added, add = {}, cli._Output.add
 
-        def kept(*args, **kwargs):
-            diagnoses.append(diagnose(*args, **kwargs))
-            return diagnoses[-1]
+        def kept(out, fields):
+            added.update(fields)
+            add(out, fields)
 
-        monkeypatch.setattr(cli, "diagnose", kept)
+        monkeypatch.setattr(cli._Output, "add", kept)
         out, serial = tmp_path / "stream", tmp_path / "serial"
         serial.mkdir()
         assert cli.main([*argv, "--out", str(out)]) == code
         report = load_report(out)
         check_report(report, out, code)
-        manifest = self.serial(diagnoses[0], serial)
+        manifest = self.serial(added, serial)
         assert report["manifest"] == manifest
         assert {p.name: p.read_bytes() for p in out.iterdir() if p.name != "report.json"} \
             == {p.name: p.read_bytes() for p in serial.iterdir()}

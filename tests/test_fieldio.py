@@ -12,6 +12,7 @@ from madelab.fieldio import (
     MAGIC,
     FieldFormatError,
     Part,
+    complex_parts,
     read_binary,
     read_csv,
     write_binary,
@@ -155,13 +156,20 @@ class TestComplex:
         assert np.array_equal(got.mask, z.mask)
         assert np.array_equal(got.values[got.mask], z.values[z.mask])
 
-    def test_csv_writer_variant(self, field, tmp_path):
+    def test_csv_parts_round_trip(self, field, tmp_path):
+        # the text dumps write psi as these two parts, each through write_csv
         z = ComplexField(field.spec, field.values * (1 - 1j), field.mask)
-        re_p, im_p = write_complex(z, tmp_path / "psi", writer=write_csv)
-        real, imag = read_csv(re_p), read_csv(im_p)
+        parts = complex_parts(z, tmp_path / "psi.csv")
+        assert [path.name for _, path in parts] == ["psi.csv.re", "psi.csv.im"]
+        for part, path in parts:
+            write_csv(part, path)
+        real, imag = (read_csv(path) for _, path in parts)
         assert real.spec == imag.spec == z.spec
-        got = ComplexField(real.spec, real.values + 1j * imag.values)
-        assert np.array_equal(got.values[got.mask], z.values[z.mask])
+        assert np.array_equal(real.mask, z.mask) and np.array_equal(imag.mask, z.mask)
+        assert np.array_equal(real.values[z.mask].view(np.uint64),
+                              z.values.real[z.mask].view(np.uint64))
+        assert np.array_equal(imag.values[z.mask].view(np.uint64),
+                              z.values.imag[z.mask].view(np.uint64))
 
 
 def test_gnuplot_layout(field, tmp_path):
