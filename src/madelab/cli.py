@@ -130,6 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(pc)
     _add_state_source(pc)
     pc.add_argument("--levels", type=int, default=3, help="number of refinements, at least 2")
+    parser.commands = sub.choices  # the subcommands' parsers, whose usage `main` may print
     return parser
 
 
@@ -535,7 +536,8 @@ def main(argv=None) -> int:
         parsed = parser.parse_args(argv)
         # not argparse's required group, which is checked before a misspelt option is named
         if parsed.command != "solve" and parsed.psi is None and parsed.builtin is None:
-            parser.error("one of the arguments --psi --builtin is required")
+            parser.commands[parsed.command].error(
+                "one of the arguments --psi --builtin is required")
         args = parsed
         return handlers[args.command](args)
     except (ValueError, MemoryError) as err:

@@ -6,60 +6,37 @@ the jobs out over forked children once waited on (text dumps)."""
 
 from __future__ import annotations
 
-import collections
 import os
-import threading
 from pathlib import Path
 
 
 class Writer:
-    """The dumper of binary runs: one thread writes and hashes the jobs
-    handed to `put`, in order, while the caller goes on. A failed job stops
-    the writing, and `wait` raises its exception in the caller's thread.
-    Threads, not processes: `hashlib`, file writes and row-block copies
-    release the GIL."""
+    """The dumper of binary runs: a `ThreadPoolExecutor` whose one thread,
+    started by the first job, writes and hashes the jobs handed to `put`, in
+    order, while the caller goes on. `wait` raises the first failed job's
+    exception in the caller's thread; the jobs queued behind it are still
+    written, and the caller deletes them with the rest of the run. Threads,
+    not processes: `hashlib`, file writes and row-block copies release the GIL."""
 
     def __init__(self):
-        self._jobs = collections.deque()
-        self._ready = threading.Semaphore(0)  # one release per job, and one to end
-        self._done: dict[Path, str] = {}
-        self._error: BaseException | None = None
-        self._stop = False
-        self._thread = threading.Thread(target=self._run, name="madelab-dump")
-        self._thread.start()
-
-    def _run(self) -> None:
-        while True:
-            self._ready.acquire()
-            job = self._jobs.popleft()
-            if job is None:
-                return
-            if self._error is None and not self._stop:
-                writer, field, path = job
-                try:
-                    self._done[path] = writer(field, path)
-                except BaseException as err:
-                    self._error = err
+        # imported here: it loads `logging`, which `import madelab.cli` and text runs skip
+        from concurrent.futures import ThreadPoolExecutor
+        self._pool = ThreadPoolExecutor(1, "madelab-dump")
+        self._futures = {}
 
     def put(self, jobs: list[tuple]) -> None:
-        for job in jobs:
-            self._jobs.append(job)
-            self._ready.release()
+        for writer, field, path in jobs:
+            self._futures[path] = self._pool.submit(writer, field, path)
 
     def wait(self) -> dict[Path, str]:
         """Every job's digest by path, once all are written and the thread
-        has ended; a failed job's exception is raised here."""
-        self.put([None])
-        self._thread.join()
-        if self._error is not None:
-            raise self._error
-        return self._done
+        has ended; the first failed job's exception is raised here."""
+        self._pool.shutdown()
+        return {path: future.result() for path, future in self._futures.items()}
 
     def stop(self) -> None:
         """End the thread once the job under way is written; drop the rest."""
-        self._stop = True
-        self.put([None])
-        self._thread.join()
+        self._pool.shutdown(cancel_futures=True)
 
 
 class Split:

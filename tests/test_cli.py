@@ -128,6 +128,7 @@ class TestExitCodes:
         argv = [cmd, "--grid", "9x9"] + (["--out", str(out)] if cmd == "analyze" else [])
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
+        assert err.startswith(f"usage: madelab {cmd} ")
         assert err.endswith("error: one of the arguments --psi --builtin is required\n")
         assert list(tmp_path.iterdir()) == []
 
@@ -1080,41 +1081,54 @@ class TestDumpers:
         # every job once, in order; a split's children write the odd ones
         assert calls == (paths if dumper is dumps.Writer else paths[0::2])
 
-    # job 2 is the parent's share of a split, job 3 its child's
-    @pytest.mark.parametrize("failing", [2, 3])
+    # job 2 is the parent's share of a split, job 3 its child's; when both
+    # fail, the earlier in job order is raised
+    @pytest.mark.parametrize("failing", [pytest.param((2,), id="2"), pytest.param((3,), id="3"),
+                                         pytest.param((2, 3), id="2+3")])
     def test_failed_job_raises_from_wait(self, dumper, failing, tmp_path):
         def writer(field, path):
-            if path.name == f"f{failing}":
+            if path.name in {f"f{j}" for j in failing}:
                 raise OSError(28, "No space left on device", str(path))
             return f"digest-of-{path.name}"
 
         d = dumper()
         d.put([(writer, None, tmp_path / f"f{j}") for j in range(3)])
         d.put([(writer, None, tmp_path / f"f{j}") for j in range(3, 6)])
-        with pytest.raises(OSError, match=f"No space left on device: '.*f{failing}'"):
+        with pytest.raises(OSError, match=f"No space left on device: '.*f{failing[0]}'"):
             d.wait()
 
     def test_stop_after_put_leaves_nothing_running(self, dumper, tmp_path):
-        started = threading.Event()
-        d = dumper()
+        started, release = threading.Event(), threading.Event()
 
         def writer(field, path):
-            # the first job holds the writer thread until `stop` is called
+            # the first job holds the writer thread until the test releases it
             started.set()
-            deadline = time.monotonic() + 10
-            while not d._stop and time.monotonic() < deadline:
-                time.sleep(0.001)
+            assert release.wait(10)
             path.write_text(field)
             return "digest"
 
+        d = dumper()
         d.put([(writer, str(j), tmp_path / f"f{j}") for j in range(5)])
         if dumper is dumps.Writer:
             assert started.wait(10)
+        # `stop` drops the queued jobs at once, then waits for the one under way
+        releaser = threading.Timer(0.1, release.set)
+        releaser.start()
         d.stop()
+        releaser.join()
         # the job under way is finished and the rest dropped; a split never
         # began, so it wrote nothing
         written = sorted(p.name for p in tmp_path.iterdir())
         assert written == (["f0"] if dumper is dumps.Writer else [])
+
+    def test_no_job_starts_no_thread(self, dumper):
+        start = threading.active_count()
+        d = dumper()
+        assert threading.active_count() == start
+        # `_Output.publish` never waits on a dumper given no job; a writer may
+        if dumper is dumps.Writer:
+            assert d.wait() == {}
+        d.stop()
 
 
 class TestTracedSeams:

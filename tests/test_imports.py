@@ -1,9 +1,9 @@
 """`import madelab` and the analyze/convergence paths never load scipy; the
 solver is reached only through `madelab.spectral`, which loads
 `scipy.linalg`. `scipy.sparse` loads only for shift-invert. The text
-formatter's tables are built on the first text dump, not on import. Each
-check runs in a fresh interpreter, since this test process has long
-imported everything."""
+formatter's tables are built on the first text dump, not on import, and
+`concurrent.futures` loads only for a binary dump. Each check runs in a
+fresh interpreter, since this test process has long imported everything."""
 
 import os
 import subprocess
@@ -32,6 +32,20 @@ def run_fresh(code: str, tmp_path: Path) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize("module", ["madelab", "madelab.cli"])
 def test_import_leaves_scipy_unloaded(module, tmp_path):
     run_fresh(f"import {module}\n{NO_SCIPY}", tmp_path)
+
+
+def test_binary_dumps_alone_load_the_executor(tmp_path):
+    # `dumps.Writer` imports `concurrent.futures`, which loads `logging`,
+    # when a binary run builds it
+    run_fresh("""
+from madelab import cli
+argv = ["analyze", "--psi", "exp(x+i*y)", "--grid", "9x9", "--dump"]
+assert "concurrent.futures" not in sys.modules
+assert cli.main(argv + ["csv", "--out", "csv"]) == 0
+assert "concurrent.futures" not in sys.modules
+assert cli.main(argv + ["bin", "--out", "bin"]) == 0
+assert "concurrent.futures" in sys.modules
+""", tmp_path)
 
 
 def test_import_builds_no_formatter_table(tmp_path):
