@@ -338,19 +338,20 @@ def write_report(report: dict, out_dir: Path) -> Path:
 class _Output:
     """The one owner of `--out` in a run, as a context manager: it dumps the
     fields handed to `add` in format `fmt` (None: no dumps), then publishes
-    the report. It deletes the old report before it picks the dumper from
-    `fmt` (a `dumps.Writer` for `bin`, else a `dumps.Split`), so a failed or
-    stopped run leaves no report naming files it overwrote; if that delete
-    fails, nothing else is touched. On any exception in the block (a failed
-    write, a refusal after the dumps began, an interrupt) the dumper is
-    stopped, then the dumps the old report listed and every file this run
-    meant to write are deleted, and the exception goes on. `publish` waits
-    for the dumper, so no thread or child outlives the block."""
+    the report. It first deletes the old report, then every dump that report
+    listed, so once its dumps begin a run stopped or killed leaves neither a
+    report naming files it overwrote nor the last run's dumps; if that report
+    cannot be deleted, nothing is touched. On any exception in the block (a
+    failed write, a refusal after the dumps began, an interrupt) the dumper is
+    stopped, every file this run meant to write and its report are deleted,
+    and the exception goes on. `publish` waits for the dumper (a `dumps.Writer`
+    for `bin`, else a `dumps.Split`), so no thread or child outlives the block."""
 
     def __init__(self, out_dir: Path, fmt: str | None):
         self.out_dir, self.fmt = out_dir, fmt
-        self.listed = _listed_dumps(out_dir)
+        listed = _listed_dumps(out_dir)
         (out_dir / "report.json").unlink(missing_ok=True)
+        _drop_dumps(out_dir, listed)
         self.fields: dict = {}
         self.dumper = dumps.Writer() if fmt == "bin" else dumps.Split()
 
@@ -360,8 +361,7 @@ class _Output:
     def __exit__(self, kind, value, traceback) -> None:
         if kind is not None:
             self.dumper.stop()
-            written = {path.name for *_, path in self.jobs()}
-            _drop_dumps(self.out_dir, self.listed | written | {"report.json"})
+            _drop_dumps(self.out_dir, {path.name for *_, path in self.jobs()} | {"report.json"})
 
     def add(self, fields: dict) -> None:
         """Hand `fields` (name -> field) to the dumper; nothing writes to
@@ -374,12 +374,10 @@ class _Output:
 
     def publish(self, report: dict) -> Path:
         """Finish the dumps, list them in `report["manifest"]` (no dumps,
-        no manifest), delete the listed dumps this run did not write, then
-        write the report; return its path."""
+        no manifest), then write the report; return its path."""
         jobs = self.jobs()
         if jobs:
             report["manifest"] = dump_fields(jobs, self.dumper)
-        _drop_dumps(self.out_dir, self.listed - {path.name for *_, path in jobs})
         return write_report(report, self.out_dir)
 
 

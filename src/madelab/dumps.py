@@ -61,7 +61,7 @@ class Split:
 def worker_count(n_jobs: int) -> int:
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return min(len(os.sched_getaffinity(0)), n_jobs)
+    return max(1, min(len(os.sched_getaffinity(0)), n_jobs))
 
 
 def _run_split(jobs: list, workers: int) -> dict[Path, str]:

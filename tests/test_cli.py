@@ -688,8 +688,9 @@ class TestDumpJobs:
 
 
 class TestStaleDumps:
-    """A reused --out holds the latest run's dumps only: the dumps the
-    previous report listed and this run did not write are deleted."""
+    """A reused --out holds the latest run's dumps only: the previous
+    report and the dumps it listed are deleted before this run's first dump
+    begins, so even a killed run leaves none of them."""
 
     @staticmethod
     def dumps(out):
@@ -721,7 +722,8 @@ class TestStaleDumps:
     def test_failed_dump_leaves_no_report(self, tmp_path, capsys):
         # the old report would name digests that the files no longer have,
         # and with no report listing the old dumps no later run would delete
-        # them: the failed run deletes them, and its own files
+        # them: they go before the first dump, and the failed run deletes
+        # its own files
         assert analyze(tmp_path, "--psi", "exp(x+i*y)", "--grid", "17x17") == 0
         (tmp_path / "U.mfld").unlink()
         (tmp_path / "U.mfld").mkdir()
@@ -736,14 +738,17 @@ class TestStaleDumps:
 
     def test_old_report_goes_before_the_first_dump(self, tmp_path, monkeypatch):
         # a run stopped while dumping must leave no report naming digests
-        # that the files no longer have
+        # that the files no longer have, and none of the dumps it listed,
+        # which no later run would delete
         assert analyze(tmp_path, "--psi", "exp(x+i*y)", "--grid", "9x9") == 0
+        listed = [e["path"] for e in load_report(tmp_path)["manifest"]]
         ext, write = cli._DUMP["bin"]
         calls = []
 
         def checked(field, path):
             if not calls:
                 assert not (tmp_path / "report.json").exists()
+                assert not [n for n in listed if (tmp_path / n).exists()]
             calls.append(path.name)
             return write(field, path)
 
@@ -751,6 +756,30 @@ class TestStaleDumps:
         assert analyze(tmp_path, "--psi", "exp(2*x+i*y)", "--grid", "9x9") == 0
         assert calls[:2] == ["psi.mfld.re", "psi.mfld.im"] and len(calls) == 23
         check_report(load_report(tmp_path), tmp_path, 0)
+
+    def test_killed_run_leaves_no_old_dump(self, tmp_path):
+        # a killed run cleans nothing up: the last run's dumps must be gone
+        # before its first dump begins; it ends in its third dump write
+        assert analyze(tmp_path, "--builtin", "ho_vortex", "--grid", "17x17") == 2
+        code = ("import os, sys\n"
+                "from madelab import cli\n"
+                "ext, write = cli._DUMP['bin']\n"
+                "calls = []\n"
+                "def killed(field, path):\n"
+                "    calls.append(path)\n"
+                "    if len(calls) == 3:\n"
+                "        os._exit(137)\n"
+                "    return write(field, path)\n"
+                "cli._DUMP['bin'] = (ext, killed)\n"
+                "sys.exit(cli.main(['analyze', '--psi', 'exp(x+i*y)', '--grid', '17x17',"
+                f" '--out', {str(tmp_path)!r}]))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 137, proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["psi.mfld.im", "psi.mfld.re"]
 
     def test_refused_run_replaces_the_old_report(self, tmp_path, capsys):
         # exit 1 must not leave the last run's report and dumps posing as
@@ -918,6 +947,7 @@ class TestSplitDump:
     def test_worker_count_is_capped_by_jobs(self, monkeypatch):
         _affinity(monkeypatch, 64)
         assert dumps.worker_count(19) == 19
+        assert dumps.worker_count(0) == 1  # never below one: a split given no job forks none
 
     # psi.csv.re is the parent's first file; psi.csv.im goes to child 1 of
     # 2 and I.csv to child 2 of 3
@@ -1125,9 +1155,8 @@ class TestDumpers:
         start = threading.active_count()
         d = dumper()
         assert threading.active_count() == start
-        # `_Output.publish` never waits on a dumper given no job; a writer may
-        if dumper is dumps.Writer:
-            assert d.wait() == {}
+        # `_Output.publish` never waits on a dumper given no job, but either may
+        assert d.wait() == {}
         d.stop()
 
 
