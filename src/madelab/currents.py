@@ -93,16 +93,18 @@ def quantum_potential(m: MadelungFields, p: PhysicalParams) -> ScalarField:
     return ScalarField(m.spec, -c * (m.gS2 + m.lapS.values))
 
 
-def qhj_residual(
-    m: MadelungFields, V: ScalarField, E: float, p: PhysicalParams
-) -> ScalarField:
+def qhj_residual(m: MadelungFields, V: ScalarField, E: float, p: PhysicalParams) -> ScalarField:
     """Pointwise violation of (hbar^2/2m)|gradI|^2 + V + U - E = 0."""
+    return _qhj_residual(m, V, E, p, quantum_potential(m, p))
+
+
+def _qhj_residual(m: MadelungFields, V: ScalarField, E: float, p: PhysicalParams,
+                  U: ScalarField) -> ScalarField:
+    """`qhj_residual` with the quantum potential U of m already formed."""
     if V.spec != m.spec:
         raise GridMismatchError("potential grid does not match the state grid")
-    U = quantum_potential(m, p)
     c = p.hbar * p.hbar / (2.0 * p.mass)
-    res = c * m.gI2 + V.values + U.values - E
-    return ScalarField(m.spec, res)
+    return ScalarField(m.spec, c * m.gI2 + V.values + U.values - E)
 
 
 def de_broglie(m: MadelungFields, p: PhysicalParams) -> ScalarField:
@@ -126,9 +128,7 @@ def compute_currents(
     Jt, divJt, defectA = analytic_current(m, p)
     U = quantum_potential(m, p)
     lam = de_broglie(m, p)
-    qhj = None
-    if V is not None and E is not None:
-        qhj = qhj_residual(m, V, E, p)
+    qhj = None if V is None or E is None else _qhj_residual(m, V, E, p, U)
     return CurrentFields(
         rho=rho,
         J=J,

@@ -79,7 +79,6 @@ class MadelungFields:
     cross: ScalarField             # gradS . gradI, the cross term of lap(psi)/psi
     gS2: np.ndarray                # |gradS|^2 (lapS, U, tolerance), NaN where gradS is invalid
     gI2: np.ndarray                # |gradI|^2 (lapS, QHJ residual), NaN where gradI is invalid
-    node_mask: np.ndarray          # True = too close to a node of psi
     residues: np.ndarray           # (ny-1, nx-1) winding per plaquette, 0 if uncomputable
     holes: list[tuple[int, int, int]]  # (j, i, charge) per charged hole, see hole_charges
     I_unwrapped: ScalarField | None = None
@@ -347,5 +346,5 @@ def decompose(
     charged = winding.any() or holes
     I_unwrapped = None if charged else unwrap_phase(valid_psi, winding, diffs, holes)
 
-    return MadelungFields(S, gradS, gradI, lapS, lapI, cross, gS2, gI2, node_mask,
-                          winding, holes, I_unwrapped)
+    return MadelungFields(S, gradS, gradI, lapS, lapI, cross, gS2, gI2, winding, holes,
+                          I_unwrapped)

@@ -150,10 +150,10 @@ def solve_lowest(
     max_iter: int = 5000,
     seed: int = 0,
 ) -> EigenSolution:
-    """Lowest `count` eigenpairs, ascending. Every pair's residual
-    |H v - E v|/|v| applies H through the 5-point stencil (`H.apply`, bit
-    for bit `H.matrix @ v`); a pair over `tol` raises
-    `EigenConvergenceError` with every energy and residual.
+    """Lowest `count` eigenpairs, ascending. Every pair's residual |H v - E v|/|v|
+    applies H through the 5-point stencil (`H.apply`, bit for bit `H.matrix @ v`);
+    a pair over `tol` raises `EigenConvergenceError` with every energy and
+    residual, its message naming the round-off level eps ||H||_inf.
 
     A separable potential with no wall cell (`_separable_parts`) is solved
     exactly from two tridiagonal eigenproblems (`_kronecker_pairs`):
@@ -173,9 +173,12 @@ def solve_lowest(
     n = H.spec.size
     if count >= n:
         raise ValueError(f"count {count} needs a grid of more than {count} cells (has {n})")
+    inv_dx2, inv_dy2, diag = H._coefficients()
+    # eps ||H||_inf (Gershgorin): a residual near it is round-off
+    roundoff = np.finfo(float).eps * (np.abs(diag).max() + 2.0 * inv_dx2 + 2.0 * inv_dy2)
     parts = _separable_parts(H.potential)
     if parts is not None:
-        energies, vecs = _kronecker_pairs(H, *parts, count)
+        energies, vecs = _kronecker_pairs(inv_dx2, inv_dy2, *parts, count)
         residuals = [_residual(H, lam, v) for lam, v in zip(energies, vecs.T)]
         counters = {"method": "separable", "solved_count": count,
                     "opinv_calls": 0, "factor_nnz": 0}
@@ -184,7 +187,8 @@ def solve_lowest(
     for j, res in enumerate(residuals):
         if res > tol:
             raise EigenConvergenceError(
-                f"eigenpair {j} residual {res:.3e} exceeds tol {tol:.3e}",
+                f"eigenpair {j} residual {res:.3e} exceeds tol {tol:.3e}; "
+                f"the round-off level eps*||H||_inf is {roundoff:.3e}",
                 energies=energies,
                 residuals=residuals,
             )
@@ -223,22 +227,19 @@ def _separable_parts(V: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return a, b
 
 
-def _kronecker_pairs(H: Hamiltonian, a: np.ndarray, b: np.ndarray, count: int):
+def _kronecker_pairs(inv_dx2: float, inv_dy2: float, a: np.ndarray, b: np.ndarray, count: int):
     """The lowest `count` pairs of H = T_x (x) I + I (x) T_y, ascending:
     energies e_y[j] + e_x[i] and vectors outer(u_y[:, j], u_x[:, i]),
     from the lowest min(count, n) pairs of each axis's tridiagonal
-    T = tridiag(-c/h^2, 2c/h^2 + w, -c/h^2). Ties keep row-major order."""
-    s = H.spec
-    c = H.params.hbar**2 / (2.0 * H.params.mass)
+    T = tridiag(-k, 2k + w, -k), k its coupling. Ties keep row-major order."""
 
-    def axis(w, h):
-        inv_h2 = c / (h * h)
+    def axis(w, inv_h2):
         k = min(count, len(w))
         return sla.eigh_tridiagonal(2.0 * inv_h2 + w, np.full(len(w) - 1, -inv_h2),
                                     select="i", select_range=(0, k - 1))
 
-    e_x, u_x = axis(a, s.dx)
-    e_y, u_y = axis(b, s.dy)
+    e_x, u_x = axis(a, inv_dx2)
+    e_y, u_y = axis(b, inv_dy2)
     sums = (e_y[:, None] + e_x[None, :]).ravel()
     picked = np.argsort(sums, kind="stable")[:count]
     energies = [float(sums[k]) for k in picked]

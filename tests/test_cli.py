@@ -176,6 +176,19 @@ class TestExitCodes:
         assert "eigenpair 0 residual" in rep["error"]
         check_report(rep, tmp_path, 3)
 
+    def test_residual_failure_names_the_round_off_level(self, tmp_path):
+        # the oscillator at 1e4 times the stiffness on a 100 times narrower
+        # domain: its residuals sit at round-off, above the tol asked for
+        code = cli.main(["solve", "--potential", "(x^2+y^2)/2*1e4", "--grid", "64x64",
+                         "--domain=-0.05,0.05,-0.05,0.05", "--count", "2",
+                         "--solver-tol", "1e-10", "--out", str(tmp_path)])
+        assert code == 3
+        rep = load_report(tmp_path)
+        assert "eigenpair 0 residual" in rep["error"]
+        level = float(rep["error"].rpartition("; the round-off level eps*||H||_inf is ")[2])
+        assert level > max(rep["solver_residuals"])
+        check_report(rep, tmp_path, 3)
+
     @pytest.mark.parametrize("argv", [
         ["analyze", "--builtin", "ho_ground", "--energy", "1", "--potential", "x^2/2 + i*x"],
         ["solve", "--count", "1", "--potential", "(x^2+y^2)/2 + i*x"],

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from madelab import currents
 from madelab.analytic import default_tolerance
 from madelab.currents import (
     PhysicalParams,
@@ -23,6 +24,7 @@ from madelab.grid import (
     interior_mask,
 )
 from madelab.madelung import DecomposeError, decompose
+from madelab.spectral import assemble, solve_lowest
 
 P = PhysicalParams()
 
@@ -359,3 +361,45 @@ def test_consumers_of_the_squares_keep_their_bits(state):
         assert np.array_equal(new.mask, old.mask)
         assert same_bits(new.values, old.values)
     assert same_bits(np.float64(tol), np.float64(old_tol))
+
+
+# --- one quantum potential per pass -----------------------------------------
+
+def plane_wave_state():
+    """(m, V, E): a free plane wave at its continuum energy; no cell is masked."""
+    spec = grid()
+    return plane_wave(spec), ScalarField(spec, np.zeros(spec.shape)), 6.5
+
+
+def solved_oscillator():
+    """(m, V, E): the solved oscillator ground state, whose rim is node-masked."""
+    spec = grid(65, 6.0)
+    X, Y = spec.meshgrid()
+    V = ScalarField(spec, (X**2 + Y**2) / 2)
+    sol = solve_lowest(assemble(V, P), 1, tol=1e-10)
+    m = decompose(sol.states[0])
+    assert not m.S.mask.all()
+    return m, V, sol.energies[0]
+
+
+@pytest.mark.parametrize("state", [plane_wave_state, solved_oscillator])
+def test_currents_residual_is_qhj_residual(state):
+    m, V, E = state()
+    r = compute_currents(m, P, V=V, E=E).qhjResidual
+    alone = qhj_residual(m, V, E, P)
+    assert np.array_equal(r.mask, alone.mask)
+    assert same_bits(r.values, alone.values)
+
+
+@pytest.mark.parametrize("state", [plane_wave_state, solved_oscillator])
+def test_one_quantum_potential_per_pass(state, monkeypatch):
+    m, V, E = state()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return quantum_potential(*args)
+
+    monkeypatch.setattr(currents, "quantum_potential", counted)
+    compute_currents(m, P, V=V, E=E)
+    assert len(calls) == 1

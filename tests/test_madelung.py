@@ -511,7 +511,7 @@ class TestDecomposeTears:
         psi, _ = builtin_state("ho_vortex", {"l": 1}, spec, PhysicalParams())
         m = decompose(psi, node_threshold=0.3)
         with pytest.raises(VortexError) as err:
-            unwrap_phase(ComplexField(spec, psi.values, psi.mask & ~m.node_mask))
+            unwrap_phase(ComplexField(spec, psi.values, m.S.mask))
         assert m.vortex_plaquettes() == [] == err.value.plaquettes
         assert m.I_unwrapped is None
         assert m.holes == err.value.holes == [(31, 31, 1)]

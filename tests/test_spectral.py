@@ -416,10 +416,11 @@ class TestSeparable:
 
     def test_one_cell_axis(self):
         # GridSpec needs 3 cells per axis, so the pair builder is called
-        # directly: T_x is 1 x 1 with no off-diagonal
+        # directly with the two couplings: T_x is 1 x 1 with no off-diagonal
         spec = SimpleNamespace(nx=1, ny=12, dx=0.2, dy=0.1)
-        H = SimpleNamespace(spec=spec, params=P)
-        energies, vecs = spectral._kronecker_pairs(H, np.zeros(1), np.zeros(12), 3)
+        c = P.hbar**2 / (2.0 * P.mass)
+        inv_dx2, inv_dy2 = c / (spec.dx * spec.dx), c / (spec.dy * spec.dy)
+        energies, vecs = spectral._kronecker_pairs(inv_dx2, inv_dy2, np.zeros(1), np.zeros(12), 3)
         np.testing.assert_allclose(energies, free_energies(spec, 3), rtol=1e-12, atol=0)
         assert vecs.shape == (12, 3)
         assert np.allclose(vecs.T @ vecs, np.eye(3), atol=1e-12)
