@@ -6,15 +6,15 @@ All derivatives of S and I come from the complex log-derivative
 grad(psi)/psi and the identity lap(psi)/psi = (gS + i gI)^2 + lapS + i lapI,
 never from differentiating ln|psi| or a wrapped phase.
 
-The phase layer works in whole turns. theta = angle(psi), 0 on invalid
-cells, and one turn count s per edge are formed once (`phase_differences`):
-the wrapped step along an edge is theta_b - theta_a + 2 pi s, and -s turns
-the other way. The angles cancel round a plaquette, so its circulation
-(Goldstein, Zebker & Werner, Radio Sci. 23 (1988) 713) is the integer sum
-of its four counts. These give the windings of plaquettes of valid cells
-(`residues`) and the charges of holes, vortex cores hidden in masked cells
-(`hole_charges`). A real state times any global phase steps by pi within
-the band of `_turns` across its nodal lines, so it winds nowhere.
+The phase layer works in whole turns. `phase_differences` forms, once,
+theta = angle(psi), one turn count s per edge and one circulation per
+plaquette: the wrapped step along an edge is theta_b - theta_a + 2 pi s, and
+-s turns the other way. The angles cancel round a plaquette, so its
+circulation (Goldstein, Zebker & Werner, Radio Sci. 23 (1988) 713) is the
+integer sum of its four counts. It gives the windings of plaquettes of valid
+cells (`residues`) and the charges of holes, vortex cores hidden in masked
+cells (`hole_charges`). A real state times any global phase steps by pi
+within the band of `_turns` across its nodal lines, so it winds nowhere.
 
 `decompose` unwraps only when no plaquette winds and no hole is charged.
 Then the counts sum to zero round every cycle of valid cells, and I = theta
@@ -115,18 +115,21 @@ class PhaseDifferences(NamedTuple):
     and one turn count per edge: the wrapped steps are theta[j, i+1] -
     theta[j, i] + 2 pi sx[j, i] and theta[j+1, i] - theta[j, i] + 2 pi
     sy[j, i]. The step the other way counts -sx or -sy turns. theta is 0 on
-    invalid cells, so every edge has a count."""
+    invalid cells, so every edge has a count. circulation[j, i] sums the
+    turns counterclockwise round the plaquette of lower-left cell (j, i)."""
 
     theta: np.ndarray
     sx: np.ndarray
     sy: np.ndarray
+    circulation: np.ndarray
 
 
 def phase_differences(psi: ComplexField) -> PhaseDifferences:
     v = psi.values
     t = np.arctan2(v.imag + 0.0, v.real)
     t[~psi.mask] = 0.0
-    return PhaseDifferences(t, _turns(t[:, 1:] - t[:, :-1]), _turns(t[1:] - t[:-1]))
+    sx, sy = _turns(t[:, 1:] - t[:, :-1]), _turns(t[1:] - t[:-1])
+    return PhaseDifferences(t, sx, sy, sx[:-1] + sy[:, 1:] - sx[1:] - sy[:, :-1])
 
 
 def residues(psi: ComplexField, diffs: PhaseDifferences | None = None
@@ -137,15 +140,11 @@ def residues(psi: ComplexField, diffs: PhaseDifferences | None = None
     are reported as indeterminate (mask False) with winding 0. `diffs` is
     `phase_differences(psi)` when the caller already has it.
     """
+    if diffs is None:
+        diffs = phase_differences(psi)
     m = psi.mask
     ok = m[:-1, :-1] & m[:-1, 1:] & m[1:, 1:] & m[1:, :-1]
-    return np.where(ok, _circulation(psi, diffs), 0), ok
-
-
-def _circulation(psi: ComplexField, diffs: PhaseDifferences | None) -> np.ndarray:
-    # turns counterclockwise: (j,i) -> (j,i+1) -> (j+1,i+1) -> (j+1,i) -> (j,i)
-    _, sx, sy = phase_differences(psi) if diffs is None else diffs
-    return sx[:-1] + sy[:, 1:] - sx[1:] - sy[:, :-1]
+    return np.where(ok, diffs.circulation, 0), ok
 
 
 def _row_runs(mask: np.ndarray, reach: int) -> tuple[np.ndarray, ...]:
@@ -210,7 +209,9 @@ def hole_charges(psi: ComplexField, diffs: PhaseDifferences | None = None
     label[invalid] = np.repeat(first + 1, hi - lo + 1)
     corner = np.maximum(np.maximum(label[:-1, :-1], label[:-1, 1:]), label[1:, :-1])
     np.maximum(corner, label[1:, 1:], out=corner)
-    charge = np.bincount(corner.ravel(), _circulation(psi, diffs).ravel())
+    if diffs is None:
+        diffs = phase_differences(psi)
+    charge = np.bincount(corner.ravel(), diffs.circulation.ravel())
     charge[np.concatenate([label[0], label[-1], label[:, 0], label[:, -1]])] = 0
     return [(int(row[r]), int(lo[r]), int(charge[r + 1])) for r in np.flatnonzero(charge[1:])]
 
@@ -220,7 +221,6 @@ def _run_tree(amp: np.ndarray, valid: np.ndarray, diffs: PhaseDifferences) -> np
     each valid component (see unwrap_phase). `_components` walks the valid
     row runs from each component's largest |psi|, the first run first on a
     tie, and gives each run's base as its offset from there."""
-    theta, sx, sy = diffs
     row, lo, hi, lower, upper = _row_runs(valid, 0)
 
     # Each run's largest |psi| and its first cell holding it: runs are
@@ -238,9 +238,9 @@ def _run_tree(amp: np.ndarray, valid: np.ndarray, diffs: PhaseDifferences) -> np
     # step. A run's base is its offset from its component's seed less the
     # turns at the seed's peak, where n = 0.
     turns = np.zeros(valid.shape, np.int32)
-    np.cumsum(sx, axis=1, out=turns[:, 1:])
+    np.cumsum(diffs.sx, axis=1, out=turns[:, 1:])
     j, c = row[lower], np.maximum(lo[lower], lo[upper])
-    step = turns[j, c] + sy[j, c] - turns[j + 1, c]
+    step = turns[j, c] + diffs.sy[j, c] - turns[j + 1, c]
     seed, offset = _components(lower, upper, step, np.argsort(-peak, kind="stable").tolist())
     # now n on every valid cell; a run's base runs on over the invalid cells
     # after it, which go to NaN below
@@ -248,7 +248,7 @@ def _run_tree(amp: np.ndarray, valid: np.ndarray, diffs: PhaseDifferences) -> np
     turns.reshape(-1)[cell[0]:] += np.repeat(offset - turns[row, peak_col][seed],
                                              np.diff(cell, append=valid.size))
     I = _TWO_PI * turns
-    np.add(theta, I, out=I)
+    np.add(diffs.theta, I, out=I)
     I[~valid] = np.nan
     return I
 
@@ -305,8 +305,7 @@ def decompose(
     amax = float(amp[base].max()) if base.any() else 0.0
     if amax == 0.0:
         raise DecomposeError("psi vanishes everywhere")
-    node_mask = base & (amp < node_threshold * amax)
-    valid_psi = ComplexField(spec, psi.values, base & ~node_mask)
+    valid_psi = ComplexField(spec, psi.values, base & (amp >= node_threshold * amax))
     values = valid_psi.values  # NaN at nodes and non-finite cells
 
     with np.errstate(all="ignore"):

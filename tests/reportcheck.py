@@ -1,9 +1,15 @@
 """`check_report`: a report checked against itself and against the files
 beside it in its output directory. A full report (exit 0 or 2) lists its
 dumps, and its verdicts are judged again from its own norms; a partial one
-(exit 1 or 3) stands alone."""
+(exit 1 or 3) stands alone.
+
+    PYTHONPATH=src python tests/reportcheck.py DIR CODE
+
+checks DIR/report.json of a run that exited with CODE."""
 
 import hashlib
+import json
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -72,3 +78,9 @@ def check_report(report: dict, out_dir: Path, code: int) -> None:
     assert report["properties"] == {
         name: {k: v for k, v in asdict(verdict).items() if k != "note" or v}
         for name, verdict in judged.items()}
+
+
+if __name__ == "__main__":
+    out_dir, code = Path(sys.argv[1]), int(sys.argv[2])
+    check_report(json.loads((out_dir / "report.json").read_text()), out_dir, code)
+    print(out_dir / "report.json", "checks out")

@@ -633,7 +633,7 @@ def test_unwrapped_phase_congruent_to_angle(psi):
     v = psi.mask
     n = np.rint(np.where(v, I.values - theta, 0.0) / (2 * np.pi))
     assert np.array_equal(I.values[v].view(np.uint64), (theta + 2 * np.pi * n)[v].view(np.uint64))
-    _, sx, sy = phase_differences(psi)
+    _, sx, sy, _ = phase_differences(psi)
     across = v[:, 1:] & v[:, :-1]
     assert np.array_equal((n[:, 1:] - n[:, :-1])[across], sx[across])
     up = v[1:] & v[:-1]
@@ -689,7 +689,9 @@ def test_holes_are_the_8_connected_components_off_the_grid_edge(data):
     valid = rng.random((ny, nx)) >= data.draw(st.floats(0.05, 0.7))
     psi = ComplexField(GridSpec(nx, ny), np.ones((ny, nx), dtype=complex), valid)
     sx = np.repeat(-np.arange(ny, dtype=np.int8)[:, None], nx - 1, axis=1)
-    diffs = PhaseDifferences(np.zeros((ny, nx)), sx, np.zeros((ny - 1, nx), np.int8))
+    sy = np.zeros((ny - 1, nx), np.int8)
+    diffs = PhaseDifferences(np.zeros((ny, nx)), sx, sy,
+                             sx[:-1] + sy[:, 1:] - sx[1:] - sy[:, :-1])
     label, count = ndimage.label(~valid, np.ones((3, 3)))
     edge = set(np.concatenate([label[0], label[-1], label[:, 0], label[:, -1]]).tolist())
     corner = np.maximum.reduce([label[:-1, :-1], label[:-1, 1:], label[1:, :-1], label[1:, 1:]])
@@ -827,6 +829,85 @@ def test_residues_are_int8_roundings_of_the_circulations(data):
     s = dx[:-1] + dy[:, 1:] - dx[1:] - dy[:, :-1]
     assert w.dtype == np.int8
     assert np.array_equal(w, np.rint(np.where(ok, s, 0.0) / (2 * np.pi)).astype(np.int64))
+
+
+@given(st.data())
+def test_circulation_is_the_int8_sum_of_the_edge_turns(data):
+    ny, nx = data.draw(st.integers(3, 30)), data.draw(st.integers(3, 30))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    psi = ComplexField(GridSpec(nx, ny), np.exp(1j * rng.uniform(-4, 4, (ny, nx))),
+                       rng.random((ny, nx)) >= 0.1)
+    _, sx, sy, circulation = phase_differences(psi)
+    sx, sy = sx.astype(np.int64), sy.astype(np.int64)
+    assert circulation.dtype == np.int8
+    assert np.array_equal(circulation, sx[:-1] + sy[:, 1:] - sx[1:] - sy[:, :-1])
+
+
+def test_decompose_forms_the_phase_differences_once(monkeypatch):
+    calls = []
+
+    def counted(psi):
+        calls.append(psi)
+        return phase_differences(psi)
+
+    monkeypatch.setattr(madelung, "phase_differences", counted)
+    m = decompose(vortex(GridSpec(41, 41, -4.0, -4.0, 0.2, 0.2)))  # a masked core
+    assert len(calls) == 1 and m.holes
+    m = decompose(gaussian(grid()))  # vortex-free, so unwrapped as well
+    assert len(calls) == 2 and m.I_unwrapped is not None
+
+
+@st.composite
+def vortex_products(draw):
+    """psi = e^{i alpha} G(x, y) prod (z - z_k) or conj(z - z_k), G a
+    Gaussian, on 6x6 to 24x24 cells over a 4 x 3 rectangle, with 0% or 5% of
+    the cells masked, and a node threshold."""
+    ny, nx = draw(st.integers(6, 24)), draw(st.integers(6, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = GridSpec(nx, ny, -2.0, -1.5, 4.0 / (nx - 1), 3.0 / (ny - 1))
+    X, Y = spec.meshgrid()
+    z = X + 1j * Y
+    psi = np.exp(1j * rng.uniform(-np.pi, np.pi) - (X**2 + Y**2) / rng.uniform(1, 8))
+    for _ in range(rng.integers(0, 5)):
+        factor = z - complex(rng.uniform(-2, 2), rng.uniform(-1.5, 1.5))
+        psi = psi * (factor if rng.random() < 0.5 else factor.conj())
+    mask = rng.random(spec.shape) >= rng.choice([0.0, 0.05])
+    return ComplexField(spec, psi, mask), rng.choice([1e-8, 1e-3, 5e-2])
+
+
+def hole_map(m):
+    """Each charged hole's charge on every cell of its 8-connected component."""
+    label, _ = ndimage.label(~m.S.mask, np.ones((3, 3)))
+    charge = np.zeros(label.shape, int)
+    for j, i, q in m.holes:
+        charge[label == label[j, i]] = q
+    return charge
+
+
+@given(vortex_products())
+def test_conjugation_and_transposition_flip_every_winding(case):
+    # conj(psi) turns the other way; psi.T on the swapped grid is psi
+    # mirrored in y = x, which reverses orientation and moves each
+    # plaquette (j, i) to (i, j). A hole is named by its first cell in row
+    # order, which transposition changes, so holes compare by component.
+    psi, threshold = case
+    s = psi.spec
+    conj = ComplexField(s, psi.values.conj(), psi.mask)
+    transposed = ComplexField(GridSpec(s.ny, s.nx, s.y0, s.x0, s.dy, s.dx),
+                              psi.values.T, psi.mask.T)
+    try:
+        m = decompose(psi, threshold)
+    except DecomposeError:
+        for other in (conj, transposed):
+            with pytest.raises(DecomposeError):
+                decompose(other, threshold)
+        return
+    c = decompose(conj, threshold)
+    assert np.array_equal(c.residues, -m.residues)
+    assert c.holes == [(j, i, -q) for j, i, q in m.holes]
+    t = decompose(transposed, threshold)
+    assert np.array_equal(t.residues, -m.residues.T)
+    assert np.array_equal(hole_map(t), -hole_map(m).T)
 
 
 @given(st.integers(9, 33), st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
